@@ -3,6 +3,12 @@ is unavailable.  Must stay behaviorally identical to ``_kernels.pyx``.
 
 Two hot paths live here: renormalized cocycle products batched over phase
 samples, and long map orbits in projective x-coordinates.
+
+``generators`` is the one Python definition of the cocycle generator
+families, with ``sqrt_branch_values`` for the square-root normalization.
+``cocycle`` evaluates every generator through it, so this module imports
+nothing from the package; ``_kernels.pyx`` keeps a compiled inline copy,
+cross-checked against this one by the backend tests.
 """
 
 import numpy as np
@@ -21,52 +27,43 @@ MAP_F2 = 2
 COMPILED = False
 
 
-def _potential_values(y, coeffs):
-    # v(y) = a0 + sum_k a_k * (y**k + y**-k) / 2, the analytic extension of
-    # the cosine polynomial off the unit circle.
-    v = np.zeros_like(y)
-    if len(coeffs):
-        v += coeffs[0]
-        p = np.ones_like(y)
-        for k in range(1, len(coeffs)):
-            p = p * y
-            v += coeffs[k] * 0.5 * (p + 1.0 / p)
-    return v
+def sqrt_branch_values(alpha, rho, y):
+    """Closed-form continuous branch of sqrt(alpha - y^2) on |y| = rho != 1.
+
+    For rho < 1, alpha - y^2 winds 0 times about the origin and the branch
+    through sqrt(alpha) at y = 0 is used; for rho > 1 it winds twice and
+    the branch is i y sqrt(1 - alpha / y^2).
+    """
+    if rho < 1.0:
+        return np.sqrt(complex(alpha)) * np.sqrt(1.0 - y * y / alpha)
+    return 1j * y * np.sqrt(1.0 - alpha / (y * y))
 
 
-def _generators(kind, alpha, rho, freq, energy, potential, cmat, thetas, k):
-    """Generator matrices at rotation step k for every phase sample."""
-    m = len(thetas)
-    g = np.empty((m, 2, 2), dtype=np.complex128)
+def generators(kind, alpha, rho, energy, potential, cmat, phases):
+    """Generator matrices at y = rho * exp(2 pi i phase): an (m, 2, 2)
+    complex array for m phases."""
+    phases = np.asarray(phases, dtype=np.float64)
+    g = np.empty((len(phases), 2, 2), dtype=np.complex128)
     if kind == KIND_CONSTANT:
-        g[:, 0, 0] = cmat[0]
-        g[:, 0, 1] = cmat[1]
-        g[:, 1, 0] = cmat[2]
-        g[:, 1, 1] = cmat[3]
+        g[:] = np.reshape(cmat, (2, 2))
         return g
-    tk = np.mod(thetas + k * freq, 1.0)
-    y = rho * np.exp(2j * np.pi * tk)
-    if kind == KIND_JONQ_A:
+    y = rho * np.exp(2j * np.pi * phases)
+    if kind in (KIND_JONQ_A, KIND_JONQ_B, KIND_BTILDE):
         g[:, 0, 0] = alpha
-        g[:, 0, 1] = y
-        g[:, 1, 0] = 1.0
-        g[:, 1, 1] = 1.0
-    elif kind == KIND_JONQ_B:
-        g[:, 0, 0] = alpha
-        g[:, 0, 1] = y * y
-        g[:, 1, 0] = 1.0
-        g[:, 1, 1] = 1.0
-    elif kind == KIND_BTILDE:
-        if rho < 1.0:
-            s = np.sqrt(complex(alpha)) * np.sqrt(1.0 - y * y / alpha)
-        else:
-            s = 1j * y * np.sqrt(1.0 - alpha / (y * y))
-        g[:, 0, 0] = alpha / s
-        g[:, 0, 1] = y * y / s
-        g[:, 1, 0] = 1.0 / s
-        g[:, 1, 1] = 1.0 / s
+        g[:, 0, 1] = y if kind == KIND_JONQ_A else y * y
+        g[:, 1, :] = 1.0
+        if kind == KIND_BTILDE:
+            g /= sqrt_branch_values(alpha, rho, y)[:, None, None]
     elif kind == KIND_SCHRODINGER:
-        v = _potential_values(y, potential)
+        # v(y) = a0 + sum_k a_k * (y**k + y**-k) / 2, the analytic extension
+        # of the cosine polynomial off the unit circle
+        v = np.zeros_like(y)
+        if len(potential):
+            v += potential[0]
+            p = np.ones_like(y)
+            for c in potential[1:]:
+                p = p * y
+                v += c * 0.5 * (p + 1.0 / p)
         g[:, 0, 0] = energy - v
         g[:, 0, 1] = -1.0
         g[:, 1, 0] = 1.0
@@ -99,7 +96,8 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     s_half = np.full(m, log_sqrt2)
     p_half = p.copy() / np.sqrt(2.0)
     for k in range(n):
-        g = _generators(kind, alpha, rho, freq, energy, potential, cmat, thetas, k)
+        g = generators(kind, alpha, rho, energy, potential, cmat,
+                       np.mod(thetas + k * freq, 1.0))
         p = np.einsum("mij,mjk->mik", g, p)
         nrm = np.sqrt((np.abs(p) ** 2).sum(axis=(1, 2)))
         s += np.log(nrm)

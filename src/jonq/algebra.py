@@ -100,14 +100,6 @@ class Mat2:
         return (0.5 * (t + disc), 0.5 * (t - disc))
 
 
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b
-
-
-def frobenius_norm(m: Mat2) -> float:
-    return m.frobenius()
-
-
 def projective_action(m: Mat2, x):
     """Moebius action of ``m`` on the extended complex ``x``.
 
@@ -137,26 +129,6 @@ def chordal(x, y) -> float:
     if is_infinity(y):
         return 1.0 / math.sqrt(1.0 + abs(x) ** 2)
     return abs(x - y) / math.sqrt((1.0 + abs(x) ** 2) * (1.0 + abs(y) ** 2))
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """Point rho * exp(2*pi*i*theta) with the radius carried exactly."""
-
-    theta: float
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            object.__setattr__(self, "theta", self.theta % 1.0)
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-
-    def value(self) -> complex:
-        return self.rho * cmath.exp(2j * math.pi * self.theta)
-
-    def rotated(self, freq: float) -> "CirclePoint":
-        return CirclePoint((self.theta + freq) % 1.0, self.rho)
 
 
 def check_nonresonant(freq: float, max_denominator: int = 64, tol: float = 1e-12) -> None:
@@ -306,7 +278,3 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries({list(self.coeffs)!r})"
-
-
-def series_scale_argument(s: PowerSeries, c: complex) -> PowerSeries:
-    return s.scale_argument(c)

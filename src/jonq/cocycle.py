@@ -13,6 +13,9 @@ exp(2*pi*i*freq)):
   potential extended analytically off the unit circle
 * ``diagonal_power``: [[y, 0], [0, 1/y]] (closed-form L(rho) = |ln rho|)
 * ``constant``:       a fixed matrix
+
+The formulas are defined once, in ``_kernels_py.generators`` (vectorized
+over phases); every evaluation here goes through it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .algebra import (
     tree_mean,
     tree_sum,
 )
+from ._kernels_py import generators, sqrt_branch_values
 from .backend import kernels
 from .errors import BranchFailure, Overflow, RadiusOne, SingularFactor
 
@@ -130,22 +134,8 @@ def sqrt_branch(spec: CocycleSpec, theta: float) -> complex:
     """
     if spec.rho == 1.0:
         raise RadiusOne("square-root branch undefined at rho = 1")
-    return _branch_value(spec.alpha, spec.rho, theta)
-
-
-def _branch_value(alpha: complex, rho: float, theta: float) -> complex:
-    y = rho * cmath.exp(2j * math.pi * theta)
-    if rho < 1.0:
-        return cmath.sqrt(alpha) * cmath.sqrt(1.0 - y * y / alpha)
-    return 1j * y * cmath.sqrt(1.0 - alpha / (y * y))
-
-
-def _branch_grid(alpha: complex, rho: float, m: int) -> np.ndarray:
-    theta = np.arange(m + 1) / m
-    y = rho * np.exp(2j * np.pi * theta)
-    if rho < 1.0:
-        return np.sqrt(complex(alpha)) * np.sqrt(1.0 - y * y / alpha)
-    return 1j * y * np.sqrt(1.0 - alpha / (y * y))
+    y = spec.rho * cmath.exp(2j * math.pi * theta)
+    return complex(sqrt_branch_values(spec.alpha, spec.rho, y))
 
 
 def _tracked_branch(alpha: complex, rho: float, m: int) -> tuple[np.ndarray, int]:
@@ -191,44 +181,55 @@ def _verified_branch(alpha: complex, rho: float) -> int:
         raise BranchFailure(f"odd winding number {winding}: branch cannot close")
     if abs(s_next[-1] - s_next[0]) > 1e-8 * max(1.0, abs(s_next[0])):
         raise BranchFailure("tracked branch failed to close around the circle")
-    closed = _branch_grid(alpha, rho, m)
+    y = rho * np.exp(2j * np.pi * np.arange(m + 1) / m)
+    closed = sqrt_branch_values(alpha, rho, y)
     dev = min(np.max(np.abs(closed - s_next)), np.max(np.abs(closed + s_next)))
     if dev > 1e-6:
         raise BranchFailure("tracked branch disagrees with closed form")
     return winding
 
 
+def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
+    """Generator matrices at y = rho * exp(2*pi*i*theta), one (2, 2) block
+    per phase in ``thetas``."""
+    kind, alpha, rho, _, energy, potential, cmat = _kernel_args(spec)
+    return generators(kind, alpha, rho, energy, potential, cmat, thetas)
+
+
+def _mat2s(g: np.ndarray) -> list[Mat2]:
+    return [Mat2(*row) for row in g.reshape(-1, 4).tolist()]
+
+
 def evaluate_generator(spec: CocycleSpec, theta: float) -> Mat2:
     """Exact generator value at y = rho * exp(2*pi*i*theta)."""
-    if spec.kind == "constant":
-        return spec.matrix
-    y = spec.rho * cmath.exp(2j * math.pi * theta)
-    if spec.kind == "jonquieres_a":
-        return Mat2(spec.alpha, y, 1.0 + 0j, 1.0 + 0j)
-    if spec.kind == "jonquieres_b":
-        return Mat2(spec.alpha, y * y, 1.0 + 0j, 1.0 + 0j)
-    if spec.kind == "btilde":
-        s = sqrt_branch(spec, theta)
-        return Mat2(spec.alpha / s, y * y / s, 1.0 / s, 1.0 / s)
-    if spec.kind == "schrodinger":
-        v = 0j
-        if spec.potential:
-            v += spec.potential[0]
-            p = 1.0 + 0j
-            for c in spec.potential[1:]:
-                p *= y
-                v += c * 0.5 * (p + 1.0 / p)
-        return Mat2(spec.energy - v, -1.0 + 0j, 1.0 + 0j, 0j)
-    # diagonal_power
-    return Mat2(y, 0j, 0j, 1.0 / y)
+    return _mat2s(generator_values(spec, [theta]))[0]
 
 
-def _check_generator_scale(spec: CocycleSpec, theta: float) -> None:
-    g = evaluate_generator(spec, theta)
+def _check_generator_scale(spec: CocycleSpec, thetas: np.ndarray) -> None:
     # max entry modulus brackets the Frobenius norm within a factor of 2
-    nrm = max(abs(g.m00), abs(g.m01), abs(g.m10), abs(g.m11))
-    if not (1e-150 <= nrm <= 1e150):
-        raise Overflow(f"generator norm {nrm:.3e} outside [1e-150, 1e150]")
+    nrm = np.abs(generator_values(spec, thetas)).max(axis=(1, 2))
+    bad = ~((nrm >= 1e-150) & (nrm <= 1e150))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise Overflow(
+            f"generator norm {nrm[i]:.3e} outside [1e-150, 1e150]"
+            f" at phase {float(thetas[i])!r}"
+        )
+
+
+def _cocycle_sums(spec: CocycleSpec, thetas: np.ndarray, n: int):
+    """Kernel products from every phase in ``thetas``, after the generator
+    scale check.  A renormalized product that vanished (or left the
+    floating-point range) leaves a non-finite log-norm sum: that raises
+    :class:`SingularFactor` instead of returning NaN."""
+    _check_generator_scale(spec, thetas)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums = kernels.cocycle_sums(*_kernel_args(spec), thetas, int(n))
+    if not np.all(np.isfinite(sums[1])):
+        raise SingularFactor(
+            None, "cocycle product vanished or overflowed: log-norm sum is not finite"
+        )
+    return sums
 
 
 def _kernel_args(spec: CocycleSpec):
@@ -259,11 +260,7 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
-    _check_generator_scale(spec, theta)
-    args = _kernel_args(spec)
-    _, s_full, _, p_full = kernels.cocycle_sums(
-        *args, np.array([theta % 1.0]), int(n)
-    )
+    _, s_full, _, p_full = _cocycle_sums(spec, np.array([theta % 1.0]), n)
     p = p_full[0]
     return Mat2(p[0, 0], p[0, 1], p[1, 0], p[1, 1]), float(s_full[0])
 
@@ -280,8 +277,8 @@ def inverse_iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, floa
         return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
     p = Mat2.identity()
     s = 0.0
-    for k in range(1, n + 1):
-        g = evaluate_generator(spec, (theta - k * spec.freq) % 1.0)
+    phases = np.mod(theta - np.arange(1, n + 1) * spec.freq, 1.0)
+    for k, g in enumerate(_mat2s(generator_values(spec, phases)), start=1):
         det = g.det()
         if abs(det) <= 1e-12 * max(1e-300, g.frobenius() ** 2):
             raise SingularFactor(k)
@@ -318,9 +315,7 @@ def lyapunov_phase_values(
     if norm not in ("fro", "op2"):
         raise ValueError("norm must be 'fro' or 'op2'")
     thetas = phase_samples(samples, seed)
-    _check_generator_scale(spec, float(thetas[0]))
-    args = _kernel_args(spec)
-    s_half, s_full, p_half, p_full = kernels.cocycle_sums(*args, thetas, int(n))
+    s_half, s_full, p_half, p_full = _cocycle_sums(spec, thetas, n)
     half = n // 2
     if norm == "op2":
         # products are Frobenius-normalized, so the op-2-norm of the full
@@ -377,18 +372,10 @@ def two_step_limit_check(
         raise ValueError("two-step limit check requires rho >= 10")
     spec = CocycleSpec(kind="btilde", alpha=alpha, rho=rho, freq=freq)
     m = spec.multiplier()
-    limit = Mat2(-m, -(alpha + m * m) / m, 0j, -1.0 / m)
-    acc = np.zeros((2, 2), dtype=np.complex128)
-    worst = 0.0
-    lim = np.array([[limit.m00, limit.m01], [limit.m10, limit.m11]])
-    for i in range(grid):
-        theta = i / grid
-        g1 = evaluate_generator(spec, theta)
-        g2 = evaluate_generator(spec, (theta + freq) % 1.0)
-        prod = g2 @ g1
-        arr = np.array([[prod.m00, prod.m01], [prod.m10, prod.m11]])
-        acc += arr
-        worst = max(worst, float(np.abs(arr - lim).sum()))
-    acc /= grid
-    mean = Mat2(acc[0, 0], acc[0, 1], acc[1, 0], acc[1, 1])
-    return mean, worst
+    limit = np.array([[-m, -(alpha + m * m) / m], [0j, -1.0 / m]])
+    thetas = np.arange(grid) / grid
+    g1 = generator_values(spec, thetas)
+    g2 = generator_values(spec, np.mod(thetas + freq, 1.0))
+    prods = g2 @ g1
+    worst = float(np.abs(prods - limit).sum(axis=(1, 2)).max())
+    return _mat2s(prods.mean(axis=0))[0], worst

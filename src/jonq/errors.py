@@ -33,7 +33,8 @@ class Overflow(JonqError):
 
 
 class SingularFactor(JonqError):
-    """A factor in an inverse-iterate product is numerically singular."""
+    """A factor in an inverse-iterate product is numerically singular (``step``
+    is its index), or a forward product vanished (``step`` is None)."""
 
     def __init__(self, step, message=""):
         self.step = step

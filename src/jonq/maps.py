@@ -25,7 +25,7 @@ from .algebra import (
     projective_action,
 )
 from .backend import kernels
-from .cocycle import CocycleSpec, evaluate_generator
+from .cocycle import CocycleSpec, generator_values
 from .errors import IndeterminateAction, IndeterminatePoint, InsufficientPoints
 
 
@@ -143,13 +143,13 @@ def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
     rho = abs(q.y)
     theta0 = (cmath.phase(q.y) / (2.0 * math.pi)) % 1.0
     spec = CocycleSpec(kind="jonquieres_a", alpha=p.alpha, rho=rho, freq=p.freq)
+    gens = generator_values(spec, np.mod(theta0 + np.arange(n) * p.freq, 1.0))
     cur = q
     prod = Mat2.identity()
     worst = 0.0
-    for k in range(n):
+    for g in gens.reshape(-1, 4).tolist():
         cur = apply_f(p, cur)
-        g = evaluate_generator(spec, (theta0 + k * p.freq) % 1.0)
-        prod = g @ prod
+        prod = Mat2(*g) @ prod
         prod = prod.scaled(1.0 / prod.frobenius())
         x_mat = projective_action(prod, q.x)
         worst = max(worst, chordal(cur.x, x_mat))

@@ -6,15 +6,11 @@ import pytest
 
 from jonq.algebra import (
     INFINITY,
-    CirclePoint,
     Mat2,
     PowerSeries,
     check_nonresonant,
     chordal,
-    frobenius_norm,
-    mat_mul,
     projective_action,
-    series_scale_argument,
     tree_sum,
 )
 from jonq.errors import IndeterminateAction, ResonantParameter
@@ -32,12 +28,12 @@ class TestMat2:
     def test_identity_multiplication(self):
         rng = random.Random(1)
         m = rand_mat(rng)
-        assert mat_mul(Mat2.identity(), m) == m
-        assert mat_mul(m, Mat2.identity()) == m
+        assert Mat2.identity() @ m == m
+        assert m @ Mat2.identity() == m
 
     def test_square_of_ones(self):
         m = Mat2(1, 1, 1, 1)
-        sq = mat_mul(m, m)
+        sq = m @ m
         assert sq == Mat2(2, 2, 2, 2)
 
     def test_two_step_generator_product_hand_oracle(self):
@@ -46,21 +42,19 @@ class TestMat2:
         alpha = 1j
         a_y = Mat2(alpha, 1.0, 1.0, 1.0)
         a_by = Mat2(alpha, 1j, 1.0, 1.0)
-        prod = mat_mul(a_by, a_y)
+        prod = a_by @ a_y
         assert prod == Mat2(-1 + 1j, 2j, 1 + 1j, 2)
 
     def test_frobenius_values(self):
-        assert frobenius_norm(Mat2.identity()) == pytest.approx(math.sqrt(2))
-        assert frobenius_norm(Mat2(2, 0, 0, 0.5)) == pytest.approx(math.sqrt(4.25))
-        assert frobenius_norm(Mat2(0, 0, 0, 0)) == 0.0
+        assert Mat2.identity().frobenius() == pytest.approx(math.sqrt(2))
+        assert Mat2(2, 0, 0, 0.5).frobenius() == pytest.approx(math.sqrt(4.25))
+        assert Mat2(0, 0, 0, 0).frobenius() == 0.0
 
     def test_submultiplicative(self):
         rng = random.Random(7)
         for _ in range(200):
             a, b = rand_mat(rng, 3.0), rand_mat(rng, 3.0)
-            assert frobenius_norm(mat_mul(a, b)) <= (
-                frobenius_norm(a) * frobenius_norm(b) * (1 + 1e-12)
-            )
+            assert (a @ b).frobenius() <= a.frobenius() * b.frobenius() * (1 + 1e-12)
 
     def test_op2_norm_bounds(self):
         rng = random.Random(3)
@@ -74,7 +68,7 @@ class TestMat2:
     def test_inverse_and_det(self):
         rng = random.Random(11)
         m = rand_mat(rng)
-        prod = mat_mul(m, m.inverse())
+        prod = m @ m.inverse()
         assert abs(prod.m00 - 1) < 1e-12 and abs(prod.m11 - 1) < 1e-12
         assert abs(prod.m01) < 1e-12 and abs(prod.m10) < 1e-12
 
@@ -112,7 +106,7 @@ class TestProjectiveAction:
             a, b = rand_mat(rng), rand_mat(rng)
             x = rand_complex(rng, 2.0)
             try:
-                lhs = projective_action(mat_mul(a, b), x)
+                lhs = projective_action(a @ b, x)
                 rhs = projective_action(a, projective_action(b, x))
             except IndeterminateAction:
                 continue
@@ -131,16 +125,6 @@ class TestChordal:
         for _ in range(20):
             x, y = rand_complex(rng, 5), rand_complex(rng, 5)
             assert chordal(x, y) == pytest.approx(chordal(y, x))
-
-
-class TestCirclePoint:
-    def test_modulus_exact(self):
-        p = CirclePoint(theta=0.3, rho=2.5)
-        assert abs(p.value()) == pytest.approx(2.5, abs=1e-15)
-
-    def test_rotation_wraps(self):
-        p = CirclePoint(theta=0.9, rho=1.0).rotated(0.3)
-        assert 0.0 <= p.theta < 1.0
 
 
 class TestPowerSeries:
@@ -171,13 +155,13 @@ class TestPowerSeries:
     def test_scale_argument_identity(self):
         rng = random.Random(9)
         s = self.rand_series(rng, 6)
-        assert series_scale_argument(s, 1.0) == s
+        assert s.scale_argument(1.0) == s
 
     def test_scale_argument_monomial(self):
         beta = cmath.exp(2j * math.pi * 0.37)
         c = beta ** -2
         s = PowerSeries.monomial(1, 5)
-        scaled = series_scale_argument(s, c)
+        scaled = s.scale_argument(c)
         assert scaled.coeffs[1] == pytest.approx(c)
         assert all(x == 0 for i, x in enumerate(scaled.coeffs) if i != 1)
 

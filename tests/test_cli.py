@@ -69,6 +69,16 @@ class TestLyapunovCommand:
                      "--rho", "1.0000000000000002"] + FAST)
         assert rc == 3
 
+    def test_vanishing_product_is_numeric_error(self, capsys):
+        # [[0, 1], [0, 0]] squares to zero: no NaN row is written
+        rc = main(["lyapunov", "--kind", "constant", "--const", "0,1,0,0",
+                   "--rho", "1", "--n", "400", "--samples", "4"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: SingularFactor: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestAccelCommand:
     def test_columns_and_values(self, tmp_path):

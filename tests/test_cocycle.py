@@ -3,19 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jonq.algebra import GOLDEN_FREQ, Mat2, default_alpha
 from jonq.cocycle import (
+    KINDS,
     CocycleSpec,
     evaluate_generator,
     inverse_iterate,
     iterate,
     lyapunov,
+    lyapunov_phase_values,
+    phase_samples,
     reconstruct,
     sqrt_branch,
     two_step_limit_check,
 )
-from jonq.errors import Overflow, RadiusOne, ResonantParameter, SingularFactor
+from jonq.errors import JonqError, Overflow, RadiusOne, ResonantParameter, SingularFactor
 
 ALPHA = default_alpha()
 
@@ -148,6 +153,27 @@ class TestIterate:
         with pytest.raises(Overflow):
             iterate(spec, 0.0, 4)
 
+    def test_overflow_guard_checks_every_phase(self):
+        # E - v(y) vanishes at the first sampled phase only; every other
+        # phase has a generator of norm about 1e151
+        theta0 = phase_samples(8, 3)[0]
+        spec = CocycleSpec(
+            kind="schrodinger", rho=1.0, potential=(0.0, 1e151),
+            energy=1e151 * math.cos(2 * math.pi * theta0),
+        )
+        with pytest.raises(Overflow):
+            lyapunov_phase_values(spec, 100, 8, 3)
+
+    def test_vanishing_product_raises(self):
+        # [[0, 1], [0, 0]] squares to zero: the log-norm sum is -inf, then NaN
+        spec = CocycleSpec(kind="constant", matrix=Mat2(0, 1, 0, 0))
+        with pytest.raises(SingularFactor):
+            iterate(spec, 0.0, 2)
+        with pytest.raises(SingularFactor):
+            lyapunov(spec, 400, 4, 0)
+        p, s = iterate(spec, 0.0, 1)
+        assert s == pytest.approx(0.0, abs=1e-15) and abs(p.m01 - 1) < 1e-15
+
 
 class TestInverseIterate:
     def test_left_inverse_identity(self):
@@ -265,3 +291,78 @@ class TestTwoStepLimit:
     def test_requires_large_radius(self):
         with pytest.raises(ValueError):
             two_step_limit_check(ALPHA, GOLDEN_FREQ, 2.0)
+
+
+PROPERTY_KINDS = [k for k in KINDS if k != "constant"]
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def spec_kwargs(draw, unit_margin=0.01):
+    """Keyword arguments of non-constant cocycle specs with rho in [0.3, 3].
+
+    ``btilde`` radii keep |ln rho| >= ``unit_margin``: its generator
+    carries 1 / sqrt(alpha - y^2), which loses about eps / |rho^2 - 1| of
+    relative accuracy near the unit circle, and its branch check raises
+    BranchFailure within a few ulps of rho = 1.
+    """
+    kind = draw(st.sampled_from(PROPERTY_KINDS))
+    rho = draw(st.floats(0.3, 3.0))
+    if kind == "btilde":
+        assume(rho != 1.0 and abs(math.log(rho)) >= unit_margin)
+    kw = dict(kind=kind, rho=rho)
+    if kind == "schrodinger":
+        kw["energy"] = draw(st.floats(-3.0, 3.0))
+        kw["potential"] = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    return kw
+
+
+def entries(m):
+    return np.array([m.m00, m.m01, m.m10, m.m11])
+
+
+phases = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(rho=st.floats(0.3, 3.0), theta=phases)
+    def test_btilde_unit_determinant(self, rho, theta):
+        assume(abs(math.log(rho)) >= 0.01)
+        spec = CocycleSpec(kind="btilde", rho=rho)
+        assert abs(evaluate_generator(spec, theta).det() - 1.0) < 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(kw=spec_kwargs(), theta=phases, n=st.integers(1, 12), m=st.integers(1, 12))
+    def test_cocycle_identity(self, kw, theta, n, m):
+        spec = CocycleSpec(**kw)
+        # A_{n+m}(theta) = A_m(theta + n freq) A_n(theta), up to the scale
+        # the renormalization carries in s
+        p_n, s_n = iterate(spec, theta, n)
+        p_m, s_m = iterate(spec, (theta + n * spec.freq) % 1.0, m)
+        p_all, s_all = iterate(spec, theta, n + m)
+        combined = p_m @ p_n
+        nrm = combined.frobenius()
+        assert s_all == pytest.approx(s_n + s_m + math.log(nrm), rel=1e-9, abs=1e-9)
+        assert np.max(np.abs(entries(p_all) - entries(combined) / nrm)) < 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(kw=spec_kwargs(), theta=phases)
+    def test_one_step_is_the_generator(self, kw, theta):
+        spec = CocycleSpec(**kw)
+        p, s = iterate(spec, theta, 1)
+        g = evaluate_generator(spec, theta)
+        assert s == pytest.approx(math.log(g.frobenius()), rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(entries(p) - entries(g) / g.frobenius())) < 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(
+        kw=spec_kwargs(unit_margin=0.0), n=st.integers(2, 300),
+        samples=st.integers(1, 8), seed=st.integers(0, 1000),
+    )
+    def test_phase_values_finite_or_typed_error(self, kw, n, samples, seed):
+        try:
+            half_vals, vals = lyapunov_phase_values(CocycleSpec(**kw), n, samples, seed)
+        except JonqError:
+            return
+        assert np.all(np.isfinite(half_vals)) and np.all(np.isfinite(vals))
