@@ -1,30 +1,14 @@
-"""Pure-Python (NumPy) kernels: fallback used when the compiled extension
-is unavailable.  Must stay behaviorally identical to ``_kernels.pyx``.
+"""The NumPy kernels: the two hot paths, renormalized cocycle products
+batched over phase samples and long map orbits in projective
+x-coordinates.
 
-Two hot paths live here: renormalized cocycle products batched over phase
-samples, and long map orbits in projective x-coordinates.
-
-``generators`` is the one Python definition of the cocycle generator
-families, with ``sqrt_branch_values`` for the square-root normalization.
-``cocycle`` evaluates every generator through it, so this module imports
-nothing from the package; ``_kernels.pyx`` keeps a compiled inline copy,
-cross-checked against this one by the backend tests.
+``generators`` is the one definition of the cocycle generator families,
+with ``sqrt_branch_values`` for the square-root normalization.  ``cocycle``
+evaluates every generator through it, so this module imports nothing from
+the package.
 """
 
 import numpy as np
-
-KIND_JONQ_A = 0
-KIND_JONQ_B = 1
-KIND_BTILDE = 2
-KIND_SCHRODINGER = 3
-KIND_DIAGONAL = 4
-KIND_CONSTANT = 5
-
-MAP_F = 0
-MAP_G = 1
-MAP_F2 = 2
-
-COMPILED = False
 
 
 def sqrt_branch_values(alpha, rho, y):
@@ -44,17 +28,17 @@ def generators(kind, alpha, rho, energy, potential, cmat, phases):
     complex array for m phases."""
     phases = np.asarray(phases, dtype=np.float64)
     g = np.empty((len(phases), 2, 2), dtype=np.complex128)
-    if kind == KIND_CONSTANT:
+    if kind == "constant":
         g[:] = np.reshape(cmat, (2, 2))
         return g
     y = rho * np.exp(2j * np.pi * phases)
-    if kind in (KIND_JONQ_A, KIND_JONQ_B, KIND_BTILDE):
+    if kind in ("jonquieres_a", "jonquieres_b", "btilde"):
         g[:, 0, 0] = alpha
-        g[:, 0, 1] = y if kind == KIND_JONQ_A else y * y
+        g[:, 0, 1] = y if kind == "jonquieres_a" else y * y
         g[:, 1, :] = 1.0
-        if kind == KIND_BTILDE:
+        if kind == "btilde":
             g /= sqrt_branch_values(alpha, rho, y)[:, None, None]
-    elif kind == KIND_SCHRODINGER:
+    elif kind == "schrodinger":
         # v(y) = a0 + sum_k a_k * (y**k + y**-k) / 2, the analytic extension
         # of the cosine polynomial off the unit circle
         v = np.zeros_like(y)
@@ -68,18 +52,19 @@ def generators(kind, alpha, rho, energy, potential, cmat, phases):
         g[:, 0, 1] = -1.0
         g[:, 1, 0] = 1.0
         g[:, 1, 1] = 0.0
-    elif kind == KIND_DIAGONAL:
+    elif kind == "diagonal_power":
         g[:, 0, 0] = y
         g[:, 0, 1] = 0.0
         g[:, 1, 0] = 0.0
         g[:, 1, 1] = 1.0 / y
     else:
-        raise ValueError(f"unknown kind code {kind}")
+        raise ValueError(f"unknown kind {kind!r}")
     return g
 
 
 def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
-    """Renormalized n-step cocycle products for each starting phase.
+    """Renormalized n-step products of the ``kind`` family (a name in
+    ``cocycle.KINDS``) for each starting phase.
 
     Returns ``(s_half, s_full, p_half, p_full)`` where the product equals
     exp(s) * p with p Frobenius-normalized; the *_half values are recorded
@@ -108,14 +93,17 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     return s_half, s, p_half, p
 
 
-def orbit_points(map_code, alpha, beta, x_num, x_den, y0, n):
-    """Iterate the map n times in projective x-coordinates (u : v).
+def orbit_points(which, alpha, beta, x_num, x_den, y0, n):
+    """Iterate the map ``which`` ("f", "g" or "f2") n times in projective
+    x-coordinates (u : v).
 
     The pair is renormalized by the larger modulus each step, so a passage
     through infinity is an ordinary event.  Returns ``(u, v, y, count)``;
     count < n + 1 only when an exact indeterminacy hit (u = v = 0)
     truncated the orbit.
     """
+    if which not in ("f", "g", "f2"):
+        raise ValueError(f"unknown map {which!r}")
     u = np.empty(n + 1, dtype=np.complex128)
     v = np.empty(n + 1, dtype=np.complex128)
     ys = np.empty(n + 1, dtype=np.complex128)
@@ -128,10 +116,10 @@ def orbit_points(map_code, alpha, beta, x_num, x_den, y0, n):
         cv /= nm
     u[0], v[0], ys[0] = cu, cv, cy
     count = 1
-    substeps = 2 if map_code == MAP_F2 else 1
+    substeps = 2 if which == "f2" else 1
     for k in range(n):
         for _ in range(substeps):
-            if map_code == MAP_G:
+            if which == "g":
                 nu = (1.0 + cy) * cu + (a + 1.0) * cy * cv
                 nv = (a + b) * cu + (b + a * a * cy) * cv
                 ny = cy / (b * b)

@@ -1,17 +1,7 @@
-"""Kernel backend selection.
+"""The kernel module the library calls: the NumPy kernels."""
 
-The compiled extension is preferred; the NumPy fallback is behaviorally
-identical and used whenever the extension is missing (pure-Python install,
-unsupported toolchain).
-"""
+from . import _kernels_py as kernels
 
-try:
-    from . import _kernels as kernels
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["kernels", "BACKEND"]

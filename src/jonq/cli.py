@@ -93,15 +93,19 @@ def _build_spec(args) -> cocycle_mod.CocycleSpec:
     return cocycle_mod.CocycleSpec(**kw)
 
 
-def _s_grid(args) -> list[float]:
+def _s_grid(args) -> list[tuple[float, float]]:
+    """(ln rho, rho) pairs: a given --rho is used as it is, grid points
+    take rho = exp(s)."""
     if args.rho is not None:
-        return [math.log(args.rho)]
+        return [(math.log(args.rho), args.rho)]
     if args.s_steps < 1:
         raise ValueError("--s-steps must be at least 1")
     if args.s_steps == 1:
-        return [args.s_min]
-    step = (args.s_max - args.s_min) / (args.s_steps - 1)
-    return [args.s_min + i * step for i in range(args.s_steps)]
+        grid = [args.s_min]
+    else:
+        step = (args.s_max - args.s_min) / (args.s_steps - 1)
+        grid = [args.s_min + i * step for i in range(args.s_steps)]
+    return [(s, math.exp(s)) for s in grid]
 
 
 def _common_config(args, keys) -> dict:
@@ -120,8 +124,7 @@ def _cmd_lyapunov(args) -> str:
          "n", "samples", "seed", "energy", "potential", "const", "format"],
     )
     rows = []
-    for s in grid:
-        rho = math.exp(s)
+    for s, rho in grid:
         est = cocycle_mod.lyapunov(spec.with_rho(rho), args.n, args.samples, args.seed)
         rows.append(
             [args.kind, args.alpha_angle, args.freq, rho, s, est.value,
@@ -144,8 +147,7 @@ def _cmd_accel(args) -> str:
          "n", "samples", "seed", "h", "format"],
     )
     rows = []
-    for s in grid:
-        rho = math.exp(s)
+    for _, rho in grid:
         est = accel_mod.acceleration_at(
             spec, rho, h=args.h, n=args.n, samples=args.samples, seed=args.seed
         )

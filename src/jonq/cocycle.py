@@ -49,15 +49,6 @@ KINDS = (
     "constant",
 )
 
-_KIND_CODES = {
-    "jonquieres_a": kernels.KIND_JONQ_A,
-    "jonquieres_b": kernels.KIND_JONQ_B,
-    "btilde": kernels.KIND_BTILDE,
-    "schrodinger": kernels.KIND_SCHRODINGER,
-    "diagonal_power": kernels.KIND_DIAGONAL,
-    "constant": kernels.KIND_CONSTANT,
-}
-
 _ALPHA_KINDS = {"jonquieres_a", "jonquieres_b", "btilde"}
 
 
@@ -239,7 +230,7 @@ def _kernel_args(spec: CocycleSpec):
         cmat = np.array([m.m00, m.m01, m.m10, m.m11], dtype=np.complex128)
     pot = np.asarray(spec.potential, dtype=np.float64)
     return (
-        _KIND_CODES[spec.kind],
+        spec.kind,
         complex(spec.alpha),
         float(spec.rho),
         float(spec.freq),

@@ -289,20 +289,16 @@ def fixed_points(p: MapParams) -> tuple:
     return tuple(out)
 
 
-_MAP_CODES = {"f": kernels.MAP_F, "g": kernels.MAP_G, "f2": kernels.MAP_F2}
-
-
 def orbit_coordinates(
     p: MapParams, q: PointP1xC, n: int, which: str = "f"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw orbit arrays (u, v, y) in projective x-coordinates, x = u / v."""
-    code = _MAP_CODES[which]
     x = q.x
     if is_infinity(x):
         num, den = 1.0 + 0j, 0j
     else:
         num, den = complex(x), 1.0 + 0j
-    u, v, y, _count = kernels.orbit_points(code, p.alpha, p.beta, num, den, q.y, int(n))
+    u, v, y, _count = kernels.orbit_points(which, p.alpha, p.beta, num, den, q.y, int(n))
     return u, v, y
 
 

@@ -35,6 +35,19 @@ class TestLyapunovCommand:
         assert float(row[3]) == 4.0
         assert abs(float(row[5]) - math.log(4)) < 0.05
 
+    @pytest.mark.parametrize("rho,cell", [("1e75", "1e+75"), ("3.0", "3.0")])
+    def test_requested_rho_is_exact(self, tmp_path, rho, cell):
+        # the row is computed at the radius given, not at exp(log(rho))
+        rc, out = run(
+            tmp_path, "r.csv",
+            ["lyapunov", "--kind", "jonquieres_b", "--rho", rho,
+             "--n", "200", "--samples", "2"],
+        )
+        assert rc == 0
+        row = out.read_text().splitlines()[2].split(",")
+        assert row[3] == cell
+        assert row[4] == repr(math.log(float(rho)))
+
     def test_sweep_row_count(self, tmp_path):
         rc, out = run(
             tmp_path, "b.csv",
@@ -96,6 +109,15 @@ class TestAccelCommand:
         assert abs(float(row[1]) - 1.0) < 0.05
         assert int(row[2]) == 1
         assert row[6] == "0"  # kinked at rho = 1: not regular
+
+    def test_requested_rho_is_exact(self, tmp_path):
+        rc, out = run(
+            tmp_path, "f2.csv",
+            ["accel", "--kind", "diagonal_power", "--rho", "3.0",
+             "--n", "400", "--samples", "4"],
+        )
+        assert rc == 0
+        assert out.read_text().splitlines()[2].split(",")[0] == "3.0"
 
     def test_reproducible(self, tmp_path):
         argv = ["accel", "--kind", "btilde", "--rho", "2.0",

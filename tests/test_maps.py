@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, INFINITY, is_infinity
-from jonq.errors import IndeterminatePoint, InsufficientPoints
+from jonq.errors import IndeterminatePoint, InsufficientPoints, ResonantParameter
 from jonq.maps import (
     MapParams,
     PointP1xC,
@@ -17,6 +19,7 @@ from jonq.maps import (
     inverted_square_map,
     matrix_orbit_equivalence,
     orbit,
+    orbit_coordinates,
     semiconjugacy_check,
 )
 
@@ -63,6 +66,16 @@ class TestOrbit:
         assert len(rec.points) == 1
         assert rec.indeterminacy_hits[-1][1] == 0.0
 
+    @pytest.mark.parametrize("which", ["f", "f2"])
+    def test_exact_indeterminacy_truncates(self, which):
+        # the kernel's first step lands on u = v = 0 and stops there
+        u, v, y = orbit_coordinates(P, PointP1xC(-1.0 + 0j, P.alpha), 10, which)
+        assert len(u) == len(v) == len(y) == 1
+
+    def test_unknown_map_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_coordinates(P, PointP1xC(0.5 + 0j, 0.5 + 0j), 10, "h")
+
     def test_escape_flag(self):
         # start chosen so the first step lands exactly on x = -1
         y0 = 0.5 + 0j
@@ -75,6 +88,33 @@ class TestOrbit:
         rec = orbit(P, q, 2, dist_tol=1e-8)
         assert rec.indeterminacy_hits
         assert rec.indeterminacy_hits[0][0] == 0
+
+
+@st.composite
+def map_params(draw):
+    """MapParams from drawn alpha and beta angles; resonant beta is skipped."""
+    alpha_angle = draw(st.floats(0.0, 1.0, exclude_max=True))
+    freq = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        return MapParams.from_angles(alpha_angle, freq)
+    except ResonantParameter:
+        assume(False)
+
+
+class TestOrbitProperties:
+    @pytest.mark.parametrize("which", ["f", "g", "f2"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=map_params(),
+        x0=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        y_abs=st.floats(1e-3, 10.0),
+        y_angle=st.floats(0.0, 1.0),
+    )
+    def test_fiber_modulus_invariant(self, which, p, x0, y_abs, y_angle):
+        # each map multiplies y by a unit-modulus constant
+        y0 = y_abs * cmath.exp(2j * math.pi * y_angle)
+        _, _, y = orbit_coordinates(p, PointP1xC(x0, y0), 2000, which)
+        assert np.max(np.abs(np.abs(y) / abs(y0) - 1.0)) <= 1e-11
 
 
 class TestMatrixCorrespondence:
