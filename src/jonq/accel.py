@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSpec, LyapunovEstimate, lyapunov, lyapunov_phase_values
+from .cocycle import (
+    CocycleSpec,
+    LyapunovEstimate,
+    lyapunov,
+    lyapunov_many,
+    phase_values_many,
+)
 from .errors import NotUnimodular, SideCrossing
 
 DEFAULT_H = 0.02
@@ -94,30 +100,22 @@ class QuantizationReport:
 def lyapunov_profile(
     spec: CocycleSpec, s_grid, n: int, samples: int, seed: int
 ) -> LyapunovProfile:
-    """One Lyapunov estimate per grid point, with rho = exp(s)."""
+    """One Lyapunov estimate per grid point, with rho = exp(s), from one
+    kernel call."""
     s_grid = [float(s) for s in s_grid]
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("s_grid must be strictly increasing")
-    points = []
-    for s in s_grid:
-        est = lyapunov(spec.with_rho(math.exp(s)), n, samples, seed)
-        points.append((s, est))
-    return LyapunovProfile(points=tuple(points), spec_template=spec)
+    estimates = lyapunov_many(spec, [math.exp(s) for s in s_grid], n, samples, seed)
+    return LyapunovProfile(points=tuple(zip(s_grid, estimates)), spec_template=spec)
 
 
-def _phase_means(spec, s, n, samples, seed):
-    _, vals = lyapunov_phase_values(spec.with_rho(math.exp(s)), n, samples, seed)
-    return vals
-
-
-def _paired_slope(spec, s_lo, s_hi, n, samples, seed):
-    """Per-phase paired finite-difference slope between two radii.
+def _paired_slope(lo, hi, s_lo, s_hi):
+    """Per-phase paired finite-difference slope between the phase values
+    ``lo`` at s_lo and ``hi`` at s_hi.
 
     Pairing the same phase set at both radii makes per-trajectory noise
     cancel in the difference, which is what gives usable error bars.
     """
-    hi = _phase_means(spec, s_hi, n, samples, seed)
-    lo = _phase_means(spec, s_lo, n, samples, seed)
     d = (hi - lo) / (s_hi - s_lo)
     mean = float(np.mean(d))
     stderr = float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
@@ -135,6 +133,63 @@ def _guard_sides(spec, s, h):
                 )
 
 
+def acceleration_window(
+    spec: CocycleSpec,
+    rho: float,
+    h: float = DEFAULT_H,
+    n: int = 20000,
+    samples: int = 64,
+    seed: int = 0,
+) -> tuple[AccelerationEstimate, RegularityResult]:
+    """Acceleration and regularity at s = ln(rho) from one evaluation of
+    the five radii exp(s - h), exp(s - h/2), exp(s), exp(s + h/2) and
+    exp(s + h), in one kernel call.
+
+    Acceleration: omega = -(L(s) - L(s - h)) / h, with steps h and h/2;
+    when they disagree by more than 0.02 the Richardson-extrapolated value
+    2*omega(h/2) - omega(h) is reported.
+
+    Regularity: the one-sided s-slopes agree within twice the estimator
+    error, which combines the paired-sample standard errors, the h vs h/2
+    structural differences, and an O(h) discretization allowance.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    s = math.log(rho)
+    _guard_sides(spec, s, h)
+    grid = (s - h, s - h / 2, s, s + h / 2, s + h)
+    _, (lo, lo2, mid, hi2, hi) = phase_values_many(
+        spec, [math.exp(t) for t in grid], n, samples, seed
+    )
+    left, le = _paired_slope(lo, mid, grid[0], s)
+    left2, le2 = _paired_slope(lo2, mid, grid[1], s)
+    right, re_ = _paired_slope(mid, hi, s, grid[4])
+    right2, _ = _paired_slope(mid, hi2, s, grid[3])
+
+    omega_h, omega_h2 = -left, -left2
+    if abs(omega_h - omega_h2) > 0.02:
+        omega, h_used, err = 2 * omega_h2 - omega_h, h / 2, le + 2 * le2
+    else:
+        omega, h_used, err = omega_h, h, le
+    nearest = int(round(omega))
+    accel = AccelerationEstimate(
+        omega=omega,
+        nearest_integer=nearest,
+        distance=abs(omega - nearest),
+        h=h_used,
+        stderr=err,
+    )
+
+    slope_err = le + re_ + abs(left - left2) + abs(right - right2) + h / 2
+    regularity = RegularityResult(
+        regular=abs(left - right) <= 2.0 * slope_err,
+        left_slope=left,
+        right_slope=right,
+        slope_error=slope_err,
+    )
+    return accel, regularity
+
+
 def acceleration_at(
     spec: CocycleSpec,
     rho: float,
@@ -143,30 +198,9 @@ def acceleration_at(
     samples: int = 64,
     seed: int = 0,
 ) -> AccelerationEstimate:
-    """Acceleration omega = -(L(s) - L(s - h)) / h at s = ln(rho).
-
-    Uses steps h and h/2; when they disagree by more than 0.02 the
-    Richardson-extrapolated value 2*omega(h/2) - omega(h) is reported.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    s = math.log(rho)
-    _guard_sides(spec, s, h)
-    slope_h, err_h = _paired_slope(spec, s - h, s, n, samples, seed)
-    slope_h2, err_h2 = _paired_slope(spec, s - h / 2, s, n, samples, seed)
-    omega_h, omega_h2 = -slope_h, -slope_h2
-    if abs(omega_h - omega_h2) > 0.02:
-        omega, h_used, err = 2 * omega_h2 - omega_h, h / 2, err_h + 2 * err_h2
-    else:
-        omega, h_used, err = omega_h, h, err_h
-    nearest = int(round(omega))
-    return AccelerationEstimate(
-        omega=omega,
-        nearest_integer=nearest,
-        distance=abs(omega - nearest),
-        h=h_used,
-        stderr=err,
-    )
+    """Acceleration omega = -(L(s) - L(s - h)) / h at s = ln(rho): the
+    first half of :func:`acceleration_window`."""
+    return acceleration_window(spec, rho, h, n, samples, seed)[0]
 
 
 def quantization_check(estimates, tol: float) -> QuantizationReport:
@@ -269,25 +303,9 @@ def regularity_check(
     samples: int = 64,
     seed: int = 0,
 ) -> RegularityResult:
-    """Compare one-sided s-slopes of the exponent at s = ln(rho).
-
-    Regular iff they agree within twice the estimator error, which
-    combines the paired-sample standard errors, the h vs h/2 structural
-    differences, and an O(h) discretization allowance.
-    """
-    s = math.log(rho)
-    _guard_sides(spec, s, h)
-    left, le = _paired_slope(spec, s - h, s, n, samples, seed)
-    left2, _ = _paired_slope(spec, s - h / 2, s, n, samples, seed)
-    right, re_ = _paired_slope(spec, s, s + h, n, samples, seed)
-    right2, _ = _paired_slope(spec, s, s + h / 2, n, samples, seed)
-    err = le + re_ + abs(left - left2) + abs(right - right2) + h / 2
-    return RegularityResult(
-        regular=abs(left - right) <= 2.0 * err,
-        left_slope=left,
-        right_slope=right,
-        slope_error=err,
-    )
+    """Compare one-sided s-slopes of the exponent at s = ln(rho): the
+    second half of :func:`acceleration_window`."""
+    return acceleration_window(spec, rho, h, n, samples, seed)[1]
 
 
 _DET_ONE_KINDS = {"btilde", "diagonal_power", "schrodinger"}
@@ -343,20 +361,17 @@ def regime_classify(
     """
     if spec.kind != "schrodinger":
         raise ValueError("regime classification needs a schrodinger spec")
-    circle = lyapunov(spec.with_rho(1.0), n, samples, seed)
+    band_s = [float(s) for s in np.linspace(-band_eps, band_eps, band_points)]
+    circle, *band = lyapunov_many(
+        spec, [1.0] + [math.exp(s) for s in band_s], n, samples, seed
+    )
     if circle.value > 3.0 * circle.total_error:
         return RegimeResult(
             verdict="Supercritical", circle_estimate=circle, band_estimates=()
         )
-    band = []
-    subcritical = True
-    for s in np.linspace(-band_eps, band_eps, band_points):
-        est = lyapunov(spec.with_rho(math.exp(float(s))), n, samples, seed)
-        band.append((float(s), est))
-        if est.value > 3.0 * est.total_error:
-            subcritical = False
+    subcritical = all(est.value <= 3.0 * est.total_error for est in band)
     return RegimeResult(
         verdict="SubcriticalLike" if subcritical else "Unresolved",
         circle_estimate=circle,
-        band_estimates=tuple(band),
+        band_estimates=tuple(zip(band_s, band)),
     )

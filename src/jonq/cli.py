@@ -123,13 +123,14 @@ def _cmd_lyapunov(args) -> str:
         ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
          "n", "samples", "seed", "energy", "potential", "const", "format"],
     )
-    rows = []
-    for s, rho in grid:
-        est = cocycle_mod.lyapunov(spec.with_rho(rho), args.n, args.samples, args.seed)
-        rows.append(
-            [args.kind, args.alpha_angle, args.freq, rho, s, est.value,
-             est.stderr, est.half_n_value, args.n, args.samples, args.seed]
-        )
+    estimates = cocycle_mod.lyapunov_many(
+        spec, [rho for _, rho in grid], args.n, args.samples, args.seed
+    )
+    rows = [
+        [args.kind, args.alpha_angle, args.freq, rho, s, est.value,
+         est.stderr, est.half_n_value, args.n, args.samples, args.seed]
+        for (s, rho), est in zip(grid, estimates)
+    ]
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "n", "samples", "seed"]
     if args.format == "json":
@@ -148,10 +149,7 @@ def _cmd_accel(args) -> str:
     )
     rows = []
     for _, rho in grid:
-        est = accel_mod.acceleration_at(
-            spec, rho, h=args.h, n=args.n, samples=args.samples, seed=args.seed
-        )
-        reg = accel_mod.regularity_check(
+        est, reg = accel_mod.acceleration_window(
             spec, rho, h=args.h, n=args.n, samples=args.samples, seed=args.seed
         )
         rows.append(

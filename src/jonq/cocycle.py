@@ -15,7 +15,9 @@ exp(2*pi*i*freq)):
 * ``constant``:       a fixed matrix
 
 The formulas are defined once, in ``_kernels_py.generators`` (vectorized
-over phases); every evaluation here goes through it.
+over phases and radii); every evaluation here goes through it.  Estimates
+at several radii (``lyapunov_many``, ``phase_values_many``) come from one
+kernel call that runs every radius on the same phases.
 """
 
 from __future__ import annotations
@@ -196,29 +198,42 @@ def evaluate_generator(spec: CocycleSpec, theta: float) -> Mat2:
     return _mat2s(generator_values(spec, [theta]))[0]
 
 
-def _check_generator_scale(spec: CocycleSpec, thetas: np.ndarray) -> None:
-    # max entry modulus brackets the Frobenius norm within a factor of 2
-    nrm = np.abs(generator_values(spec, thetas)).max(axis=(1, 2))
+def _check_generator_scale(
+    spec: CocycleSpec, rho: np.ndarray, thetas: np.ndarray
+) -> None:
+    # max entry modulus brackets the Frobenius norm within a factor of 2;
+    # rho and thetas give one radius and one phase per trajectory
+    kind, alpha, _, _, energy, potential, cmat = _kernel_args(spec)
+    g = generators(kind, alpha, rho, energy, potential, cmat, thetas)
+    nrm = np.abs(g).max(axis=(1, 2))
     bad = ~((nrm >= 1e-150) & (nrm <= 1e150))
     if bad.any():
         i = int(np.argmax(bad))
         raise Overflow(
             f"generator norm {nrm[i]:.3e} outside [1e-150, 1e150]"
-            f" at phase {float(thetas[i])!r}"
+            f" at rho={float(rho[i])!r}, phase {float(thetas[i])!r}"
         )
 
 
-def _cocycle_sums(spec: CocycleSpec, thetas: np.ndarray, n: int):
-    """Kernel products from every phase in ``thetas``, after the generator
-    scale check.  A renormalized product that vanished (or left the
-    floating-point range) leaves a non-finite log-norm sum: that raises
-    :class:`SingularFactor` instead of returning NaN."""
-    _check_generator_scale(spec, thetas)
+def _cocycle_sums(spec: CocycleSpec, rho: np.ndarray, thetas: np.ndarray, n: int):
+    """Kernel products of ``spec``'s family, one trajectory per entry of
+    ``rho`` and ``thetas``, after the generator scale check.  A
+    renormalized product that vanished (or left the floating-point range)
+    leaves a non-finite log-norm sum: that raises :class:`SingularFactor`
+    instead of returning NaN."""
+    _check_generator_scale(spec, rho, thetas)
+    kind, alpha, _, freq, energy, potential, cmat = _kernel_args(spec)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums = kernels.cocycle_sums(*_kernel_args(spec), thetas, int(n))
-    if not np.all(np.isfinite(sums[1])):
+        sums = kernels.cocycle_sums(
+            kind, alpha, rho, freq, energy, potential, cmat, thetas, int(n)
+        )
+    bad = ~np.isfinite(sums[1])
+    if bad.any():
+        i = int(np.argmax(bad))
         raise SingularFactor(
-            None, "cocycle product vanished or overflowed: log-norm sum is not finite"
+            None,
+            f"cocycle product vanished or overflowed at rho={float(rho[i])!r}:"
+            " log-norm sum is not finite",
         )
     return sums
 
@@ -251,7 +266,9 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
-    _, s_full, _, p_full = _cocycle_sums(spec, np.array([theta % 1.0]), n)
+    _, s_full, _, p_full = _cocycle_sums(
+        spec, np.array([float(spec.rho)]), np.array([theta % 1.0]), n
+    )
     p = p_full[0]
     return Mat2(p[0, 0], p[0, 1], p[1, 0], p[1, 1]), float(s_full[0])
 
@@ -291,13 +308,16 @@ def phase_samples(samples: int, seed: int) -> np.ndarray:
     return np.mod(offset + np.arange(samples) * GOLDEN_FREQ, 1.0)
 
 
-def lyapunov_phase_values(
-    spec: CocycleSpec, n: int, samples: int, seed: int, norm: str = "fro"
+def phase_values_many(
+    spec: CocycleSpec, rhos, n: int, samples: int, seed: int, norm: str = "fro"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase (1/n) log-norms at n and n//2 (the raw estimator data).
+    """Per-phase (1/n) log-norms at n and n//2 for each radius in ``rhos``:
+    two (len(rhos), samples) arrays, row r for radius rhos[r].
 
-    ``norm`` selects Frobenius (canonical) or the operator 2-norm variant,
-    which exists only for the norm-independence check.
+    Every radius is validated as ``spec.with_rho(rho)`` and runs the same
+    phases, so rows pair phase by phase; all rows come from one kernel
+    call.  ``norm`` selects Frobenius (canonical) or the operator 2-norm
+    variant, which exists only for the norm-independence check.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -305,8 +325,11 @@ def lyapunov_phase_values(
         raise ValueError("samples must be at least 1")
     if norm not in ("fro", "op2"):
         raise ValueError("norm must be 'fro' or 'op2'")
+    rhos = [spec.with_rho(float(rho)).rho for rho in rhos]
     thetas = phase_samples(samples, seed)
-    s_half, s_full, p_half, p_full = _cocycle_sums(spec, thetas, n)
+    s_half, s_full, p_half, p_full = _cocycle_sums(
+        spec, np.repeat(rhos, samples), np.tile(thetas, len(rhos)), n
+    )
     half = n // 2
     if norm == "op2":
         # products are Frobenius-normalized, so the op-2-norm of the full
@@ -319,33 +342,57 @@ def lyapunov_phase_values(
         )
         s_full = s_full + corr_full
         s_half = s_half + corr_half
-    return s_half / half, s_full / n
+    shape = (len(rhos), samples)
+    return (s_half / half).reshape(shape), (s_full / n).reshape(shape)
+
+
+def lyapunov_phase_values(
+    spec: CocycleSpec, n: int, samples: int, seed: int, norm: str = "fro"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-phase (1/n) log-norms at n and n//2 (the raw estimator data):
+    :func:`phase_values_many` at ``spec.rho`` alone."""
+    half_vals, vals = phase_values_many(spec, [spec.rho], n, samples, seed, norm)
+    return half_vals[0], vals[0]
+
+
+def lyapunov_many(
+    spec: CocycleSpec, rhos, n: int, samples: int, seed: int, norm: str = "fro"
+) -> list[LyapunovEstimate]:
+    """Phase-averaged Lyapunov-exponent estimates, one per radius in
+    ``rhos``, from one kernel call (:func:`phase_values_many`).
+
+    Each estimate is the mean over ``samples`` low-discrepancy phases of
+    (1/n) ln ||A_n(y)||; reductions use pairwise-tree summation so results
+    are reproducible bit-for-bit.
+    """
+    half_rows, rows = phase_values_many(spec, rhos, n, samples, seed, norm)
+    estimates = []
+    for half_vals, vals in zip(half_rows, rows):
+        value = tree_mean(vals)
+        half_value = tree_mean(half_vals)
+        if samples > 1:
+            var = tree_sum((vals - value) ** 2) / (samples - 1)
+            stderr = math.sqrt(var / samples)
+        else:
+            stderr = 0.0
+        estimates.append(
+            LyapunovEstimate(
+                value=float(value),
+                n=n,
+                samples=samples,
+                half_n_value=float(half_value),
+                stderr=float(stderr),
+            )
+        )
+    return estimates
 
 
 def lyapunov(
     spec: CocycleSpec, n: int, samples: int, seed: int, norm: str = "fro"
 ) -> LyapunovEstimate:
-    """Phase-averaged Lyapunov-exponent estimate.
-
-    The estimator is the mean over ``samples`` low-discrepancy phases of
-    (1/n) ln ||A_n(y)||; reductions use pairwise-tree summation so results
-    are reproducible bit-for-bit.
-    """
-    half_vals, vals = lyapunov_phase_values(spec, n, samples, seed, norm)
-    value = tree_mean(vals)
-    half_value = tree_mean(half_vals)
-    if samples > 1:
-        var = tree_sum((vals - value) ** 2) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    return LyapunovEstimate(
-        value=float(value),
-        n=n,
-        samples=samples,
-        half_n_value=float(half_value),
-        stderr=float(stderr),
-    )
+    """Phase-averaged Lyapunov-exponent estimate at ``spec.rho``: the
+    one-radius case of :func:`lyapunov_many`."""
+    return lyapunov_many(spec, [spec.rho], n, samples, seed, norm)[0]
 
 
 def two_step_limit_check(

@@ -5,7 +5,9 @@ import pytest
 
 from jonq.accel import (
     AccelerationEstimate,
+    RegularityResult,
     acceleration_at,
+    acceleration_window,
     lyapunov_profile,
     piecewise_affine_fit,
     quantization_check,
@@ -14,7 +16,7 @@ from jonq.accel import (
     uh_classify,
 )
 from jonq.algebra import Mat2
-from jonq.cocycle import CocycleSpec, LyapunovEstimate
+from jonq.cocycle import CocycleSpec, LyapunovEstimate, lyapunov, lyapunov_phase_values
 from jonq.errors import NotUnimodular, SideCrossing
 
 FAST = dict(n=4000, samples=16, seed=0)
@@ -53,6 +55,14 @@ class TestProfile:
         for s, est in prof.points:
             assert abs(est.value - max(0.0, s)) < 0.02
 
+    def test_one_kernel_call_matches_per_radius_estimates(self, kernel_calls):
+        spec = CocycleSpec(kind="jonquieres_b")
+        grid = np.linspace(-1, 1, 5)
+        prof = lyapunov_profile(spec, grid, 300, 4, 2)
+        assert len(kernel_calls) == 1
+        for s, est in prof.points:
+            assert est == lyapunov(spec.with_rho(math.exp(s)), 300, 4, 2)
+
     def test_fitted_slopes_nondecreasing(self):
         # convexity in ln rho: fitted segment slopes never decrease
         for kind in ("diagonal_power", "jonquieres_b"):
@@ -60,6 +70,60 @@ class TestProfile:
             prof = lyapunov_profile(spec, np.linspace(-1, 1, 21), **FAST)
             fit = piecewise_affine_fit(prof, penalty=1e-6)
             assert all(b - a >= -0.02 for a, b in zip(fit.slopes, fit.slopes[1:]))
+
+
+def _reference_window(spec, rho, h, n, samples, seed):
+    """acceleration_window rebuilt from one lyapunov_phase_values call per
+    radius, with the paired-slope formulas written out."""
+    s = math.log(rho)
+
+    def vals(t):
+        return lyapunov_phase_values(spec.with_rho(math.exp(t)), n, samples, seed)[1]
+
+    def slope(s_lo, s_hi):
+        d = (vals(s_hi) - vals(s_lo)) / (s_hi - s_lo)
+        return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(len(d)))
+
+    left, le = slope(s - h, s)
+    left2, le2 = slope(s - h / 2, s)
+    right, re_ = slope(s, s + h)
+    right2, _ = slope(s, s + h / 2)
+    if abs(left - left2) > 0.02:
+        omega, h_used, err = -2 * left2 + left, h / 2, le + 2 * le2
+    else:
+        omega, h_used, err = -left, h, le
+    nearest = int(round(omega))
+    slope_err = le + re_ + abs(left - left2) + abs(right - right2) + h / 2
+    return (
+        AccelerationEstimate(omega, nearest, abs(omega - nearest), h_used, err),
+        RegularityResult(abs(left - right) <= 2.0 * slope_err, left, right, slope_err),
+    )
+
+
+class TestWindow:
+    @pytest.mark.parametrize(
+        "kind,rho", [("diagonal_power", 1.0), ("jonquieres_b", 2.0), ("btilde", 0.5)]
+    )
+    def test_matches_per_radius_reference(self, kind, rho):
+        spec = CocycleSpec(kind=kind, rho=rho)
+        args = (spec, rho, 0.02, 600, 6, 3)
+        accel, reg = acceleration_window(*args)
+        assert (accel, reg) == _reference_window(*args)
+        assert acceleration_at(*args) == accel
+        assert regularity_check(*args) == reg
+
+    def test_one_kernel_call_for_five_radii(self, kernel_calls):
+        spec = CocycleSpec(kind="btilde", rho=2.0)
+        acceleration_window(spec, 2.0, n=200, samples=4)
+        (call,) = kernel_calls
+        rho, thetas = call[2], call[7]
+        assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
+        # the same phases at every radius, so slopes pair phase by phase
+        assert np.all(thetas.reshape(5, 4) == thetas[:4])
+
+    def test_rejects_nonpositive_step(self):
+        with pytest.raises(ValueError):
+            acceleration_window(CocycleSpec(kind="diagonal_power"), 1.0, h=0.0)
 
 
 class TestAcceleration:
@@ -259,6 +323,13 @@ class TestRegimeClassify:
         # eigenvalue of [[3, -1], [1, 0]]: (3 + sqrt(5)) / 2
         want = math.log((3.0 + math.sqrt(5.0)) / 2.0)
         assert res.circle_estimate.value == pytest.approx(want, abs=1e-3)
+
+    def test_circle_and_band_in_one_kernel_call(self, kernel_calls):
+        spec = CocycleSpec(kind="schrodinger", energy=1.0, potential=())
+        res = regime_classify(spec, n=300, samples=4, seed=0)
+        assert len(kernel_calls) == 1
+        assert res.circle_estimate == lyapunov(spec.with_rho(1.0), 300, 4, 0)
+        assert [s for s, _ in res.band_estimates] == list(np.linspace(-0.05, 0.05, 5))
 
     def test_requires_schrodinger(self):
         spec = CocycleSpec(kind="diagonal_power")

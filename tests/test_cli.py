@@ -90,7 +90,27 @@ class TestLyapunovCommand:
         assert rc == 3
         assert captured.out == ""
         assert captured.err.startswith("error: SingularFactor: ")
+        assert "rho=1.0" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_overflow_names_the_radius(self, capsys):
+        # the grid is ln rho = 0, 200, 400; only exp(400) = 5.2e173 fails
+        rc = main(["lyapunov", "--kind", "diagonal_power", "--s-min", "0",
+                   "--s-max", "400", "--s-steps", "3", "--n", "100", "--samples", "2"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: Overflow: ")
+        assert f"rho={math.exp(400.0)!r}" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_one_kernel_call_for_the_grid(self, tmp_path, kernel_calls):
+        rc, out = run(tmp_path, "grid.csv",
+                      ["lyapunov", "--kind", "jonquieres_b", "--s-steps", "7"] + FAST)
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2 + 7
+        (call,) = kernel_calls
+        assert len(set(call[2].tolist())) == 7 and len(call[7]) == 7 * 4
 
 
 class TestAccelCommand:
@@ -118,6 +138,13 @@ class TestAccelCommand:
         )
         assert rc == 0
         assert out.read_text().splitlines()[2].split(",")[0] == "3.0"
+
+    def test_one_kernel_call_per_row(self, tmp_path, kernel_calls):
+        rc, _ = run(tmp_path, "f3.csv", ["accel", "--kind", "btilde", "--rho", "2.0"] + FAST)
+        assert rc == 0
+        (call,) = kernel_calls
+        rho, thetas = call[2], call[7]
+        assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
 
     def test_reproducible(self, tmp_path):
         argv = ["accel", "--kind", "btilde", "--rho", "2.0",

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jonq.algebra import GOLDEN_FREQ, Mat2, default_alpha
+from jonq.backend import kernels
 from jonq.cocycle import (
     KINDS,
     CocycleSpec,
@@ -366,3 +367,37 @@ class TestProperties:
         except JonqError:
             return
         assert np.all(np.isfinite(half_vals)) and np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_batched_radii_equal_scalar_calls(self, kind, data):
+        # one call over several radii returns, bit for bit, what one call
+        # per radius returns; btilde takes radii on both sides of 1, where
+        # its square-root branch changes formula
+        if kind == "btilde":
+            rhos = data.draw(st.lists(st.floats(0.3, 0.99), min_size=1, max_size=2))
+            rhos += data.draw(st.lists(st.floats(1.01, 3.0), min_size=1, max_size=2))
+            rhos = data.draw(st.permutations(rhos))
+        else:
+            rhos = data.draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=4))
+        thetas = np.array(data.draw(st.lists(phases, min_size=1, max_size=5)))
+        n = data.draw(st.integers(1, 60))
+        potential = np.array([0.3, 1.2])
+        cmat = np.array([2.0, 1.0, 1.0, 1.0], dtype=complex)
+
+        def call(rho, phases_):
+            return kernels.cocycle_sums(
+                kind, ALPHA, rho, GOLDEN_FREQ, 0.4, potential, cmat, phases_, n
+            )
+
+        batch = call(np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos)))
+        singles = [call(rho, thetas) for rho in rhos]
+        for i, part in enumerate(batch):
+            want = np.concatenate([single[i] for single in singles])
+            assert part.shape == want.shape and part.tobytes() == want.tobytes()
+
+    def test_radius_per_trajectory_must_match_phases(self):
+        with pytest.raises(ValueError):
+            kernels.cocycle_sums("diagonal_power", ALPHA, np.ones(3), GOLDEN_FREQ,
+                                 0.0, np.array([]), None, np.zeros(2), 4)
