@@ -134,42 +134,39 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
 
 def orbit_points(which, alpha, beta, x_num, x_den, y0, n):
     """Iterate the map ``which`` ("f", "g" or "f2") n times in projective
-    x-coordinates (u : v).
+    x-coordinates (u : v), normalized by v: a finite x is (x, 1), and
+    infinity is exactly (1, 0), taken when the new v is an exact 0.
 
-    The pair is renormalized by the larger modulus each step, so a passage
-    through infinity is an ordinary event.  Returns ``(u, v, y, count)``;
+    f steps use ``maps.apply_f``'s arithmetic, so f orbits are its numbers
+    to the bit, and a passage through infinity is exact (normalizing by the
+    larger modulus left v a few ulps off 0).  Returns ``(u, v, y, count)``;
     count < n + 1 only when an exact indeterminacy hit (u = v = 0)
     truncated the orbit.
     """
     if which not in ("f", "g", "f2"):
         raise ValueError(f"unknown map {which!r}")
-    u = np.empty(n + 1, dtype=np.complex128)
-    v = np.empty(n + 1, dtype=np.complex128)
-    ys = np.empty(n + 1, dtype=np.complex128)
-    a = complex(alpha)
-    b = complex(beta)
+    u, v, ys = np.empty((3, n + 1), dtype=np.complex128)
+    a, b, one = complex(alpha), complex(beta), 1.0 + 0j
     cu, cv, cy = complex(x_num), complex(x_den), complex(y0)
-    nm = max(abs(cu), abs(cv))
-    if nm > 0:
-        cu /= nm
-        cv /= nm
+    if cv != 1:
+        cu, cv = (one, 0j) if cv == 0 else (cu / cv, one)
     u[0], v[0], ys[0] = cu, cv, cy
-    count = 1
     substeps = 2 if which == "f2" else 1
-    for k in range(n):
+    for count in range(1, n + 1):
         for _ in range(substeps):
             if which == "g":
                 nu = (1.0 + cy) * cu + (a + 1.0) * cy * cv
                 nv = (a + b) * cu + (b + a * a * cy) * cv
-                ny = cy / (b * b)
+                cy = cy / (b * b)
             else:
-                nu = a * cu + cy * cv
-                nv = cu + cv
-                ny = b * cy
-            nm = max(abs(nu), abs(nv))
-            if nm == 0.0:
+                # projective_action of [[alpha, y], [1, 1]], as apply_f
+                nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
+                cy = b * cy
+            if nv != 0:
+                cu, cv = nu / nv, one
+            elif nu != 0:
+                cu, cv = one, 0j
+            else:
                 return u[:count], v[:count], ys[:count], count
-            cu, cv, cy = nu / nm, nv / nm, ny
         u[count], v[count], ys[count] = cu, cv, cy
-        count += 1
-    return u, v, ys, count
+    return u, v, ys, n + 1

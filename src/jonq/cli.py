@@ -74,10 +74,11 @@ def _parse_matrix(text: str) -> Mat2:
     return Mat2(*(_parse_complex(p) for p in parts))
 
 
-def _build_spec(args) -> cocycle_mod.CocycleSpec:
+def _build_spec(args, rho: float) -> cocycle_mod.CocycleSpec:
+    """The spec template, validated at ``rho``: the first radius that runs."""
     kw = dict(
         kind=args.kind,
-        rho=args.rho if getattr(args, "rho", None) is not None else 1.0,
+        rho=rho,
         freq=args.freq,
         alpha=cmath.exp(2j * math.pi * args.alpha_angle),
     )
@@ -116,8 +117,8 @@ def _common_config(args, keys) -> dict:
 
 
 def _cmd_lyapunov(args) -> str:
-    spec = _build_spec(args)
     grid = _s_grid(args)
+    spec = _build_spec(args, grid[0][1])
     cfg = _common_config(
         args,
         ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
@@ -134,14 +135,13 @@ def _cmd_lyapunov(args) -> str:
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "n", "samples", "seed"]
     if args.format == "json":
-        payload = {"rows": [dict(zip(header, row)) for row in rows]}
-        return _json_document(cfg, payload)
+        return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows]})
     return _csv_document(cfg, header, rows)
 
 
 def _cmd_accel(args) -> str:
-    spec = _build_spec(args)
     grid = _s_grid(args)
+    spec = _build_spec(args, grid[0][1])
     cfg = _common_config(
         args,
         ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
@@ -174,13 +174,10 @@ def _cmd_orbit(args) -> str:
     cfg = _common_config(
         args, ["alpha_angle", "freq", "x0", "y0", "n", "dist_tol", "format"]
     )
-    rows = []
-    for k, pt in enumerate(rec.points):
-        if maps_mod.is_infinity(pt.x):
-            xr, xi, finite = math.inf, 0.0, 0
-        else:
-            xr, xi, finite = pt.x.real, pt.x.imag, 1
-        rows.append([k, xr, xi, finite, pt.y.real, pt.y.imag, abs(pt.y)])
+    # Python's abs, not np.abs: the two differ in the last bit
+    rows = [[k, x.real if v else math.inf, x.imag if v else 0.0, int(v != 0),
+             y.real, y.imag, abs(y)]
+            for k, (x, v, y) in enumerate(zip(rec.u.tolist(), rec.v.tolist(), rec.y.tolist()))]
     header = ["step", "x_re", "x_im", "x_finite", "y_re", "y_im", "y_abs"]
     if args.format == "json":
         return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows],
@@ -279,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--const", default="")
     p.add_argument("--h", type=float, default=accel_mod.DEFAULT_H)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(s_steps=40)  # no row and no +-h window at ln rho = 0
 
     p = sub.add_parser("orbit", help="map orbit with indeterminacy tracking")
     add_common(p, rho_grid=False)

@@ -29,7 +29,8 @@ class BranchFailure(JonqError):
 
 
 class Overflow(JonqError):
-    """A single generator value has Frobenius norm outside [1e-150, 1e150]."""
+    """A single generator value has Frobenius norm outside [1e-150, 1e150],
+    or an orbit left the floating-point range."""
 
 
 class SingularFactor(JonqError):
@@ -52,7 +53,10 @@ class IndeterminatePoint(JonqError):
 
 class SideCrossing(JonqError):
     """A finite-difference window straddles ln(rho) = 0 for a generator
-    family whose radius profile is non-smooth (or undefined) there."""
+    family whose radius profile is non-smooth (or undefined) there; the
+    arguments alone fix the window, so it is a configuration error."""
+
+    exit_code = 2
 
 
 class NotUnimodular(JonqError):

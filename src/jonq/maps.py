@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .backend import kernels
 from .cocycle import CocycleSpec, generator_values
-from .errors import IndeterminateAction, IndeterminatePoint, InsufficientPoints
+from .errors import IndeterminateAction, IndeterminatePoint, InsufficientPoints, Overflow
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,11 @@ class PointP1xC:
             raise ValueError("orbit points must have y != 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitRecord:
-    points: tuple
+    u: np.ndarray  # the kernel's arrays: x = u where v == 1, infinity
+    v: np.ndarray  # where v == 0 (see orbit_coordinates)
+    y: np.ndarray
     indeterminacy_hits: tuple  # of (step, distance)
     escaped: bool  # some x passed through infinity (legal, tracked)
 
@@ -106,31 +108,27 @@ def _indeterminacy_distance(x, y, alpha: complex) -> float:
 
 
 def orbit(p: MapParams, q: PointP1xC, n: int, dist_tol: float = 1e-8) -> OrbitRecord:
-    """n-step orbit with indeterminacy-proximity logging.
+    """n-step orbit of f with indeterminacy-proximity logging.
 
-    Close approaches to (-1, alpha) are recorded, never fatal; an exact
-    hit truncates the orbit at the step where it happened.
+    Points 0..n-1 are checked before their step.  Close approaches to
+    (-1, alpha) are recorded, never fatal; an exact hit truncates the orbit
+    at the step where it happened and is logged once as (step, 0.0).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    points = [q]
+    u, v, y = orbit_coordinates(p, q, n)
+    # the distance is at least |y - alpha|; the scalar distance decides
+    near = np.flatnonzero(np.abs(y[: min(len(u), n)] - p.alpha) < 2.0 * dist_tol)
     hits = []
-    escaped = False
-    cur = q
-    for k in range(n):
-        d = _indeterminacy_distance(cur.x, cur.y, p.alpha)
+    for k in near.tolist():
+        x = complex(u[k]) if v[k] else INFINITY
+        d = _indeterminacy_distance(x, complex(y[k]), p.alpha)
         if d < dist_tol:
             hits.append((k, d))
-        try:
-            cur = apply_f(p, cur)
-        except IndeterminatePoint:
-            if not (hits and hits[-1] == (k, 0.0)):
-                hits.append((k, 0.0))
-            break
-        if is_infinity(cur.x):
-            escaped = True
-        points.append(cur)
-    return OrbitRecord(points=tuple(points), indeterminacy_hits=tuple(hits), escaped=escaped)
+    if len(u) <= n and hits[-1:] != [(len(u) - 1, 0.0)]:
+        hits.append((len(u) - 1, 0.0))
+    return OrbitRecord(u=u, v=v, y=y, indeterminacy_hits=tuple(hits),
+                       escaped=bool((v[1:] == 0).any()))
 
 
 def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
@@ -140,19 +138,20 @@ def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
     The matrix products are renormalized every step; scalars cancel in the
     projective action, so the comparison is overflow-free.
     """
+    u, v, _ = orbit_coordinates(p, q, n)
+    if len(u) <= n:
+        raise IndeterminatePoint("f is indeterminate exactly at (-1, alpha)")
     rho = abs(q.y)
     theta0 = (cmath.phase(q.y) / (2.0 * math.pi)) % 1.0
     spec = CocycleSpec(kind="jonquieres_a", alpha=p.alpha, rho=rho, freq=p.freq)
     gens = generator_values(spec, np.mod(theta0 + np.arange(n) * p.freq, 1.0))
-    cur = q
     prod = Mat2.identity()
     worst = 0.0
-    for g in gens.reshape(-1, 4).tolist():
-        cur = apply_f(p, cur)
+    for g, x, finite in zip(gens.reshape(-1, 4).tolist(), u[1:].tolist(), v[1:].tolist()):
         prod = Mat2(*g) @ prod
         prod = prod.scaled(1.0 / prod.frobenius())
         x_mat = projective_action(prod, q.x)
-        worst = max(worst, chordal(cur.x, x_mat))
+        worst = max(worst, chordal(x if finite else INFINITY, x_mat))
     return worst
 
 
@@ -292,13 +291,13 @@ def fixed_points(p: MapParams) -> tuple:
 def orbit_coordinates(
     p: MapParams, q: PointP1xC, n: int, which: str = "f"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw orbit arrays (u, v, y) in projective x-coordinates, x = u / v."""
-    x = q.x
-    if is_infinity(x):
-        num, den = 1.0 + 0j, 0j
-    else:
-        num, den = complex(x), 1.0 + 0j
+    """Orbit arrays (u, v, y) of ``which`` ("f", "g" or "f2") from
+    ``kernels.orbit_points``: x is (x, 1) or infinity (1, 0); fewer than
+    n + 1 points means an exact indeterminacy hit truncated the orbit."""
+    num, den = (1.0 + 0j, 0j) if is_infinity(q.x) else (complex(q.x), 1.0 + 0j)
     u, v, y, _count = kernels.orbit_points(which, p.alpha, p.beta, num, den, q.y, int(n))
+    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        raise Overflow(f"the {which} orbit left the floating-point range")
     return u, v, y
 
 
@@ -370,5 +369,5 @@ def classify_orbit_closure(
     if n < 1000:
         raise ValueError("closure classification needs a long orbit")
     u, v, y = orbit_coordinates(p, q, n, which)
-    finite = np.abs(v) > 1e-300
-    return boxcount_rank(u[finite] / v[finite], y[finite], max_octave=max_octave)
+    finite = v != 0
+    return boxcount_rank(u[finite], y[finite], max_octave=max_octave)

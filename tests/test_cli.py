@@ -68,6 +68,14 @@ class TestLyapunovCommand:
                     ["lyapunov", "--kind", "btilde", "--rho", "1.0"] + FAST)
         assert rc == 2
 
+    def test_btilde_grid_off_unit_radius(self, tmp_path):
+        # the spec template is validated at the first grid radius, not at 1
+        rc, out = run(tmp_path, "d2.csv",
+                      ["lyapunov", "--kind", "btilde", "--s-min", "0.5", "--s-max", "1",
+                       "--s-steps", "2", "--n", "100", "--samples", "2"])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2 + 2
+
     def test_resonant_freq_is_config_error(self, tmp_path):
         rc, _ = run(tmp_path, "e.csv",
                     ["lyapunov", "--kind", "jonquieres_b", "--rho", "2.0",
@@ -146,6 +154,29 @@ class TestAccelCommand:
         rho, thetas = call[2], call[7]
         assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
 
+    def test_btilde_grid_off_unit_radius(self, tmp_path):
+        rc, out = run(tmp_path, "f4.csv",
+                      ["accel", "--s-min", "0.5", "--s-max", "1", "--s-steps", "2",
+                       "--n", "100", "--samples", "2"])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2 + 2
+
+    def test_default_grid_runs(self, tmp_path):
+        # 40 points on [-2, 2]: no row at ln rho = 0, no window across it
+        from jonq.accel import DEFAULT_H
+
+        rc, out = run(tmp_path, "f5.csv", ["accel", "--n", "200", "--samples", "4"])
+        assert rc == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+        assert len(rows) == 40
+        assert min(abs(math.log(float(row[0]))) for row in rows) > 2 * DEFAULT_H
+
+    def test_straddling_window_is_config_error(self, tmp_path, capsys):
+        # ln 1.01 = 0.00995, so the window [s - h, s + h] contains 0
+        rc, _ = run(tmp_path, "f6.csv", ["accel", "--rho", "1.01"] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: SideCrossing: ")
+
     def test_reproducible(self, tmp_path):
         argv = ["accel", "--kind", "btilde", "--rho", "2.0",
                 "--n", "1000", "--samples", "8", "--seed", "5"]
@@ -184,6 +215,13 @@ class TestOrbitCommand:
         rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
         finite_flags = [row[3] for row in rows]
         assert "0" in finite_flags
+
+    def test_overflow_is_numeric_error(self, capsys):
+        rc = main(["orbit", "--x0=1.7e308+1.7e308j", "--y0", "0.5+0j", "--n", "3"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: Overflow: ")
 
 
 class TestClassifyCommand:

@@ -4,11 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, INFINITY, is_infinity
-from jonq.errors import IndeterminatePoint, InsufficientPoints, ResonantParameter
+from jonq.errors import IndeterminatePoint, InsufficientPoints, Overflow, ResonantParameter
 from jonq.maps import (
     MapParams,
     PointP1xC,
@@ -56,14 +56,14 @@ class TestOrbit:
     def test_fiber_modulus_invariant(self):
         q = PointP1xC(x=0.01 + 0j, y=0.01 * cmath.exp(1j * math.pi / 7))
         rec = orbit(P, q, 1000)
-        assert len(rec.points) == 1001
-        devs = [abs(abs(pt.y) - 0.01) for pt in rec.points]
+        assert len(rec.u) == len(rec.v) == len(rec.y) == 1001
+        devs = [abs(abs(y) - 0.01) for y in rec.y.tolist()]
         assert max(devs) < 1e-12
 
     def test_exact_hit_truncates(self):
         q = PointP1xC(x=-1.0 + 0j, y=P.alpha)
         rec = orbit(P, q, 100)
-        assert len(rec.points) == 1
+        assert len(rec.u) == len(rec.v) == len(rec.y) == 1
         assert rec.indeterminacy_hits[-1][1] == 0.0
 
     @pytest.mark.parametrize("which", ["f", "f2"])
@@ -71,6 +71,12 @@ class TestOrbit:
         # the kernel's first step lands on u = v = 0 and stops there
         u, v, y = orbit_coordinates(P, PointP1xC(-1.0 + 0j, P.alpha), 10, which)
         assert len(u) == len(v) == len(y) == 1
+
+    @pytest.mark.parametrize("which", ["f", "g", "f2"])
+    def test_overflow_raises(self, which):
+        # alpha x0 + y0 overflows, and the step would give nan
+        with pytest.raises(Overflow):
+            orbit_coordinates(P, PointP1xC(1.7e308 + 1.7e308j, 0.5 + 0j), 3, which)
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
@@ -101,7 +107,48 @@ def map_params(draw):
         assume(False)
 
 
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+_ESCAPE_X0 = -(1.0 + 0.5) / (1.0 + P.alpha)  # step 1 lands exactly on x = -1
+
+
 class TestOrbitProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        p=map_params(),
+        x0=st.one_of(
+            st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+            st.just(INFINITY),
+        ),
+        y0=st.builds(
+            lambda r, t: r * cmath.exp(2j * math.pi * t),
+            st.floats(1e-3, 10.0),
+            st.floats(0.0, 1.0),
+        ),
+    )
+    @example(p=P, x0=_ESCAPE_X0, y0=0.5 + 0j)
+    @example(p=P, x0=-1.0 + 0j, y0=P.alpha)
+    @example(p=P, x0=0j, y0=complex(-0.0, -0.5))  # signed zeros: affine arithmetic
+    def test_kernel_is_apply_f_to_the_bit(self, p, x0, y0):
+        n = 200
+        q = PointP1xC(x0, y0)
+        ref = [q]
+        try:
+            while len(ref) <= n:
+                ref.append(apply_f(p, ref[-1]))
+        except IndeterminatePoint:
+            pass
+        u, v, y = orbit_coordinates(p, q, n, "f")
+        assert len(u) == len(v) == len(y) == len(ref)
+        for uk, vk, yk, pt in zip(u.tolist(), v.tolist(), y.tolist(), ref):
+            if is_infinity(pt.x):
+                assert vk == 0
+            else:
+                assert vk == 1 and _bits(uk) == _bits(pt.x)
+            assert _bits(yk) == _bits(pt.y)
+
     @pytest.mark.parametrize("which", ["f", "g", "f2"])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
