@@ -133,17 +133,18 @@ def _guard_sides(spec, s, h):
                 )
 
 
-def acceleration_window(
+def acceleration_windows(
     spec: CocycleSpec,
-    rho: float,
+    rhos,
     h: float = DEFAULT_H,
     n: int = 20000,
     samples: int = 64,
     seed: int = 0,
-) -> tuple[AccelerationEstimate, RegularityResult]:
-    """Acceleration and regularity at s = ln(rho) from one evaluation of
-    the five radii exp(s - h), exp(s - h/2), exp(s), exp(s + h/2) and
-    exp(s + h), in one kernel call.
+) -> list[tuple[AccelerationEstimate, RegularityResult]]:
+    """Acceleration and regularity at each centre s = ln(rho), rho in
+    ``rhos``, from one evaluation of the five radii exp(s - h),
+    exp(s - h/2), exp(s), exp(s + h/2) and exp(s + h) per centre, all in
+    one kernel call.
 
     Acceleration: omega = -(L(s) - L(s - h)) / h, with steps h and h/2;
     when they disagree by more than 0.02 the Richardson-extrapolated value
@@ -155,12 +156,23 @@ def acceleration_window(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    s = math.log(rho)
-    _guard_sides(spec, s, h)
-    grid = (s - h, s - h / 2, s, s + h / 2, s + h)
-    _, (lo, lo2, mid, hi2, hi) = phase_values_many(
-        spec, [math.exp(t) for t in grid], n, samples, seed
+    grids = []
+    for rho in rhos:
+        s = math.log(rho)
+        _guard_sides(spec, s, h)
+        grids.append((s - h, s - h / 2, s, s + h / 2, s + h))
+    _, values = phase_values_many(
+        spec, [math.exp(t) for grid in grids for t in grid], n, samples, seed
     )
+    return [_window_result(grid, values[5 * i : 5 * i + 5], h)
+            for i, grid in enumerate(grids)]
+
+
+def _window_result(grid, values, h):
+    """The acceleration and regularity of one five-radius window: ``values``
+    holds the phase values at the radii exp(grid[0]) ... exp(grid[4])."""
+    lo, lo2, mid, hi2, hi = values
+    s = grid[2]
     left, le = _paired_slope(lo, mid, grid[0], s)
     left2, le2 = _paired_slope(lo2, mid, grid[1], s)
     right, re_ = _paired_slope(mid, hi, s, grid[4])
@@ -188,6 +200,19 @@ def acceleration_window(
         slope_error=slope_err,
     )
     return accel, regularity
+
+
+def acceleration_window(
+    spec: CocycleSpec,
+    rho: float,
+    h: float = DEFAULT_H,
+    n: int = 20000,
+    samples: int = 64,
+    seed: int = 0,
+) -> tuple[AccelerationEstimate, RegularityResult]:
+    """Acceleration and regularity at s = ln(rho): the one-centre case of
+    :func:`acceleration_windows`."""
+    return acceleration_windows(spec, [rho], h, n, samples, seed)[0]
 
 
 def acceleration_at(

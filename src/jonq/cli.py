@@ -24,7 +24,6 @@ from .backend import BACKEND
 from .errors import JonqError
 from . import accel as accel_mod
 from . import cocycle as cocycle_mod
-from . import degree as degree_mod
 from . import linearize as linearize_mod
 from . import maps as maps_mod
 
@@ -147,15 +146,15 @@ def _cmd_accel(args) -> str:
         ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
          "n", "samples", "seed", "h", "format"],
     )
-    rows = []
-    for _, rho in grid:
-        est, reg = accel_mod.acceleration_window(
-            spec, rho, h=args.h, n=args.n, samples=args.samples, seed=args.seed
-        )
-        rows.append(
-            [rho, est.omega, est.nearest_integer, est.distance,
-             reg.left_slope, reg.right_slope, int(reg.regular)]
-        )
+    windows = accel_mod.acceleration_windows(
+        spec, [rho for _, rho in grid], h=args.h, n=args.n,
+        samples=args.samples, seed=args.seed,
+    )
+    rows = [
+        [rho, est.omega, est.nearest_integer, est.distance,
+         reg.left_slope, reg.right_slope, int(reg.regular)]
+        for (_, rho), (est, reg) in zip(grid, windows)
+    ]
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag"]
     if args.format == "json":
@@ -219,6 +218,9 @@ def _cmd_linearize(args) -> str:
 
 
 def _cmd_degree(args) -> str:
+    # imported here: degree needs sympy, which no other subcommand loads
+    from . import degree as degree_mod
+
     spec_pairs = None
     if args.specialize:
         vals = [Fraction(t) for t in args.specialize.split(",")]

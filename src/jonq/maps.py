@@ -301,6 +301,15 @@ def orbit_coordinates(
     return u, v, y
 
 
+def _spread_bits(idx: np.ndarray) -> np.ndarray:
+    """Bit i of each 16-bit index moved to bit 4i of a uint64."""
+    x = idx.astype(np.uint64)
+    for shift, mask in ((24, 0x000000FF000000FF), (12, 0x000F000F000F000F),
+                        (6, 0x0303030303030303), (3, 0x1111111111111111)):
+        x = (x | (x << np.uint64(shift))) & np.uint64(mask)
+    return x
+
+
 def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> ClosureClassification:
     """Box-counting rank of a point cloud given by two complex coordinate
     arrays, in normalized R^4.
@@ -311,7 +320,20 @@ def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> Closure
     three coarsest sampled octaves (curvature-biased) and the two finest
     (sampling-limited) are discarded, and the rank is the rounded median
     slope over the surviving window.
+
+    The cloud is quantized once, at the finest octave K = max_octave: each
+    coordinate u in [0, 1] gets the cell index min(floor(u 2^K), 2^K - 1),
+    and the bits of the four indices are interleaved into one uint64
+    Morton key (K <= 16, so 4 K bits fit).  Multiplying by a power of two
+    is exact, so floor(u 2^k) = floor(u 2^K) >> (K - k); the clamp at u = 1
+    commutes with the shift, since (2^K - 1) >> (K - k) = 2^k - 1 and the
+    shift is monotone.  The box of a point at octave k is therefore the key
+    prefix key >> 4 (K - k), and after one sort of the keys the box count
+    at octave k is one plus the number of changes between neighbouring
+    prefixes: the same count as per-octave quantization, exactly.
     """
+    if not 0 <= max_octave <= 16:
+        raise ValueError("max_octave must lie in [0, 16]: four cell indices share a 64-bit key")
     pts = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
@@ -319,12 +341,18 @@ def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> Closure
     unit = (pts - lo) / span
     npts = len(unit)
 
+    cells = 1 << max_octave
+    idx = np.minimum((unit * cells).astype(np.int64), cells - 1)
+    key = np.zeros(npts, dtype=np.uint64)
+    for axis in range(4):
+        key |= _spread_bits(idx[:, axis]) << np.uint64(3 - axis)
+    key.sort()
+
     counts = []
     ladder = []
     for k in range(max_octave + 1):
-        cells = 1 << k
-        idx = np.minimum((unit * cells).astype(np.int64), cells - 1)
-        nboxes = len(np.unique(idx, axis=0))
+        prefix = key >> np.uint64(4 * (max_octave - k))
+        nboxes = 1 + int(np.count_nonzero(prefix[1:] != prefix[:-1]))
         if k > 0 and 1.05 * nboxes > npts:
             break
         counts.append(nboxes)

@@ -8,6 +8,7 @@ from jonq.accel import (
     RegularityResult,
     acceleration_at,
     acceleration_window,
+    acceleration_windows,
     lyapunov_profile,
     piecewise_affine_fit,
     quantization_check,
@@ -124,6 +125,21 @@ class TestWindow:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             acceleration_window(CocycleSpec(kind="diagonal_power"), 1.0, h=0.0)
+
+    def test_many_centres_equal_one_centre_calls(self, kernel_calls):
+        spec = CocycleSpec(kind="btilde", rho=0.5)
+        rhos = [0.5, 0.6, 2.0, 3.0]
+        windows = acceleration_windows(spec, rhos, n=300, samples=4, seed=2)
+        assert len(kernel_calls) == 1
+        assert len(set(kernel_calls[0][2].tolist())) == 5 * len(rhos)
+        assert windows == [acceleration_window(spec, rho, n=300, samples=4, seed=2)
+                           for rho in rhos]
+
+    def test_many_centres_guard_every_window(self, kernel_calls):
+        spec = CocycleSpec(kind="btilde", rho=0.5)
+        with pytest.raises(SideCrossing):
+            acceleration_windows(spec, [0.5, 1.01], n=200, samples=4)
+        assert kernel_calls == []
 
 
 class TestAcceleration:

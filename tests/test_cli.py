@@ -147,12 +147,16 @@ class TestAccelCommand:
         assert rc == 0
         assert out.read_text().splitlines()[2].split(",")[0] == "3.0"
 
-    def test_one_kernel_call_per_row(self, tmp_path, kernel_calls):
-        rc, _ = run(tmp_path, "f3.csv", ["accel", "--kind", "btilde", "--rho", "2.0"] + FAST)
+    def test_one_kernel_call_for_the_grid(self, tmp_path, kernel_calls):
+        # three rows 0.25 apart: their +-h windows share no radius
+        rc, out = run(tmp_path, "f3.csv",
+                      ["accel", "--kind", "btilde", "--s-min", "0.5", "--s-max", "1",
+                       "--s-steps", "3"] + FAST)
         assert rc == 0
+        assert len(out.read_text().splitlines()) == 2 + 3
         (call,) = kernel_calls
         rho, thetas = call[2], call[7]
-        assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
+        assert len(set(rho.tolist())) == 5 * 3 and len(thetas) == 5 * 3 * 4
 
     def test_btilde_grid_off_unit_radius(self, tmp_path):
         rc, out = run(tmp_path, "f4.csv",
@@ -310,3 +314,10 @@ class TestParser:
             [sys.executable, "-m", "jonq.cli", "--version"], capture_output=True
         )
         assert proc.returncode == 0
+
+    def test_import_leaves_sympy_out(self):
+        # only `degree` needs sympy, so the other subcommands do not pay for it
+        code = "import sys, jonq.cli; jonq.cli.build_parser(); print('sympy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"

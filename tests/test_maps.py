@@ -297,3 +297,102 @@ class TestClosureClassification:
         cls = boxcount_rank(x, y)
         assert cls.rank == 1
         assert cls.confidence >= 0.9
+
+
+def _reference_boxcount(x, y, max_octave):
+    """The per-octave ``np.unique(axis=0)`` box count with the rank rules
+    of :func:`boxcount_rank`, as it was before the sort-once Morton keys:
+    the reference they must equal exactly."""
+    pts = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    span[span == 0] = 1.0
+    unit = (pts - lo) / span
+    npts = len(unit)
+    counts, ladder = [], []
+    for k in range(max_octave + 1):
+        cells = 1 << k
+        idx = np.minimum((unit * cells).astype(np.int64), cells - 1)
+        nboxes = len(np.unique(idx, axis=0))
+        if k > 0 and 1.05 * nboxes > npts:
+            break
+        counts.append(nboxes)
+        ladder.append(k)
+    counts_arr = np.array(counts, dtype=float)
+    slopes = tuple(float(t) for t in np.log2(counts_arr[1:] / counts_arr[:-1]))
+    window = ladder[3:-2]
+    if len(window) < 3:
+        raise InsufficientPoints(f"only {len(window)} surviving octaves (ladder {ladder})")
+    w_lo, w_hi = window[0], window[-1]
+    if counts[w_hi] < 10 * counts[w_lo]:
+        raise InsufficientPoints("surviving window spans < 10x box-count growth")
+    med = float(np.median([slopes[k] for k in range(w_lo, w_hi)]))
+    rank = int(round(med))
+    return (rank, slopes, max(0.0, 1.0 - abs(med - rank)), tuple(window),
+            tuple(int(c) for c in counts))
+
+
+def _boxcount_outcome(fn, x, y, max_octave):
+    try:
+        return fn(x, y, max_octave)
+    except InsufficientPoints as exc:
+        return "InsufficientPoints: " + str(exc)
+
+
+def _sort_once(x, y, max_octave):
+    cls = boxcount_rank(x, y, max_octave=max_octave)
+    return cls.rank, cls.slopes, cls.confidence, cls.window, cls.counts
+
+
+@st.composite
+def _clouds(draw):
+    """Point clouds in C^2: random 4-d boxes, tori and two closed curves,
+    optionally snapped to a dyadic lattice so that points sit exactly on
+    cell edges, with duplicates, points on the top edge u = 1 and
+    zero-span coordinates."""
+    npts = draw(st.integers(1, 3000) | st.integers(1500, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["box", "torus", "circle", "knot"]))
+    if shape == "box":
+        pts = rng.uniform(-1.0, 1.0, (npts, 4))
+    else:
+        a = 2 * np.pi * rng.uniform(0.0, 1.0, npts)
+        b = {"torus": 2 * np.pi * rng.uniform(0.0, 1.0, npts),
+             "circle": 2 * a + 0.3, "knot": 3 * a + 0.7}[shape]
+        pts = 1e-3 * np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=1)
+    lattice = draw(st.none() | st.integers(0, 18))
+    if lattice is not None:
+        # with 0 and 1 in every column, u is the dyadic value itself
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pts = np.round((pts - lo) / np.where(hi > lo, hi - lo, 1.0) * 2**lattice) / 2**lattice
+        pts[0], pts[-1] = 0.0, 1.0
+    dups = draw(st.integers(0, npts // 4))
+    pts[rng.integers(0, npts, dups)] = pts[rng.integers(0, npts, dups)]
+    for axis in range(4):
+        top = draw(st.integers(0, npts // 20))
+        pts[rng.integers(0, npts, top), axis] = pts[:, axis].max()
+    for axis in draw(st.sets(st.integers(0, 3), max_size=4)):
+        pts[:, axis] = draw(st.floats(-1.0, 1.0))
+    return pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]
+
+
+class TestBoxcountProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    # half the octave draws reach the 8 octaves a surviving window needs
+    @given(cloud=_clouds(), max_octave=st.integers(0, 16) | st.integers(8, 16))
+    def test_sort_once_equals_unique_reference(self, cloud, max_octave):
+        x, y = cloud
+        assert (_boxcount_outcome(_sort_once, x, y, max_octave)
+                == _boxcount_outcome(_reference_boxcount, x, y, max_octave))
+
+    @pytest.mark.parametrize("which,x0", [("f", 0.001 + 0.0005j), ("g", 0.001 + 0j)])
+    def test_readme_starts_equal_unique_reference(self, which, x0):
+        u, v, y = orbit_coordinates(P, PointP1xC(x=x0, y=0.001 + 0j), 200_000, which)
+        finite = v != 0
+        assert (_sort_once(u[finite], y[finite], 16)
+                == _reference_boxcount(u[finite], y[finite], 16))
+
+    def test_octave_beyond_key_width_rejected(self):
+        x = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 2000))
+        with pytest.raises(ValueError):
+            boxcount_rank(x, x, max_octave=17)
