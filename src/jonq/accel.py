@@ -19,7 +19,7 @@ import numpy as np
 from .cocycle import (
     CocycleSpec,
     LyapunovEstimate,
-    lyapunov,
+    estimate_from_phase_values,
     lyapunov_many,
     phase_values_many,
 )
@@ -133,6 +133,25 @@ def _guard_sides(spec, s, h):
                 )
 
 
+def _window_values(spec, rhos, h, n, samples, seed):
+    """The s-grids (s - h, s - h/2, s, s + h/2, s + h), s = ln(rho), of the
+    windows centred at each rho in ``rhos``, and the per-phase values at
+    n // 2 and n at their radii, from one kernel call: rows 5i to 5i + 4
+    belong to window i.  The centre radius is rho itself, the others
+    exp(s +- h) and exp(s +- h/2)."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    grids, radii = [], []
+    for rho in rhos:
+        s = math.log(rho)
+        _guard_sides(spec, s, h)
+        grids.append((s - h, s - h / 2, s, s + h / 2, s + h))
+        radii += [math.exp(s - h), math.exp(s - h / 2), rho,
+                  math.exp(s + h / 2), math.exp(s + h)]
+    half_values, values = phase_values_many(spec, radii, n, samples, seed)
+    return grids, half_values, values
+
+
 def acceleration_windows(
     spec: CocycleSpec,
     rhos,
@@ -143,7 +162,7 @@ def acceleration_windows(
 ) -> list[tuple[AccelerationEstimate, RegularityResult]]:
     """Acceleration and regularity at each centre s = ln(rho), rho in
     ``rhos``, from one evaluation of the five radii exp(s - h),
-    exp(s - h/2), exp(s), exp(s + h/2) and exp(s + h) per centre, all in
+    exp(s - h/2), rho, exp(s + h/2) and exp(s + h) per centre, all in
     one kernel call.
 
     Acceleration: omega = -(L(s) - L(s - h)) / h, with steps h and h/2;
@@ -154,16 +173,7 @@ def acceleration_windows(
     error, which combines the paired-sample standard errors, the h vs h/2
     structural differences, and an O(h) discretization allowance.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grids = []
-    for rho in rhos:
-        s = math.log(rho)
-        _guard_sides(spec, s, h)
-        grids.append((s - h, s - h / 2, s, s + h / 2, s + h))
-    _, values = phase_values_many(
-        spec, [math.exp(t) for grid in grids for t in grid], n, samples, seed
-    )
+    grids, _, values = _window_values(spec, rhos, h, n, samples, seed)
     return [_window_result(grid, values[5 * i : 5 * i + 5], h)
             for i, grid in enumerate(grids)]
 
@@ -356,13 +366,16 @@ def uh_classify(
 
     UH requires a positive exponent at 3x resolution plus a Regular
     profile; an exponent at zero within resolution is NotUH; anything else
-    is Undetermined.
+    is Undetermined.  The exponent is read at the centre (rho itself) of
+    the five-radius window that gives the regularity, all in one kernel
+    call.
     """
     _require_unimodular(spec)
-    est = lyapunov(spec.with_rho(rho), n, samples, seed)
+    (grid,), half_values, values = _window_values(spec, [rho], h, n, samples, seed)
+    est = estimate_from_phase_values(half_values[2], values[2], n)
     if est.value <= 3.0 * est.total_error:
         return UHResult(verdict="NotUH", estimate=est, regularity=None)
-    reg = regularity_check(spec, rho, h, n, samples, seed)
+    _, reg = _window_result(grid, values, h)
     if reg.regular:
         return UHResult(verdict="UH", estimate=est, regularity=reg)
     return UHResult(verdict="Undetermined", estimate=est, regularity=reg)

@@ -128,11 +128,12 @@ def _cmd_lyapunov(args) -> str:
     )
     rows = [
         [args.kind, args.alpha_angle, args.freq, rho, s, est.value,
-         est.stderr, est.half_n_value, args.n, args.samples, args.seed]
+         est.stderr, est.half_n_value, est.total_error, args.n, args.samples,
+         args.seed]
         for (s, rho), est in zip(grid, estimates)
     ]
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
-              "half_n_L", "n", "samples", "seed"]
+              "half_n_L", "total_error", "n", "samples", "seed"]
     if args.format == "json":
         return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows]})
     return _csv_document(cfg, header, rows)
@@ -152,11 +153,12 @@ def _cmd_accel(args) -> str:
     )
     rows = [
         [rho, est.omega, est.nearest_integer, est.distance,
-         reg.left_slope, reg.right_slope, int(reg.regular)]
+         reg.left_slope, reg.right_slope, int(reg.regular), est.stderr, est.h]
         for (_, rho), (est, reg) in zip(grid, windows)
     ]
+    # h_used is h, or h / 2 where the Richardson step fired
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
-              "right_slope", "regular_flag"]
+              "right_slope", "regular_flag", "stderr", "h_used"]
     if args.format == "json":
         return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows]})
     return _csv_document(cfg, header, rows)

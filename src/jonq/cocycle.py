@@ -14,8 +14,9 @@ exp(2*pi*i*freq)):
 * ``diagonal_power``: [[y, 0], [0, 1/y]] (closed-form L(rho) = |ln rho|)
 * ``constant``:       a fixed matrix
 
-The formulas are defined once, in ``_kernels_py.generators`` (vectorized
-over phases and radii); every evaluation here goes through it.  Estimates
+The formulas are defined once, in ``_kernels_py.generator_entries``
+(vectorized over points y); every evaluation here goes through it, by way
+of ``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
 at several radii (``lyapunov_many``, ``phase_values_many``) come from one
 kernel call that runs every radius on the same phases.
 """
@@ -266,10 +267,18 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
+    theta = theta % 1.0
     _, s_full, _, p_full = _cocycle_sums(
-        spec, np.array([float(spec.rho)]), np.array([theta % 1.0]), n
+        spec, np.array([float(spec.rho)]), np.array([theta]), n
     )
     p = p_full[0]
+    if spec.kind == "btilde":
+        # the kernel's btilde direction is the jonquieres_b one, which is
+        # this product's times the unit phase prod_k b_k / |b_k|
+        phases = np.mod(theta + np.arange(n) * spec.freq, 1.0)
+        y = spec.rho * np.exp(2j * np.pi * phases)
+        b = sqrt_branch_values(spec.alpha, spec.rho, y)
+        p = p / np.prod(b / np.abs(b))
     return Mat2(p[0, 0], p[0, 1], p[1, 0], p[1, 1]), float(s_full[0])
 
 
@@ -366,25 +375,33 @@ def lyapunov_many(
     are reproducible bit-for-bit.
     """
     half_rows, rows = phase_values_many(spec, rhos, n, samples, seed, norm)
-    estimates = []
-    for half_vals, vals in zip(half_rows, rows):
-        value = tree_mean(vals)
-        half_value = tree_mean(half_vals)
-        if samples > 1:
-            var = tree_sum((vals - value) ** 2) / (samples - 1)
-            stderr = math.sqrt(var / samples)
-        else:
-            stderr = 0.0
-        estimates.append(
-            LyapunovEstimate(
-                value=float(value),
-                n=n,
-                samples=samples,
-                half_n_value=float(half_value),
-                stderr=float(stderr),
-            )
-        )
-    return estimates
+    return [
+        estimate_from_phase_values(half_vals, vals, n)
+        for half_vals, vals in zip(half_rows, rows)
+    ]
+
+
+def estimate_from_phase_values(
+    half_vals: np.ndarray, vals: np.ndarray, n: int
+) -> LyapunovEstimate:
+    """The estimate at one radius from its per-phase values at n // 2 and
+    n (one row of :func:`phase_values_many`): pairwise-tree means, and the
+    standard error of the mean over the phases."""
+    samples = len(vals)
+    value = tree_mean(vals)
+    half_value = tree_mean(half_vals)
+    if samples > 1:
+        var = tree_sum((vals - value) ** 2) / (samples - 1)
+        stderr = math.sqrt(var / samples)
+    else:
+        stderr = 0.0
+    return LyapunovEstimate(
+        value=float(value),
+        n=n,
+        samples=samples,
+        half_n_value=float(half_value),
+        stderr=float(stderr),
+    )
 
 
 def lyapunov(

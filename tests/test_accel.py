@@ -317,6 +317,25 @@ class TestUHClassify:
         with pytest.raises(NotUnimodular):
             uh_classify(spec, 2.0, **FAST)
 
+    def test_one_window_with_rho_at_its_centre(self, kernel_calls):
+        # NotUH: the estimate is read at the centre of the one window call;
+        # exp(ln 3.0) != 3.0, so the centre is the given radius itself
+        spec = CocycleSpec(kind="btilde", rho=3.0)
+        res = uh_classify(spec, 3.0, n=300, samples=4, seed=1)
+        (call,) = kernel_calls
+        radii = call[2].reshape(5, 4)
+        assert len(set(call[2].tolist())) == 5 and np.all(radii[2] == 3.0)
+        assert res.verdict == "NotUH" and res.regularity is None
+        assert res.estimate == lyapunov(spec.with_rho(3.0), 300, 4, 1)
+
+    def test_uh_path_makes_one_kernel_call(self, kernel_calls):
+        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        res = uh_classify(spec, 1.0, n=300, samples=4, seed=1)
+        assert len(kernel_calls) == 1
+        assert res.verdict == "UH"
+        assert res.estimate == lyapunov(spec, 300, 4, 1)
+        assert res.regularity == regularity_check(spec, 1.0, n=300, samples=4, seed=1)
+
 
 class TestRegimeClassify:
     def test_large_coupling_supercritical(self):

@@ -30,10 +30,14 @@ class TestLyapunovCommand:
         assert cfg["kind"] == "jonquieres_b" and cfg["seed"] == 1
         header = lines[1].split(",")
         assert header == ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L",
-                          "stderr", "half_n_L", "n", "samples", "seed"]
+                          "stderr", "half_n_L", "total_error", "n", "samples",
+                          "seed"]
         row = lines[2].split(",")
         assert float(row[3]) == 4.0
         assert abs(float(row[5]) - math.log(4)) < 0.05
+        # total_error = stderr + |L - half_n_L|
+        L, stderr, half_l, total = (float(v) for v in row[5:9])
+        assert total == stderr + abs(L - half_l)
 
     @pytest.mark.parametrize("rho,cell", [("1e75", "1e+75"), ("3.0", "3.0")])
     def test_requested_rho_is_exact(self, tmp_path, rho, cell):
@@ -132,11 +136,13 @@ class TestAccelCommand:
         lines = out.read_text().splitlines()
         assert lines[1].split(",") == ["rho", "omega", "nearest_integer",
                                        "distance", "left_slope", "right_slope",
-                                       "regular_flag"]
+                                       "regular_flag", "stderr", "h_used"]
         row = lines[2].split(",")
         assert abs(float(row[1]) - 1.0) < 0.05
         assert int(row[2]) == 1
         assert row[6] == "0"  # kinked at rho = 1: not regular
+        assert 0.0 <= float(row[7]) < 0.05
+        assert float(row[8]) in (0.02, 0.01)  # h, or h / 2 after Richardson
 
     def test_requested_rho_is_exact(self, tmp_path):
         rc, out = run(

@@ -401,3 +401,126 @@ class TestProperties:
         with pytest.raises(ValueError):
             kernels.cocycle_sums("diagonal_power", ALPHA, np.ones(3), GOLDEN_FREQ,
                                  0.0, np.array([]), None, np.zeros(2), 4)
+
+
+def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
+    """The reference kernel: the true generator of ``kind`` (btilde with
+    its square-root branch) multiplied in at every step, and the product
+    renormalized after every step."""
+    m = len(thetas)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (m,))
+    p = np.zeros((2, 2, m), dtype=np.complex128)
+    p[0, 0] = p[1, 1] = 1.0
+    s = np.zeros(m)
+    half = n // 2
+    for k in range(n):
+        phases = np.mod(thetas + k * freq, 1.0)
+        g = kernels.generators(kind, alpha, rho, energy, potential, cmat, phases)
+        p = np.einsum("mij,jkm->ikm", g, p)
+        nrm = np.sqrt((np.abs(p) ** 2).sum(axis=(0, 1)))
+        s += np.log(nrm)
+        p /= nrm
+        if k + 1 == half:
+            s_half, p_half = s.copy(), p.copy()
+    return s_half, s, p_half.transpose(2, 0, 1), p.transpose(2, 0, 1)
+
+
+KERNEL_POTENTIAL = np.array([0.3, 1.2])
+KERNEL_CMAT = np.array([2.0, 1.0, 1.0, 1.0], dtype=complex)
+
+
+def kernel_call(kind, rho, thetas, n, call=kernels.cocycle_sums):
+    return call(kind, ALPHA, rho, GOLDEN_FREQ, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT,
+                thetas, n)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind,rhos", [
+        ("jonquieres_a", [0.5, 1.0, 2.0]),
+        # rho = 1 and 1e75 renormalize every step, 1e20 every 2, the others
+        # every 8
+        ("jonquieres_b", [0.5, 1.0, 2.0, 1e20, 1e75]),
+        ("btilde", [0.5, 0.9, 1.1, 2.0]),
+        ("schrodinger", [0.5, 1.0, 2.0]),
+        ("diagonal_power", [0.5, 1.0, 2.0]),
+        ("constant", [1.0]),
+    ])
+    def test_matches_every_step_reference(self, kind, rhos):
+        # sparse renormalization and btilde through the jonquieres_b
+        # matrices move L (full and half) by at most 1e-12
+        n, thetas = 2000, phase_samples(4, 7)
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        s_half, s_full, p_half, p_full = kernel_call(kind, rho, phases, n)
+        want = kernel_call(kind, rho, phases, n, call=every_step_products)
+        assert np.max(np.abs(s_full - want[1])) / n <= 1e-12
+        assert np.max(np.abs(s_half - want[0])) / (n // 2) <= 1e-12
+        # the directions agree up to a unit phase (btilde's is prod b / |b|)
+        assert np.max(np.abs(np.abs(p_full) - np.abs(want[3]))) < 1e-9
+        assert np.max(np.abs(np.abs(p_half) - np.abs(want[2]))) < 1e-9
+
+    @pytest.mark.parametrize("kind,rhos,intervals", [
+        ("jonquieres_b", [2.0, 1e20, 1.0, 1e10, 1e75], [8, 2, 1, 4, 1]),
+        ("btilde", [2.0, 0.5], [8, 8]),
+    ])
+    @pytest.mark.parametrize("n", [1, 37, 64])
+    def test_mixed_intervals_batch_equals_per_radius_calls(self, kind, rhos, intervals, n):
+        got = kernels.renormalization_intervals(
+            kind, ALPHA, np.array(rhos), 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
+        )
+        assert got.tolist() == intervals
+        thetas = phase_samples(3, 5)
+        batch = kernel_call(kind, np.repeat(rhos, 3), np.tile(thetas, len(rhos)), n)
+        singles = [kernel_call(kind, rho, thetas, n) for rho in rhos]
+        for i, part in enumerate(batch):
+            want = np.concatenate([single[i] for single in singles])
+            assert part.shape == want.shape and part.tobytes() == want.tobytes()
+            assert np.all(np.isfinite(part))
+
+    @pytest.mark.parametrize("kind,rho,interval", [
+        ("jonquieres_a", 1.0, 1),  # det = alpha - y can vanish
+        ("jonquieres_a", 1.5, 8),
+        ("jonquieres_b", 1.0, 1),
+        ("jonquieres_b", 1e75, 1),  # two steps could pass 1e260
+        ("btilde", 1e-5, 8),
+        ("schrodinger", 2.0, 8),
+        ("diagonal_power", 1e20, 4),  # ln |A|_F = 46.1
+        ("constant", 1.0, 8),
+    ])
+    def test_interval_from_the_generator_bound(self, kind, rho, interval):
+        k = kernels.renormalization_intervals(
+            kind, ALPHA, np.array([rho]), 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
+        )
+        assert k.tolist() == [interval]
+
+    @pytest.mark.parametrize("x", [1e10, 1e20, 1e40, 1e70, 1e140])
+    def test_fast_growth_stays_in_range(self, x):
+        # diag(x, 1/x) grows by exactly x per step, the largest growth its
+        # norm bound allows: the squared entries of the norm must not
+        # overflow between renormalizations
+        cmat = np.array([x, 0, 0, 1 / x], dtype=complex)
+        s_half, s_full, _, _ = kernels.cocycle_sums(
+            "constant", ALPHA, 1.0, GOLDEN_FREQ, 0.0, np.array([]), cmat,
+            np.array([0.1]), 64,
+        )
+        assert s_full[0] / 64 == pytest.approx(math.log(x), rel=1e-12)
+        assert s_half[0] / 32 == pytest.approx(math.log(x), rel=1e-12)
+
+    def test_singular_constant_renormalizes_every_step(self):
+        k = kernels.renormalization_intervals(
+            "constant", ALPHA, np.ones(2), 0.0, np.array([]),
+            np.array([0, 1, 0, 0], dtype=complex),
+        )
+        assert k.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_btilde_iterate_is_the_direct_product(self, rho):
+        # iterate restores the unit phase the kernel leaves out of btilde's p
+        spec = CocycleSpec(kind="btilde", rho=rho)
+        theta = 0.37
+        prod = Mat2.identity()
+        for k in range(20):
+            prod = evaluate_generator(spec, (theta + k * spec.freq) % 1.0) @ prod
+        p, s = iterate(spec, theta, 20)
+        rec = reconstruct(p, s)
+        for a, b in zip(entries(rec), entries(prod)):
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
