@@ -220,7 +220,7 @@ def _cmd_linearize(args) -> str:
 
 
 def _cmd_degree(args) -> str:
-    # imported here: degree needs sympy, which no other subcommand loads
+    # imported here: no other subcommand uses it, so they do not load it
     from . import degree as degree_mod
 
     spec_pairs = None
@@ -233,13 +233,18 @@ def _cmd_degree(args) -> str:
             # pin one specialization, cross-check against a random one
             rng = random.Random(args.seed)
             spec_pairs.append((rng.randint(2, 10_000), rng.randint(2, 10_000)))
-    degs = degree_mod.degree_sequence(args.max_n, seed=args.seed, specializations=spec_pairs)
+    degs, pairs = degree_mod.certified_degrees(
+        args.max_n, seed=args.seed, specializations=spec_pairs
+    )
     report = degree_mod.growth_classify(degs)
     cfg = _common_config(args, ["max_n", "seed", "specialize", "format"])
     if args.format == "csv":
         rows = [[i + 1, d] for i, d in enumerate(report.degrees)]
         return _csv_document(cfg, ["n", "degree"], rows)
-    return _json_document(cfg, degree_mod.growth_report_json(report))
+    payload = degree_mod.growth_report_json(report)
+    # the (alpha, beta) pairs that certified the sequence, as exact strings
+    payload["specializations"] = [[str(Fraction(a)), str(Fraction(b))] for a, b in pairs]
+    return _json_document(cfg, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

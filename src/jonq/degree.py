@@ -1,12 +1,56 @@
 """Exact degree growth of the map family on the projective plane.
 
-A rational self-map is carried as three same-degree homogeneous
-polynomials in (x, y, z) without common factor; composition substitutes
-and divides out the exact gcd.  All arithmetic is exact, over the
-integers once denominators are cleared, with (alpha, beta) specialized
-to random integers; genericity is enforced by recomputing every degree
-sequence at two independent specializations and demanding identical
-results.
+The family f(x, y) = ((alpha x + y) / (x + 1), beta y) is a Jonquieres
+map: it preserves the pencil of lines y = const and acts on each x-fiber
+by a Moebius map.  So f^n(x, y) = (A_n(y) . x, beta^n y), where
+M . x = (a x + b) / (c x + d) for M = [[a, b], [c, d]] and
+
+    A_n(y) = M(beta^(n-1) y) ... M(beta y) M(y),    M(y) = [[alpha, y], [1, 1]].
+
+This is the Jonquieres-group picture of Blanc-Deserti, *Degree growth of
+birational maps of the plane*; the growth classes (bounded, linear,
+quadratic, exponential) are those of Diller-Favre, *Dynamics of
+bimeromorphic maps of surfaces*, Amer. J. Math. 2001.
+
+Degree formula.  Let g be a gcd of the four entries of A_n and
+[[a, b], [c, d]] = A_n / g, with entries in Q[y].  Then a x + b and
+c x + d are coprime in Q[x, y]: a common factor involving x would make
+them proportional, against det A_n != 0, and one in y alone would divide
+all four entries.  Put x = X/Z, y = Y/Z and homogenize both to the common
+degree m = max(deg a + 1, deg b, deg c + 1, deg d):
+
+    P = Z^m (a x + b),    Q = Z^m (c x + d).
+
+In these coordinates f^n = (P/Q, beta^n Y/Z), that is the triple
+(P Z : beta^n Y Q : Q Z) of degree m + 1.  Its common factor divides
+Z gcd(P, Q), a power of Z because the dehomogenized P and Q are coprime;
+by the choice of m, Z divides at most one of P and Q.  So the triple's
+gcd is Z when Z divides Q, and 1 otherwise.  At Z = 0 only the terms of
+top degree survive, Q(X, Y, 0) = [deg c + 1 = m] c_top X Y^(m-1) +
+[deg d = m] d_top Y^m, two distinct monomials that cannot cancel, so Z
+divides Q exactly when max(deg c + 1, deg d) < m.  Hence deg f^n is m + 1
+when max(deg c + 1, deg d) = m and m otherwise, which in both cases is
+
+    deg f^n = max(deg a + 1, deg b, deg c + 2, deg d + 1).
+
+Finding g.  g^2 divides det A_n = prod_(k<n) (alpha - beta^k y), a product
+of linear factors over Q, so g is a product of factors y - alpha/beta^k.
+No polynomial Euclid is needed: each candidate root is tested by exact
+synthetic division of all four entries, repeated while all four vanish
+there, which counts multiplicity.  For generic (alpha, beta) the roots
+of det A_n are distinct, so g = 1; g is not constant only where roots
+repeat, as for alpha = 0 or beta = +-1.
+
+The formula is checked, not proved, here: the tests compare it with the
+composition oracle below, which carries a map as three same-degree
+homogeneous polynomials in (x, y, z), substitutes and divides out the
+exact gcd with sympy.  sympy is imported only inside the oracle, so the
+fiber path, and with it `jonq degree`, never loads it.
+
+Arithmetic is exact throughout (ints and Fractions), with (alpha, beta)
+specialized to random integers; genericity is enforced by computing
+every degree sequence at two independent specializations and demanding
+identical results.
 """
 
 from __future__ import annotations
@@ -16,15 +60,146 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from .errors import SpecializationMismatch, ZeroComponent
-
-_X, _Y, _Z = sp.symbols("x y z")
-GENS = (_X, _Y, _Z)
 
 MAX_DEGREE_STEPS = 12
 _COEFF_DIGIT_LIMIT = 1_000_000
+
+
+# --- the fiber path: 2x2 matrices over Q[y] -----------------------------------
+# A polynomial is its coefficient list, constant term first, with no
+# trailing zeros; the zero polynomial is [].
+
+
+def _exact(q):
+    """q as an int when it is one, else as a Fraction (ints are faster)."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _trimmed(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _add(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trimmed(out)
+
+
+def _quotient(p: list, r):
+    """p / (y - r) by synthetic division, or None when r is not a root."""
+    if not p:
+        return p
+    acc = 0
+    out = []
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    if acc != 0:
+        return None
+    out.pop()  # the remainder
+    out.reverse()
+    return out
+
+
+def fiber_degrees(alpha, beta, n: int) -> list[int]:
+    """Degrees of f, f^2, ..., f^n at one exact specialization, read from
+    the reduced fiber matrices (the formula of the module docstring).
+
+    beta = 0 collapses the second component and raises
+    :class:`ZeroComponent`, as the composition oracle does.
+    """
+    alpha, beta = _exact(alpha), _exact(beta)
+    if beta == 0:
+        raise ZeroComponent("component vanishes identically")
+    if not 1 <= n <= MAX_DEGREE_STEPS:
+        raise ValueError(f"n must lie in [1, {MAX_DEGREE_STEPS}]")
+    a, b, c, d = [1], [], [], [1]
+    roots = []
+    degs = []
+    for k in range(n):
+        # A_(k+1) = M(s y) A_k with s = beta^k
+        s = beta**k
+        a, b, c, d = (
+            _add([alpha * t for t in a], [0] + [s * t for t in c] if c else []),
+            _add([alpha * t for t in b], [0] + [s * t for t in d] if d else []),
+            _add(a, c),
+            _add(b, d),
+        )
+        root = _exact(Fraction(alpha) / s)
+        if root not in roots:
+            roots.append(root)
+        degs.append(_reduced_degree([a, b, c, d], roots))
+    return degs
+
+
+def _reduced_degree(entries: list, roots: list) -> int:
+    """deg f^n from the entries [a, b, c, d] of A_n: divide out their gcd,
+    whose roots are among `roots`, with multiplicity, then apply the
+    degree formula."""
+    for r in roots:
+        while True:
+            quotients = [_quotient(p, r) for p in entries]
+            if None in quotients:
+                break
+            entries = quotients
+    return max(off + len(p) - 1 for off, p in zip((1, 0, 2, 1), entries) if p)
+
+
+def certified_degrees(n: int, seed: int = 0, specializations=None) -> tuple[list[int], tuple]:
+    """The degree sequence of the family and the (alpha, beta) pairs that
+    certified it.
+
+    Random integer pairs for (alpha, beta) are drawn from [2, 10^4] unless
+    explicit pairs are supplied; disagreeing sequences are retried with
+    fresh pairs up to 3 times before :class:`SpecializationMismatch`.  The
+    pairs returned are those of the attempt that agreed.
+    """
+    rng = random.Random(seed)
+
+    def draw():
+        return (rng.randint(2, 10_000), rng.randint(2, 10_000))
+
+    attempts = 0
+    while True:
+        pairs = tuple(specializations) if specializations else (draw(), draw())
+        seq = [fiber_degrees(a, b, n) for a, b in pairs]
+        if all(s == seq[0] for s in seq[1:]):
+            return seq[0], pairs
+        attempts += 1
+        if specializations or attempts >= 3:
+            raise SpecializationMismatch(
+                f"degree sequences disagree across specializations: {seq}"
+            )
+
+
+def degree_sequence(n: int, seed: int = 0, specializations=None) -> list[int]:
+    """Degree sequence of the family, certified by two specializations
+    (see :func:`certified_degrees`)."""
+    return certified_degrees(n, seed, specializations)[0]
+
+
+# --- the composition oracle (sympy, imported on first use) ------------------
+
+
+def _sympy():
+    """sympy and its generators (x, y, z)."""
+    import sympy
+
+    return sympy, sympy.symbols("x y z")
+
+
+def __getattr__(name):
+    # GENS stays a module attribute without importing sympy with the module
+    if name == "GENS":
+        return _sympy()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +223,8 @@ class HomogeneousMap:
 
     def evaluate(self, point) -> tuple:
         """Exact evaluation at a homogeneous triple."""
-        subs = dict(zip(GENS, [sp.Rational(t) for t in point]))
+        sp, gens = _sympy()
+        subs = dict(zip(gens, [sp.Rational(t) for t in point]))
         return tuple(comp.as_expr().subs(subs) for comp in self.components)
 
 
@@ -60,12 +236,14 @@ def specialize_f(alpha_q, beta_q) -> HomogeneousMap:
     accepted so that the genericity cross-check can catch them (beta = 0
     kills a component outright and raises :class:`ZeroComponent`).
     """
+    sp, gens = _sympy()
+    x, y, z = gens
     a = sp.Rational(Fraction(alpha_q))
     b = sp.Rational(Fraction(beta_q))
     comps = (
-        sp.Poly((a * _X + _Y) * _Z, *GENS, domain="QQ"),
-        sp.Poly(b * _Y * (_X + _Z), *GENS, domain="QQ"),
-        sp.Poly(_Z * (_X + _Z), *GENS, domain="QQ"),
+        sp.Poly((a * x + y) * z, *gens, domain="QQ"),
+        sp.Poly(b * y * (x + z), *gens, domain="QQ"),
+        sp.Poly(z * (x + z), *gens, domain="QQ"),
     )
     return HomogeneousMap(
         components=comps, degree=2, specialization=(Fraction(alpha_q), Fraction(beta_q))
@@ -74,16 +252,17 @@ def specialize_f(alpha_q, beta_q) -> HomogeneousMap:
 
 def linear_map(rows) -> HomogeneousMap:
     """Degree-1 map from a 3x3 exact coefficient matrix (test inputs)."""
+    sp, gens = _sympy()
     comps = []
     for row in rows:
-        expr = sum(sp.Rational(Fraction(c)) * g for c, g in zip(row, GENS))
-        comps.append(sp.Poly(expr, *GENS, domain="QQ"))
+        expr = sum(sp.Rational(Fraction(c)) * g for c, g in zip(row, gens))
+        comps.append(sp.Poly(expr, *gens, domain="QQ"))
     return HomogeneousMap(components=tuple(comps), degree=1, specialization=(Fraction(0), Fraction(0)))
 
 
-def _coeff_guard(poly: sp.Poly):
-    """Raise ArithmeticError when a numerator has more than
-    _COEFF_DIGIT_LIMIT decimal digits.  No decimal string is built:
+def _coeff_guard(poly):
+    """Raise ArithmeticError when a numerator of the sympy Poly has more
+    than _COEFF_DIGIT_LIMIT decimal digits.  No decimal string is built:
     Python refuses str() on integers over 4300 digits."""
     worst = max((abs(c.p) for c in poly.coeffs()), default=1)
     # worst < 2**bit_length, so more than a bit below the limit the exact
@@ -96,6 +275,7 @@ def _coeff_guard(poly: sp.Poly):
 def _integer_triple(components) -> tuple:
     """The triple times the least common denominator of its coefficients,
     over ZZ: the same projective map with integer coefficients."""
+    sp, _ = _sympy()
     den = sp.ilcm(*(comp.clear_denoms()[0] for comp in components))
     return tuple(comp.mul_ground(den).to_ring() for comp in components)
 
@@ -110,10 +290,11 @@ def compose(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     map of the rational computation, but its coefficients grow by tens of
     bits per iterate instead of doubling in length.
     """
+    sp, gens = _sympy()
     g_int = _integer_triple(g.components)
     powers = {}
 
-    def power(c: int, e: int) -> sp.Poly:
+    def power(c: int, e: int):
         if (c, e) not in powers:
             powers[c, e] = g_int[c] ** e
         return powers[c, e]
@@ -122,9 +303,9 @@ def compose(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     for comp in _integer_triple(f.components):
         # comp(gx, gy, gz) = sum of coeff * gx**i * gy**j * gz**k over the
         # terms of comp, in Poly arithmetic
-        poly = sp.Poly(0, *GENS, domain="ZZ")
+        poly = sp.Poly(0, *gens, domain="ZZ")
         for monom, coeff in comp.terms():
-            term = sp.Poly(coeff, *GENS, domain="ZZ")
+            term = sp.Poly(coeff, *gens, domain="ZZ")
             for c, e in enumerate(monom):
                 if e:
                     term = term * power(c, e)
@@ -157,31 +338,6 @@ def iterate_degrees(f: HomogeneousMap, n: int) -> list[int]:
         cur = compose(f, cur)
         degs.append(cur.degree)
     return degs
-
-
-def degree_sequence(n: int, seed: int = 0, specializations=None) -> list[int]:
-    """Degree sequence of the family, certified by two specializations.
-
-    Random integer pairs for (alpha, beta) are drawn from [2, 10^4] unless
-    explicit pairs are supplied; disagreeing sequences are retried with
-    fresh pairs up to 3 times before :class:`SpecializationMismatch`.
-    """
-    rng = random.Random(seed)
-
-    def draw():
-        return (rng.randint(2, 10_000), rng.randint(2, 10_000))
-
-    attempts = 0
-    while True:
-        pairs = specializations if specializations else (draw(), draw())
-        seq = [iterate_degrees(specialize_f(a, b), n) for a, b in pairs]
-        if all(s == seq[0] for s in seq[1:]):
-            return seq[0]
-        attempts += 1
-        if specializations or attempts >= 3:
-            raise SpecializationMismatch(
-                f"degree sequences disagree across specializations: {seq}"
-            )
 
 
 @dataclass(frozen=True)
@@ -253,7 +409,7 @@ def base_point_check(f: HomogeneousMap, points) -> list[bool]:
     """Exact vanishing of all three components at each homogeneous triple."""
     out = []
     for pt in points:
-        if all(sp.Rational(t) == 0 for t in pt):
+        if all(Fraction(t) == 0 for t in pt):
             raise ValueError("projective points must be nonzero triples")
         vals = f.evaluate(pt)
         out.append(all(v == 0 for v in vals))

@@ -46,24 +46,31 @@ class ConjugacyCoeffs:
         return self.a.order
 
 
-def conjugacy_equations(
+def x2_identity(
     a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
-) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
-    """The three residual series of the conjugacy identity (x^2, x^1, x^0
-    coefficients after clearing denominators); all vanish iff psi
-    conjugates G to the linear model through the common truncation order.
-    """
+) -> PowerSeries:
+    """Residual series of the x^2 coefficient of the conjugacy identity
+    (b does not enter)."""
     ib2 = 1.0 / (beta * beta)
-    a_, b_, c_ = a.scale_argument(ib2), b.scale_argument(ib2), c.scale_argument(ib2)
+    a_, c_ = a.scale_argument(ib2), c.scale_argument(ib2)
     al2 = alpha * alpha
-    e1 = (
+    return (
         beta * (a_ * c)
         + beta * (a_ * a)
         - (c_ * a)
         + alpha * (a_ * a)
         + (al2 * (a_ * c) - alpha * (c_ * c) - (c_ * c) - (c_ * a)).shift()
     )
-    e2 = (
+
+
+def x1_identity(
+    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
+) -> PowerSeries:
+    """Residual series of the x^1 coefficient of the conjugacy identity."""
+    ib2 = 1.0 / (beta * beta)
+    a_, b_, c_ = a.scale_argument(ib2), b.scale_argument(ib2), c.scale_argument(ib2)
+    al2 = alpha * alpha
+    return (
         beta * a_
         - beta * a
         + (al2 * a_ - alpha * beta * c - beta * c - beta * a - alpha * c_ - c_).shift()
@@ -73,7 +80,16 @@ def conjugacy_equations(
         - (b * c_)
         + (al2 * beta * (b_ * c) - (b * c_)).shift()
     )
-    e3 = (
+
+
+def x0_identity(
+    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
+) -> PowerSeries:
+    """Residual series of the x^0 coefficient of the conjugacy identity
+    (of the unknowns only b enters; a sets the truncation order)."""
+    b_ = b.scale_argument(1.0 / (beta * beta))
+    al2 = alpha * alpha
+    return (
         PowerSeries.monomial(1, a.order, alpha + 1.0)
         + b
         - beta * b_
@@ -81,7 +97,20 @@ def conjugacy_equations(
         + b.shift()
         - (alpha + beta) * (b_ * b)
     )
-    return e1, e2, e3
+
+
+# the identities in the order of conjugacy_equations
+IDENTITIES = (x2_identity, x1_identity, x0_identity)
+
+
+def conjugacy_equations(
+    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
+) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
+    """The three residual series of the conjugacy identity (x^2, x^1, x^0
+    coefficients after clearing denominators); all vanish iff psi
+    conjugates G to the linear model through the common truncation order.
+    """
+    return tuple(identity(a, b, c, alpha, beta) for identity in IDENTITIES)
 
 
 def _with_coeff(series: PowerSeries, k: int, value: complex) -> PowerSeries:
@@ -114,10 +143,12 @@ def solve_coefficients(
     floor_seen = float("inf")
 
     def extract(eq_index, series_name, series, nu):
+        # only the identity that is read is evaluated
+        identity = IDENTITIES[eq_index]
         cur = {"a": a, "b": b, "c": c}
-        base = conjugacy_equations(cur["a"], cur["b"], cur["c"], alpha, beta)[eq_index]
+        base = identity(cur["a"], cur["b"], cur["c"], alpha, beta)
         cur[series_name] = _with_coeff(series, nu, series.coeffs[nu] + 1.0)
-        bumped = conjugacy_equations(cur["a"], cur["b"], cur["c"], alpha, beta)[eq_index]
+        bumped = identity(cur["a"], cur["b"], cur["c"], alpha, beta)
         return base.coeffs[nu], bumped.coeffs[nu] - base.coeffs[nu]
 
     def scale():

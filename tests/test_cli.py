@@ -283,14 +283,36 @@ class TestDegreeCommand:
         assert lines[1] == "n,degree"
         assert len(lines) == 2 + 6
 
+    def test_json_lists_specializations(self, tmp_path):
+        # the pairs that certified the sequence, as exact strings
+        rc, out = run(tmp_path, "s.json",
+                      ["degree", "--max-n", "6", "--specialize", "7/3,-2/5,3,5"])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["degrees"] == [2, 2, 3, 3, 4, 4]
+        assert doc["specializations"] == [["7/3", "-2/5"], ["3", "5"]]
+
+    def test_leaves_sympy_out(self, tmp_path):
+        # the fiber path is exact without sympy; only the composition
+        # oracle imports it
+        code = (
+            "import sys, jonq.cli; "
+            "rc = jonq.cli.main(['degree', '--max-n', '12', '--out', sys.argv[1]]); "
+            "print(rc, 'sympy' in sys.modules)"
+        )
+        out = tmp_path / "t.json"
+        proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 False\n"
+        assert json.loads(out.read_text())["degrees"][-1] == 7
+
     def test_degenerate_specialization_is_numeric_error(self, tmp_path):
         rc, _ = run(tmp_path, "o.json",
                     ["degree", "--max-n", "4", "--specialize", "3,0"])
         assert rc == 3
 
     def test_documented_maximum(self, tmp_path):
-        # n = 12 carries coefficients past Python's 4300-digit str() limit
-        # unless the content is divided out; it must finish, not exit 2
+        # the documented maximum, --max-n 12, must finish with exit 0
         rc, out = run(tmp_path, "p.json", ["degree", "--max-n", "12"])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -300,7 +322,7 @@ class TestDegreeCommand:
         def overflow(*args, **kwargs):
             raise ArithmeticError("coefficient size exceeded the desk-scale guard")
 
-        monkeypatch.setattr(degree_mod, "degree_sequence", overflow)
+        monkeypatch.setattr(degree_mod, "certified_degrees", overflow)
         rc, out = run(tmp_path, "q.json", ["degree", "--max-n", "4"])
         assert rc == 3
         assert not out.exists()

@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jonq.degree as degree_mod
 from jonq.degree import (
     GENS,
     HomogeneousMap,
     base_point_check,
+    certified_degrees,
     compose,
     degree_sequence,
     family_base_points,
+    fiber_degrees,
     growth_classify,
     iterate_degrees,
     linear_map,
@@ -143,14 +147,79 @@ class TestDegreeSequence:
     def test_mismatch_protocol(self, monkeypatch):
         calls = []
 
-        def fake_iterate(f, n):
-            calls.append(f.specialization)
+        def fake_fiber(alpha, beta, n):
+            calls.append((alpha, beta))
             return [2] * n if len(calls) % 2 else [3] * n
 
-        monkeypatch.setattr(degree_mod, "iterate_degrees", fake_iterate)
+        monkeypatch.setattr(degree_mod, "fiber_degrees", fake_fiber)
         with pytest.raises(SpecializationMismatch):
             degree_sequence(4, seed=0)
         assert len(calls) == 6  # three attempts, two specializations each
+
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+class TestFiberPath:
+    """The fiber-matrix degree formula against the composition oracle."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        alpha=st.one_of(st.integers(2, 10_000), _RATIONALS),
+        beta=st.one_of(st.integers(2, 10_000), _RATIONALS.filter(lambda q: q != 0)),
+        n=st.integers(1, 8),
+    )
+    # the degenerate specializations, where roots of det A_n repeat and
+    # the entries of A_n share a factor; (-1, 1) makes every fiber map an
+    # involution, so the degrees stay bounded
+    @example(alpha=0, beta=1, n=8)
+    @example(alpha=0, beta=-1, n=8)
+    @example(alpha=0, beta=2, n=8)
+    @example(alpha=1, beta=1, n=8)
+    @example(alpha=1, beta=-1, n=8)
+    @example(alpha=1, beta=2, n=8)
+    @example(alpha=-1, beta=1, n=8)
+    @example(alpha=-1, beta=-1, n=8)
+    @example(alpha=-1, beta=2, n=8)
+    def test_matches_composition(self, alpha, beta, n):
+        assert fiber_degrees(alpha, beta, n) == iterate_degrees(specialize_f(alpha, beta), n)
+
+    @pytest.mark.parametrize("alpha,beta", [(Fraction(7, 3), Fraction(-2, 5)), (9931, 4427)])
+    def test_matches_composition_at_maximum(self, alpha, beta):
+        n = degree_mod.MAX_DEGREE_STEPS
+        assert fiber_degrees(alpha, beta, n) == iterate_degrees(specialize_f(alpha, beta), n)
+
+    def test_zero_beta_rejected(self):
+        with pytest.raises(ZeroComponent):
+            fiber_degrees(3, 0, 4)
+
+    def test_range_guard(self):
+        for n in (0, degree_mod.MAX_DEGREE_STEPS + 1):
+            with pytest.raises(ValueError):
+                fiber_degrees(3, 5, n)
+
+    def test_certified_pairs(self):
+        degs, pairs = certified_degrees(8, seed=0)
+        assert degs == degree_sequence(8, seed=0)
+        assert len(pairs) == 2
+        assert all(2 <= v <= 10_000 for pair in pairs for v in pair)
+
+    def test_certified_pairs_after_retry(self, monkeypatch):
+        # the first attempt disagrees; the pairs reported are the second's
+        calls = []
+        real = degree_mod.fiber_degrees
+
+        def flaky(alpha, beta, n):
+            calls.append((alpha, beta))
+            if len(calls) == 2:
+                return [1] * n
+            return real(alpha, beta, n)
+
+        monkeypatch.setattr(degree_mod, "fiber_degrees", flaky)
+        degs, pairs = certified_degrees(6, seed=4)
+        assert degs == [2, 2, 3, 3, 4, 4]
+        assert len(calls) == 4
+        assert list(pairs) == calls[2:]
 
 
 class TestGrowthClassify:

@@ -1,7 +1,10 @@
 import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, PowerSeries
 from jonq.errors import SmallDivisor
@@ -14,6 +17,9 @@ from jonq.linearize import (
     residual_norms,
     solve_coefficients,
     verify_conjugacy_numeric,
+    x0_identity,
+    x1_identity,
+    x2_identity,
 )
 from jonq.maps import MapParams
 
@@ -101,6 +107,36 @@ def oracle_residuals(a, b, c, alpha, beta, order):
         _smul(-(alpha + beta), m(b_, b)),
     )
     return e1, e2, e3
+
+
+def _bits(series):
+    return [(z.real.hex(), z.imag.hex()) for z in series.coeffs]
+
+
+class TestIdentities:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 16))
+    def test_each_identity_is_its_component(self, seed, order):
+        # the solver evaluates one identity at a time; each must be the
+        # matching component of conjugacy_equations bit for bit, and agree
+        # with the independent oracle
+        rng = random.Random(seed)
+
+        def series():
+            return PowerSeries(
+                [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(order + 1)]
+            )
+
+        a, b, c = series(), series(), series()
+        alpha = cmath.exp(2j * math.pi * rng.random())
+        beta = rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.random())
+        combined = conjugacy_equations(a, b, c, alpha, beta)
+        oracle = oracle_residuals(list(a.coeffs), list(b.coeffs), list(c.coeffs),
+                                  alpha, beta, order)
+        for k, identity in enumerate((x2_identity, x1_identity, x0_identity)):
+            single = identity(a, b, c, alpha, beta)
+            assert _bits(single) == _bits(combined[k])
+            assert max(abs(x - y) for x, y in zip(single.coeffs, oracle[k])) <= 1e-9
 
 
 class TestSolve:
