@@ -9,6 +9,7 @@ kernel and ``cocycle`` evaluate every generator through them, so this
 module imports nothing from the package.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -116,6 +117,10 @@ def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
     rho = 1, a singular constant), where the bound is not finite, and
     where two steps could leave the range (jonquieres_b at rho = 1e75,
     where G = 1e150).
+
+    This is the closed-form bound, one k per radius.  ``cocycle_sums``
+    tightens the D = 0 of jonquieres at rho = 1 per trajectory, over the
+    steps it runs (``unit_circle_intervals``).
     """
     rho = np.asarray(rho, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -142,10 +147,73 @@ def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
             raise ValueError(f"unknown kind {kind!r}")
         log_g = 0.5 * np.log(frob2)
         per_step = np.maximum(log_g, log_g - np.log(det))
-    k = np.ones(rho.shape, dtype=np.int64)
+    return _largest_intervals(per_step)
+
+
+def _largest_intervals(per_step):
+    """The largest k in (1, 2, 4, 8) with k * per_step <= LOG_NORM_RANGE;
+    1 where per_step is not finite."""
+    k = np.ones(per_step.shape, dtype=np.int64)
     for interval in (2, 4, 8):
         k[interval * per_step <= LOG_NORM_RANGE] = interval
     return k
+
+
+# margin on the closed form of |alpha - y^w| on |y| = 1 below: the closed
+# form and the generator entries alpha, y and y^w each round to a few 1e-16
+UNIT_CIRCLE_MARGIN = 1e-12
+
+
+def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
+    """Lower bound, for each starting phase in ``thetas``, on |det A_j| over
+    the steps j < n of a jonquieres trajectory at rho = 1.
+
+    There det A_j = alpha - y_j^w, with w = 1 for jonquieres_a and w = 2 for
+    jonquieres_b and btilde, y_j = exp(2 pi i phi_j) and phi_j the kernel's
+    own phase.  With a = arg(alpha) / 2 pi,
+    |alpha - y_j^w| >= 2 sqrt|alpha| |sin pi (w phi_j - a)|, which grows
+    with the distance of w phi_j - a to the nearest integer; one pass over
+    the steps, BLOCK_ENTRIES phase-steps at a time, takes the smallest
+    distance.  UNIT_CIRCLE_MARGIN is subtracted, so a bound <= 0 means that
+    y_j^w may equal alpha up to rounding.
+    """
+    w = 1 if kind == "jonquieres_a" else 2
+    a = cmath.phase(alpha) / (2.0 * math.pi)
+    nearest = np.full(len(thetas), 0.5)
+    block = max(1, BLOCK_ENTRIES // max(1, len(thetas)))
+    for start in range(0, n, block):
+        # the kernel's phases, computed as it computes them
+        x = thetas + (np.arange(start, min(n, start + block)) * freq)[:, None]
+        x -= np.floor(x)
+        x *= w
+        x -= a
+        x -= np.rint(x)
+        np.minimum(nearest, np.abs(x).min(axis=0), out=nearest)
+    return 2.0 * math.sqrt(abs(alpha)) * np.sin(np.pi * nearest) - UNIT_CIRCLE_MARGIN
+
+
+def unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals):
+    """``intervals`` with each jonquieres trajectory at rho = 1 given the
+    largest k its own steps allow.
+
+    The closed form's D = min |det A| over the whole unit circle is 0 there,
+    so ``renormalization_intervals`` gives k = 1.  This puts
+    ``unit_circle_det_bounds`` in place of D, the same bound
+    b = max(ln G, ln(G / D)) with G = 2, and keeps k = 1 where that D <= 0.
+    It depends only on each trajectory's phase, radius, freq and n.
+    """
+    on_circle = rho == 1.0
+    if kind not in ("jonquieres_a", "jonquieres_b", "btilde") or not on_circle.any():
+        return intervals
+    det = unit_circle_det_bounds(kind, alpha, thetas[on_circle], freq, n)
+    # G^2 = 3 + rho^2 (jonquieres_a) or 3 + rho^4 = 4 at rho = 1
+    log_g = math.log(2.0)
+    per_step = np.full(det.shape, np.inf)
+    certified = det > 0.0
+    per_step[certified] = np.maximum(log_g, log_g - np.log(det[certified]))
+    intervals = intervals.copy()
+    intervals[on_circle] = _largest_intervals(per_step)
+    return intervals
 
 
 def _renormalize(p, a, s):
@@ -178,10 +246,14 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       per-step loop runs the 2x2 product alone.
     * A trajectory renormalizes every k steps, k from
       ``renormalization_intervals``: a closed-form bound on the generators
-      keeps every unnormalized stretch inside [1e-150, 1e150].  k is 1
-      where the shrinkage cannot be bounded (jonquieres at rho = 1, a
-      singular constant) or the growth is too large (jonquieres_b at
-      rho = 1e75).  Every trajectory also renormalizes at n // 2 and at n.
+      keeps every unnormalized stretch inside [1e-150, 1e150].  At
+      rho = 1, where det A = alpha - y^w vanishes somewhere on the circle,
+      a jonquieres trajectory takes its k from the smallest |det A| over
+      its own n steps (``unit_circle_intervals``).  k is 1 where the
+      shrinkage cannot be bounded (a singular constant, or y_j^w = alpha
+      up to rounding at some step j < n at rho = 1) or the growth is too
+      large (jonquieres_b at rho = 1e75).  Every trajectory also
+      renormalizes at n // 2 and at n.
       Trajectories are grouped by k, so a k = 1 group renormalizes alone.
     * btilde runs on the jonquieres_b matrices: B~ = B / b with
       |b| = |alpha - y^2|^(1/2) on either branch, so its s is the
@@ -203,6 +275,7 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     # ends[c % 8] is that prefix's length: k <= 8 when 8 divides c, k <= 4
     # when c = 4 mod 8, k <= 2 when c = 2 or 6 mod 8, and k = 1 otherwise
     intervals = renormalization_intervals(kind, alpha, rho, energy, potential, cmat)
+    intervals = unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals)
     order = np.argsort(intervals, kind="stable")
     ends = np.searchsorted(
         intervals[order], [8, 1, 2, 1, 4, 1, 2, 1], side="right"

@@ -59,7 +59,13 @@ def _csv_document(cfg: dict, header: list[str], rows: list[list]) -> str:
 
 def _json_document(cfg: dict, payload: dict) -> str:
     doc = {"config": cfg, **payload}
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1,
+                          allow_nan=False)
+    except ValueError as exc:
+        # NaN and Infinity are not JSON: a non-finite result is a numeric error
+        raise FloatingPointError(f"non-finite value in the JSON output ({exc})") from exc
+    return text + "\n"
 
 
 def _parse_complex(text: str) -> complex:
@@ -181,6 +187,10 @@ def _cmd_orbit(args) -> str:
             for k, (x, v, y) in enumerate(zip(rec.u.tolist(), rec.v.tolist(), rec.y.tolist()))]
     header = ["step", "x_re", "x_im", "x_finite", "y_re", "y_im", "y_abs"]
     if args.format == "json":
+        # at infinity the CSV writes inf, 0.0 and the JSON null, null
+        for row in rows:
+            if not row[3]:
+                row[1] = row[2] = None
         return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows],
                                     "indeterminacy_hits": list(rec.indeterminacy_hits),
                                     "escaped": rec.escaped})

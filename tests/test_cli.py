@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import jonq.degree as degree_mod
+import jonq.linearize as linearize_mod
 from jonq.cli import main
 
 FAST = ["--n", "400", "--samples", "4", "--seed", "1"]
@@ -15,6 +16,14 @@ def run(tmp_path, name, argv):
     out = tmp_path / name
     rc = main(argv + ["--out", str(out)])
     return rc, out
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestLyapunovCommand:
@@ -217,14 +226,23 @@ class TestOrbitCommand:
         alpha = cmath.exp(2j * math.pi * DEFAULT_ALPHA_ANGLE)
         y0 = 0.5 + 0j
         x0 = -(1.0 + y0) / (1.0 + alpha)
-        rc, out = run(
-            tmp_path, "i.csv",
-            ["orbit", f"--x0={x0.real}{x0.imag:+}j", "--y0", "0.5+0j", "--n", "4"],
-        )
+        argv = ["orbit", f"--x0={x0.real}{x0.imag:+}j", "--y0", "0.5+0j", "--n", "4"]
+        rc, out = run(tmp_path, "i.csv", argv)
         assert rc == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
         finite_flags = [row[3] for row in rows]
         assert "0" in finite_flags
+        # the CSV writes inf at infinity, the JSON null
+        assert all(row[1] == "inf" for row in rows if row[3] == "0")
+        rc, out = run(tmp_path, "i.json", argv + ["--format", "json"])
+        assert rc == 0
+        doc_rows = strict_json(out.read_text())["rows"]
+        assert [row["x_finite"] for row in doc_rows] == [int(f) for f in finite_flags]
+        for row in doc_rows:
+            if not row["x_finite"]:
+                assert row["x_re"] is None and row["x_im"] is None
+            else:
+                assert math.isfinite(row["x_re"]) and math.isfinite(row["x_im"])
 
     def test_overflow_is_numeric_error(self, capsys):
         rc = main(["orbit", "--x0=1.7e308+1.7e308j", "--y0", "0.5+0j", "--n", "3"])
@@ -266,6 +284,16 @@ class TestLinearizeCommand:
             ["linearize", "--order", "8", "--freq", str(1.0 / 7.0 + 1e-11)],
         )
         assert rc == 3
+
+    def test_nan_in_json_is_numeric_error(self, monkeypatch, capsys):
+        # no JSON document carries a NaN or Infinity token under exit 0
+        monkeypatch.setattr(linearize_mod, "residual_norms",
+                            lambda coeffs: (math.nan, 0.0, 0.0))
+        rc = main(["linearize", "--order", "4"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: FloatingPointError: non-finite value")
 
 
 class TestDegreeCommand:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jonq.algebra import GOLDEN_FREQ, Mat2, default_alpha
@@ -413,6 +413,8 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     p[0, 0] = p[1, 1] = 1.0
     s = np.zeros(m)
     half = n // 2
+    # at n = 1 the half-way product is the identity, as in the kernel
+    s_half, p_half = s + 0.5 * np.log(2.0), p / np.sqrt(2.0)
     for k in range(n):
         phases = np.mod(thetas + k * freq, 1.0)
         g = kernels.generators(kind, alpha, rho, energy, potential, cmat, phases)
@@ -434,11 +436,53 @@ def kernel_call(kind, rho, thetas, n, call=kernels.cocycle_sums):
                 thetas, n)
 
 
+def det_power(kind):
+    """w in det A = alpha - y^w."""
+    return 1 if kind == "jonquieres_a" else 2
+
+
+def hit_phase(kind, j):
+    """A start phase whose phase at step j puts y^w on alpha, up to rounding."""
+    a = cmath.phase(ALPHA) / (2 * math.pi)
+    return (a / det_power(kind) - j * GOLDEN_FREQ) % 1.0
+
+
+def kernel_dets(kind, thetas, n):
+    """|alpha - y_j^w| over the steps j < n, with the kernel's phases and y
+    as the kernel computes them: an (n, len(thetas)) array."""
+    phases = np.asarray(thetas) + (np.arange(n) * GOLDEN_FREQ)[:, None]
+    phases -= np.floor(phases)
+    y = 1.0 * np.exp(2j * np.pi * phases)
+    return np.abs(ALPHA - (y if det_power(kind) == 1 else y * y))
+
+
+def unit_circle_intervals(kind, thetas, n):
+    rho = np.ones(len(thetas))
+    closed = kernels.renormalization_intervals(
+        kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
+    )
+    return kernels.unit_circle_intervals(kind, ALPHA, rho, GOLDEN_FREQ,
+                                         np.asarray(thetas), n, closed)
+
+
+@st.composite
+def unit_circle_batches(draw):
+    """(kind, n, radii, phases per radius): rho = 1 among other radii, with
+    start phases that are uniform or put y^w on alpha at some step j < n."""
+    kind = draw(st.sampled_from(["jonquieres_a", "jonquieres_b"]))
+    n = draw(st.integers(1, 3000))
+    radii = draw(st.lists(st.sampled_from([1.0, 0.5, 1.0, 2.0, 1e75]),
+                          min_size=2, max_size=4))
+    phase = st.one_of(phases, st.integers(0, n - 1).map(lambda j: hit_phase(kind, j)))
+    thetas = [draw(st.lists(phase, min_size=1, max_size=3)) for _ in radii]
+    return kind, n, radii, thetas
+
+
 class TestKernel:
     @pytest.mark.parametrize("kind,rhos", [
         ("jonquieres_a", [0.5, 1.0, 2.0]),
-        # rho = 1 and 1e75 renormalize every step, 1e20 every 2, the others
-        # every 8
+        # rho = 1e75 renormalizes every step, 1e20 every 2, the others
+        # (rho = 1 too, at these phases) every 8
         ("jonquieres_b", [0.5, 1.0, 2.0, 1e20, 1e75]),
         ("btilde", [0.5, 0.9, 1.1, 2.0]),
         ("schrodinger", [0.5, 1.0, 2.0]),
@@ -504,6 +548,61 @@ class TestKernel:
         )
         assert s_full[0] / 64 == pytest.approx(math.log(x), rel=1e-12)
         assert s_half[0] / 32 == pytest.approx(math.log(x), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unit_circle_phase_samples_renormalize_every_8_steps(self, kind, seed):
+        # the closed form's D is 0 on the unit circle; the phases the
+        # estimators run stay far enough from det = 0 for k = 8
+        k = unit_circle_intervals(kind, phase_samples(64, seed), 20000)
+        assert k.tolist() == [8] * 64
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
+    def test_unit_circle_hit_renormalizes_every_step(self, kind):
+        n, j = 200, 37
+        thetas = np.array([hit_phase(kind, j), 0.3])
+        # the hit is at step j, not at the start
+        assert kernels.unit_circle_det_bounds(kind, ALPHA, thetas[:1], GOLDEN_FREQ, j)[0] > 1e-3
+        assert kernel_dets(kind, thetas[:1], n).min() < kernels.UNIT_CIRCLE_MARGIN
+        assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 8]
+        got = kernel_call(kind, 1.0, thetas, n)
+        want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
+        assert np.all(np.isfinite(got[1]))
+        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
+        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
+
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(unit_circle_batches())
+    @example(("jonquieres_b", 200, [1.0, 1.0], [[hit_phase("jonquieres_b", 50)], [0.3]]))
+    @example(("jonquieres_a", 1, [1.0, 0.5, 1e75], [[0.25], [0.5], [0.75]]))
+    def test_unit_circle_intervals_are_per_trajectory(self, batch):
+        kind, n, radii, thetas = batch
+        rho = np.concatenate([[r] * len(t) for r, t in zip(radii, thetas)])
+        got = kernel_call(kind, rho, np.concatenate(thetas), n)
+        singles = [kernel_call(kind, r, np.array(t), n) for r, t in zip(radii, thetas)]
+        for i, part in enumerate(got):
+            want = np.concatenate([single[i] for single in singles])
+            assert part.tobytes() == want.tobytes()
+        want = kernel_call(kind, rho, np.concatenate(thetas), n, call=every_step_products)
+        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
+        assert np.max(np.abs(got[0] - want[0])) / max(1, n // 2) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
+    def test_unit_circle_bound_is_below_the_kernel_det(self, kind):
+        # uniform phases, and phases 1e-17 to 1e-10 from a hit of y^w = alpha
+        # (on either side, at step 0 and at step 17)
+        offsets = np.concatenate([[0.0], np.geomspace(1e-17, 1e-10, 400)])
+        offsets = np.concatenate([offsets, -offsets])
+        uniform = np.random.default_rng(11).random(4000)
+        for j, n in ((0, 1), (17, 64)):
+            hits = [hit_phase(kind, j) + h / det_power(kind) for h in range(det_power(kind))]
+            near = np.mod(np.add.outer(hits, offsets).ravel(), 1.0)
+            thetas = np.concatenate([uniform[:4000 // n], near])
+            bound = kernels.unit_circle_det_bounds(kind, ALPHA, thetas, GOLDEN_FREQ, n)
+            dets = kernel_dets(kind, thetas, n).min(axis=0)
+            assert np.all(bound <= dets)
+            # and it gives away no more than the margin
+            assert np.all(dets - bound <= kernels.UNIT_CIRCLE_MARGIN + 1e-14)
 
     def test_singular_constant_renormalizes_every_step(self):
         k = kernels.renormalization_intervals(
