@@ -338,9 +338,25 @@ _COMMANDS = {
 }
 
 
+def _join_complex_values(argv: list[str]) -> list[str]:
+    """Write ``--x0 VALUE`` and ``--y0 VALUE`` as ``--x0=VALUE``: argparse
+    reads a separate value that starts with "-" (-1+0j) as an option."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else "--"
+        if tok in ("--x0", "--y0") and not value.startswith("--"):
+            tok = f"{tok}={value}"
+            i += 1
+        out.append(tok)
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     try:
         text = _COMMANDS[args.command](args)
     except JonqError as exc:

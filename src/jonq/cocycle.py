@@ -155,16 +155,18 @@ def _verified_branch(alpha: complex, rho: float) -> int:
     """Verify branch closure and consistency; returns the winding number.
 
     Tracks the branch at 4096 grid points, doubling the resolution until
-    two successive refinements agree below 1e-6 at shared points, then
-    checks closure (even winding) and agreement with the closed form up to
-    a global sign.
+    two successive refinements agree below 1e-6 max(1, rho) at shared
+    points, then checks closure (even winding) and agreement with the
+    closed form up to a global sign, to the same tolerance.  The branch
+    values grow like rho, so the tolerance is relative above rho = 1.
     """
+    tol = 1e-6 * max(1.0, rho)
     m = 4096
     s_prev, winding = _tracked_branch(alpha, rho, m)
     while True:
         m *= 2
         s_next, winding = _tracked_branch(alpha, rho, m)
-        if np.max(np.abs(s_next[::2] - s_prev)) < 1e-6:
+        if np.max(np.abs(s_next[::2] - s_prev)) < tol:
             break
         if m >= 1 << 20:
             raise BranchFailure(
@@ -178,7 +180,7 @@ def _verified_branch(alpha: complex, rho: float) -> int:
     y = rho * np.exp(2j * np.pi * np.arange(m + 1) / m)
     closed = sqrt_branch_values(alpha, rho, y)
     dev = min(np.max(np.abs(closed - s_next)), np.max(np.abs(closed + s_next)))
-    if dev > 1e-6:
+    if dev > tol:
         raise BranchFailure("tracked branch disagrees with closed form")
     return winding
 

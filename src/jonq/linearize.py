@@ -113,22 +113,20 @@ def conjugacy_equations(
     return tuple(identity(a, b, c, alpha, beta) for identity in IDENTITIES)
 
 
-def _with_coeff(series: PowerSeries, k: int, value: complex) -> PowerSeries:
-    coeffs = list(series.coeffs)
-    coeffs[k] = value
-    return PowerSeries(coeffs)
-
-
 def solve_coefficients(
     p: MapParams, order: int, divisor_floor: float = 1e-8
 ) -> ConjugacyCoeffs:
     """Solve the conjugacy series through the given order.
 
-    Per order nu the sequence is b_nu (x^0 identity), then a_nu (x^1),
-    then c_nu (x^2); each linear coefficient is extracted by bumping the
-    unknown and differencing the residual, then cross-checked against its
-    closed form (beta^(1-2 nu) - beta for a_nu, a_0 (beta - beta^(-2 nu))
-    for c_nu).  Substitution runs at working truncation 2 * order.
+    The series start from their seeds a_0 = 1 - beta, b_0 = 0 and
+    c_0 = alpha + beta and grow by one coefficient per order.  Per order
+    nu the sequence is b_nu (x^0 identity), then a_nu (x^1), then c_nu
+    (x^2); each linear coefficient is extracted by bumping the unknown and
+    differencing the residual, then cross-checked against its closed form:
+    1 - beta^(1-2 nu) for b_nu, beta^(1-2 nu) - beta for a_nu and
+    (1 - beta) (beta - beta^(-2 nu)) for c_nu.  Coefficient nu of each
+    identity depends only on coefficients 0..nu, so at order nu the series
+    carry coefficients 0..nu and no more.
 
     Raises :class:`SmallDivisor` when a divisor modulus falls below the
     floor (near-resonant rotation number).
@@ -136,63 +134,38 @@ def solve_coefficients(
     if order < 1:
         raise ValueError("order must be at least 1")
     alpha, beta = p.alpha, p.beta
-    work = 2 * order
-    a = PowerSeries.constant(1.0 - beta, work)
-    b = PowerSeries.zero(work)
-    c = PowerSeries.constant(alpha + beta, work)
+    series = [PowerSeries([1.0 - beta]), PowerSeries([0j]), PowerSeries([alpha + beta])]
     floor_seen = float("inf")
-
-    def extract(eq_index, series_name, series, nu):
-        # only the identity that is read is evaluated
-        identity = IDENTITIES[eq_index]
-        cur = {"a": a, "b": b, "c": c}
-        base = identity(cur["a"], cur["b"], cur["c"], alpha, beta)
-        cur[series_name] = _with_coeff(series, nu, series.coeffs[nu] + 1.0)
-        bumped = identity(cur["a"], cur["b"], cur["c"], alpha, beta)
-        return base.coeffs[nu], bumped.coeffs[nu] - base.coeffs[nu]
 
     def scale():
         # round-off in substituted residuals grows with the largest
         # coefficient in play; near-resonant runs blow up well above 1
-        return max(
-            1.0,
-            max(abs(z) for s in (a, b, c) for z in s.coeffs),
-        )
-
-    def check_divisor(div, ref, name, nu):
-        if abs(div - ref) > 1e-9 * scale():
-            raise ArithmeticError(
-                f"{name}-divisor cross-check failed at order {nu}: {div!r} vs {ref!r}"
-            )
+        return max(1.0, max(abs(z) for s in series for z in s.coeffs))
 
     for nu in range(1, order + 1):
-        resid, div = extract(2, "b", b, nu)
-        floor_seen = min(floor_seen, abs(div))
-        if abs(div) < divisor_floor:
-            raise SmallDivisor(nu, abs(div))
-        b = _with_coeff(b, nu, -resid / div)
+        series = [PowerSeries(s.coeffs + (0j,)) for s in series]
+        # (identity that is read, index of the unknown in (a, b, c), divisor)
+        for identity, i, closed in (
+            (x0_identity, 1, 1.0 - beta ** (1 - 2 * nu)),
+            (x1_identity, 0, beta ** (1 - 2 * nu) - beta),
+            (x2_identity, 2, (1.0 - beta) * (beta - beta ** (-2 * nu))),
+        ):
+            resid = identity(*series, alpha, beta).coeffs[nu]
+            bumped = list(series)
+            bumped[i] = PowerSeries(series[i].coeffs[:-1] + (1.0,))
+            div = identity(*bumped, alpha, beta).coeffs[nu] - resid
+            if abs(div - closed) > 1e-9 * scale():
+                raise ArithmeticError(
+                    f"{'abc'[i]}-divisor cross-check failed at order {nu}:"
+                    f" {div!r} vs {closed!r}"
+                )
+            floor_seen = min(floor_seen, abs(div))
+            if abs(div) < divisor_floor:
+                raise SmallDivisor(nu, abs(div))
+            series[i] = PowerSeries(series[i].coeffs[:-1] + (-resid / div,))
 
-        resid, div = extract(1, "a", a, nu)
-        check_divisor(div, beta ** (1 - 2 * nu) - beta, "a", nu)
-        floor_seen = min(floor_seen, abs(div))
-        if abs(div) < divisor_floor:
-            raise SmallDivisor(nu, abs(div))
-        a = _with_coeff(a, nu, -resid / div)
-
-        resid, div = extract(0, "c", c, nu)
-        check_divisor(div, (1.0 - beta) * (beta - beta ** (-2 * nu)), "c", nu)
-        floor_seen = min(floor_seen, abs(div))
-        if abs(div) < divisor_floor:
-            raise SmallDivisor(nu, abs(div))
-        c = _with_coeff(c, nu, -resid / div)
-
-    coeffs = ConjugacyCoeffs(
-        a=a.truncated(order),
-        b=b.truncated(order),
-        c=c.truncated(order),
-        params=p,
-        small_divisor_floor=floor_seen,
-    )
+    a, b, c = series
+    coeffs = ConjugacyCoeffs(a=a, b=b, c=c, params=p, small_divisor_floor=floor_seen)
     # The vanishing-residual post-condition is enforceable only while no
     # divisor got small: once one does, round-off is amplified by 1/|div|
     # at every later order and the raw residuals quantify exactly that

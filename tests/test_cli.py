@@ -266,6 +266,25 @@ class TestClassifyCommand:
         assert doc["config"]["map"] == "g"
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--x0", "-1+0j", "--n", "4"],
+    ["orbit", "--x0", "-0.3-0.2j", "--y0", "-0.5+0j", "--n", "6", "--format", "json"],
+    ["classify", "--map", "g", "--x0", "-0.001+0j", "--y0", "-0.001+0j", "--n", "50000"],
+])
+def test_separate_and_joined_start_points_agree(argv, capsys):
+    # a value that starts with "-" may follow --x0 / --y0 as its own token
+    assert main(argv) == 0
+    separate = capsys.readouterr().out
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in ("--x0", "--y0"):
+            tok = f"{joined.pop()}={tok}"
+        joined.append(tok)
+    assert main(joined) == 0
+    assert capsys.readouterr().out == separate
+    assert separate
+
+
 class TestLinearizeCommand:
     def test_coefficient_export(self, tmp_path):
         rc, out = run(tmp_path, "k.json", ["linearize", "--order", "8"])

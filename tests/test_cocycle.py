@@ -20,8 +20,16 @@ from jonq.cocycle import (
     reconstruct,
     sqrt_branch,
     two_step_limit_check,
+    _verified_branch,
 )
-from jonq.errors import JonqError, Overflow, RadiusOne, ResonantParameter, SingularFactor
+from jonq.errors import (
+    BranchFailure,
+    JonqError,
+    Overflow,
+    RadiusOne,
+    ResonantParameter,
+    SingularFactor,
+)
 
 ALPHA = default_alpha()
 
@@ -90,6 +98,18 @@ class TestSqrtBranch:
         for theta in rng.random(100):
             g = evaluate_generator(spec, float(theta))
             assert abs(g.det() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("rho", [1e10, 1e40, 1e74])
+    def test_large_radius_branch_verifies(self, rho):
+        # the branch values grow like rho, so the branch check tolerates
+        # 1e-6 * rho there; L(btilde) = 0 at every radius (Theorem A)
+        assert _verified_branch(ALPHA, rho) == 2
+        est = lyapunov(CocycleSpec(kind="btilde", rho=rho), 2000, 8, 0)
+        assert abs(est.value) <= 3 * est.total_error
+
+    def test_radius_next_to_one_still_fails(self):
+        with pytest.raises(BranchFailure):
+            CocycleSpec(kind="btilde", rho=1 + 1e-7)
 
 
 class TestIterate:

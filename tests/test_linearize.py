@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jonq.linearize as linearize_mod
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, PowerSeries
 from jonq.errors import SmallDivisor
 from jonq.linearize import (
@@ -138,6 +140,28 @@ class TestIdentities:
             assert _bits(single) == _bits(combined[k])
             assert max(abs(x - y) for x, y in zip(single.coeffs, oracle[k])) <= 1e-9
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 16), data=st.data())
+    def test_coefficient_k_reads_coefficients_through_k(self, seed, order, data):
+        # the solver grows the series one coefficient per order; this is
+        # sound because coefficient k of each identity depends only on
+        # coefficients 0..k of a, b and c
+        k = data.draw(st.integers(0, order - 1))
+        rng = random.Random(seed)
+
+        def series():
+            return PowerSeries(
+                [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(order + 1)]
+            )
+
+        a, b, c = series(), series(), series()
+        alpha = cmath.exp(2j * math.pi * rng.random())
+        beta = rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.random())
+        for identity in (x2_identity, x1_identity, x0_identity):
+            full = identity(a, b, c, alpha, beta)
+            cut = identity(a.truncated(k), b.truncated(k), c.truncated(k), alpha, beta)
+            assert _bits(cut) == _bits(full)[: k + 1]
+
 
 class TestSolve:
     def test_seed_coefficients_exact(self):
@@ -197,6 +221,47 @@ class TestSolve:
         with pytest.raises(SmallDivisor) as exc:
             solve_coefficients(near, 8)
         assert exc.value.magnitude < 1e-8
+
+    @pytest.mark.parametrize(
+        "name,unknown", [("x0_identity", "b"), ("x1_identity", "a"), ("x2_identity", "c")]
+    )
+    def test_every_divisor_is_cross_checked(self, monkeypatch, name, unknown):
+        # an identity whose linear coefficient in its unknown is off by 0.5
+        # must fail the closed-form check at the first order
+        original = getattr(linearize_mod, name)
+
+        def skewed(a, b, c, alpha, beta):
+            return original(a, b, c, alpha, beta) + 0.5 * {"a": a, "b": b, "c": c}[unknown]
+
+        monkeypatch.setattr(linearize_mod, name, skewed)
+        with pytest.raises(ArithmeticError) as exc:
+            solve_coefficients(P, 4)
+        assert str(exc.value).startswith(f"{unknown}-divisor cross-check failed at order 1:")
+
+    def test_order_40_bits_pinned(self):
+        # sha256 of the hex of every coefficient of a, b and c, in order
+        coeffs = solve_coefficients(P, 40)
+        text = ",".join(
+            f"{z.real.hex()}:{z.imag.hex()}"
+            for s in (coeffs.a, coeffs.b, coeffs.c) for z in s.coeffs
+        )
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "7471b06d2482189ef4d8c87bffc8e3beefc7de233cbc4d26f455cb6608800757")
+        assert coeffs.small_divisor_floor.hex() == "0x1.a273d808b11d6p-5"
+
+    def test_residual_post_condition_message_pinned(self):
+        near = MapParams.from_angles(0.77, 1.0 / 7.0 + 1e-5)
+        with pytest.raises(ArithmeticError) as exc:
+            solve_coefficients(near, 11)
+        assert type(exc.value) is ArithmeticError
+        assert (str(exc.value)
+                == "solved series leave residuals (3.82e-02, 1.60e-03, 1.24e-05)")
+
+    def test_small_divisor_message_pinned(self):
+        near = MapParams.from_angles(DEFAULT_ALPHA_ANGLE, 1.0 / 7.0 + 1e-11)
+        with pytest.raises(SmallDivisor) as exc:
+            solve_coefficients(near, 8)
+        assert str(exc.value) == "small divisor at order 3: |divisor| = 3.817e-10"
 
 
 class TestNumericConjugacy:
