@@ -1,4 +1,4 @@
-"""Scalar, 2x2-matrix, circle and truncated-power-series primitives.
+"""Scalar, 2x2-matrix and circle primitives.
 
 Everything here is immutable and pure; all heavier machinery (cocycle
 iteration, profile fitting, polynomial degree growth) builds on these
@@ -165,116 +165,3 @@ def tree_mean(values) -> float:
     if not vals:
         raise ValueError("mean of empty sequence")
     return tree_sum(vals) / len(vals)
-
-
-class PowerSeries:
-    """Truncated univariate power series with complex coefficients.
-
-    All arithmetic is exact through the truncation order: coefficient k of
-    any result depends only on coefficients 0..k of the inputs.  Instances
-    are immutable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-
-    def __setattr__(self, *a):
-        raise AttributeError("PowerSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries([0j] * (order + 1))
-
-    @staticmethod
-    def constant(c: complex, order: int) -> "PowerSeries":
-        return PowerSeries([complex(c)] + [0j] * order)
-
-    @staticmethod
-    def monomial(k: int, order: int, c: complex = 1.0) -> "PowerSeries":
-        if k > order:
-            return PowerSeries.zero(order)
-        coeffs = [0j] * (order + 1)
-        coeffs[k] = complex(c)
-        return PowerSeries(coeffs)
-
-    def truncated(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return PowerSeries(self.coeffs + (0j,) * (order - self.order))
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def _common(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        return PowerSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            n = self._common(other)
-            out = [0j] * (n + 1)
-            for i in range(n + 1):
-                ci = self.coeffs[i]
-                if ci == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += ci * other.coeffs[j]
-            return PowerSeries(out)
-        return PowerSeries([complex(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs])
-
-    def shift(self) -> "PowerSeries":
-        """Multiply by the series variable (coefficients move up one order)."""
-        return PowerSeries((0j,) + self.coeffs[:-1])
-
-    def scale_argument(self, c: complex) -> "PowerSeries":
-        """Return s(c*y): coefficient k becomes c**k times coefficient k."""
-        out = []
-        p = 1.0 + 0j
-        for co in self.coeffs:
-            out.append(co * p)
-            p *= c
-        return PowerSeries(out)
-
-    def reciprocal(self) -> "PowerSeries":
-        if abs(self.coeffs[0]) <= 1e-300:
-            raise ZeroDivisionError("reciprocal of series with (near-)zero constant term")
-        inv0 = 1.0 / self.coeffs[0]
-        out = [inv0] + [0j] * self.order
-        for k in range(1, self.order + 1):
-            acc = 0j
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return PowerSeries(out)
-
-    def __call__(self, y: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"PowerSeries({list(self.coeffs)!r})"

@@ -14,7 +14,6 @@ import cmath
 import io
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -30,8 +29,10 @@ from . import maps as maps_mod
 CSV_EOL = "\n"
 
 
-def _config_line(cfg: dict) -> str:
-    return "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+def _config(args) -> dict:
+    """The run configuration: every parsed argument except --out."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    return {"version": __version__, "backend": BACKEND, "subcommand": args.command, **cfg}
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -48,17 +49,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_document(cfg: dict, header: list[str], rows: list[list]) -> str:
+def _csv_document(args, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write(_config_line(cfg) + CSV_EOL)
+    config = json.dumps(_config(args), sort_keys=True, separators=(",", ":"))
+    buf.write("# config: " + config + CSV_EOL)
     buf.write(",".join(header) + CSV_EOL)
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + CSV_EOL)
     return buf.getvalue()
 
 
-def _json_document(cfg: dict, payload: dict) -> str:
-    doc = {"config": cfg, **payload}
+def _json_document(args, payload: dict) -> str:
+    doc = {"config": _config(args), **payload}
     try:
         text = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1,
                           allow_nan=False)
@@ -114,21 +116,9 @@ def _s_grid(args) -> list[tuple[float, float]]:
     return [(s, math.exp(s)) for s in grid]
 
 
-def _common_config(args, keys) -> dict:
-    cfg = {"version": __version__, "backend": BACKEND, "subcommand": args.command}
-    for key in keys:
-        cfg[key] = getattr(args, key.replace("-", "_"))
-    return cfg
-
-
 def _cmd_lyapunov(args) -> str:
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
-    cfg = _common_config(
-        args,
-        ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
-         "n", "samples", "seed", "energy", "potential", "const", "format"],
-    )
     estimates = cocycle_mod.lyapunov_many(
         spec, [rho for _, rho in grid], args.n, args.samples, args.seed
     )
@@ -141,18 +131,13 @@ def _cmd_lyapunov(args) -> str:
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "total_error", "n", "samples", "seed"]
     if args.format == "json":
-        return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows]})
-    return _csv_document(cfg, header, rows)
+        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows]})
+    return _csv_document(args, header, rows)
 
 
 def _cmd_accel(args) -> str:
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
-    cfg = _common_config(
-        args,
-        ["kind", "alpha_angle", "freq", "rho", "s_min", "s_max", "s_steps",
-         "n", "samples", "seed", "h", "format"],
-    )
     windows = accel_mod.acceleration_windows(
         spec, [rho for _, rho in grid], h=args.h, n=args.n,
         samples=args.samples, seed=args.seed,
@@ -166,8 +151,8 @@ def _cmd_accel(args) -> str:
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag", "stderr", "h_used"]
     if args.format == "json":
-        return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows]})
-    return _csv_document(cfg, header, rows)
+        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows]})
+    return _csv_document(args, header, rows)
 
 
 def _orbit_params(args) -> maps_mod.MapParams:
@@ -178,9 +163,6 @@ def _cmd_orbit(args) -> str:
     params = _orbit_params(args)
     q = maps_mod.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
     rec = maps_mod.orbit(params, q, args.n, dist_tol=args.dist_tol)
-    cfg = _common_config(
-        args, ["alpha_angle", "freq", "x0", "y0", "n", "dist_tol", "format"]
-    )
     # Python's abs, not np.abs: the two differ in the last bit
     rows = [[k, x.real if v else math.inf, x.imag if v else 0.0, int(v != 0),
              y.real, y.imag, abs(y)]
@@ -191,17 +173,16 @@ def _cmd_orbit(args) -> str:
         for row in rows:
             if not row[3]:
                 row[1] = row[2] = None
-        return _json_document(cfg, {"rows": [dict(zip(header, r)) for r in rows],
+        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows],
                                     "indeterminacy_hits": list(rec.indeterminacy_hits),
                                     "escaped": rec.escaped})
-    return _csv_document(cfg, header, rows)
+    return _csv_document(args, header, rows)
 
 
 def _cmd_classify(args) -> str:
     params = _orbit_params(args)
     q = maps_mod.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
     cls = maps_mod.classify_orbit_closure(params, q, args.n, which=args.map)
-    cfg = _common_config(args, ["alpha_angle", "freq", "x0", "y0", "n", "map"])
     payload = {
         "rank": cls.rank,
         "confidence": cls.confidence,
@@ -209,7 +190,7 @@ def _cmd_classify(args) -> str:
         "window": list(cls.window),
         "counts": list(cls.counts),
     }
-    return _json_document(cfg, payload)
+    return _json_document(args, payload)
 
 
 def _cmd_linearize(args) -> str:
@@ -218,43 +199,34 @@ def _cmd_linearize(args) -> str:
         params, args.order, divisor_floor=args.divisor_floor
     )
     r1, r2, r3 = linearize_mod.residual_norms(coeffs)
-    cfg = _common_config(
-        args, ["alpha_angle", "freq", "order", "divisor_floor"]
-    )
     payload = linearize_mod.coeffs_to_json(coeffs)
     payload["residuals"] = [r1, r2, r3]
     payload["radius_estimate"] = (
         linearize_mod.estimate_radius(coeffs) if args.order >= 8 else None
     )
-    return _json_document(cfg, payload)
+    return _json_document(args, payload)
 
 
 def _cmd_degree(args) -> str:
     # imported here: no other subcommand uses it, so they do not load it
     from . import degree as degree_mod
 
-    spec_pairs = None
-    if args.specialize:
-        vals = [Fraction(t) for t in args.specialize.split(",")]
-        if len(vals) % 2:
-            raise ValueError("--specialize needs pairs a1,b1[,a2,b2]")
-        spec_pairs = [tuple(vals[i : i + 2]) for i in range(0, len(vals), 2)]
-        if len(spec_pairs) == 1:
-            # pin one specialization, cross-check against a random one
-            rng = random.Random(args.seed)
-            spec_pairs.append((rng.randint(2, 10_000), rng.randint(2, 10_000)))
+    vals = [Fraction(t) for t in args.specialize.split(",")] if args.specialize else []
+    if len(vals) % 2:
+        raise ValueError("--specialize needs pairs a1,b1[,a2,b2]")
+    # a single pair is cross-checked against a random one
     degs, pairs = degree_mod.certified_degrees(
-        args.max_n, seed=args.seed, specializations=spec_pairs
+        args.max_n, seed=args.seed,
+        specializations=[tuple(vals[i : i + 2]) for i in range(0, len(vals), 2)],
     )
-    report = degree_mod.growth_classify(degs)
-    cfg = _common_config(args, ["max_n", "seed", "specialize", "format"])
     if args.format == "csv":
-        rows = [[i + 1, d] for i, d in enumerate(report.degrees)]
-        return _csv_document(cfg, ["n", "degree"], rows)
+        rows = [[i + 1, d] for i, d in enumerate(degs)]
+        return _csv_document(args, ["n", "degree"], rows)
+    report = degree_mod.growth_classify(degs)
     payload = degree_mod.growth_report_json(report)
     # the (alpha, beta) pairs that certified the sequence, as exact strings
     payload["specializations"] = [[str(Fraction(a)), str(Fraction(b))] for a, b in pairs]
-    return _json_document(cfg, payload)
+    return _json_document(args, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-angle", type=float, default=DEFAULT_ALPHA_ANGLE)
         p.add_argument("--freq", type=float, default=GOLDEN_FREQ)
         p.add_argument("--n", type=int, default=20000)
-        p.add_argument("--samples", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-")
         if rho_grid:
+            p.add_argument("--samples", type=int, default=64)
             p.add_argument("--rho", type=float, default=None)
             p.add_argument("--s-min", type=float, default=-2.0)
             p.add_argument("--s-max", type=float, default=2.0)

@@ -156,24 +156,27 @@ def certified_degrees(n: int, seed: int = 0, specializations=None) -> tuple[list
     """The degree sequence of the family and the (alpha, beta) pairs that
     certified it.
 
-    Random integer pairs for (alpha, beta) are drawn from [2, 10^4] unless
-    explicit pairs are supplied; disagreeing sequences are retried with
-    fresh pairs up to 3 times before :class:`SpecializationMismatch`.  The
+    Random integer pairs for (alpha, beta) are drawn from [2, 10^4] until
+    there are two: none is drawn when two or more pairs are supplied, one
+    partner when a single pair is.  Disagreeing sequences of two drawn
+    pairs are retried with fresh pairs up to 3 times before
+    :class:`SpecializationMismatch`; a supplied pair fails at once.  The
     pairs returned are those of the attempt that agreed.
     """
     rng = random.Random(seed)
+    fixed = tuple(specializations or ())
 
     def draw():
         return (rng.randint(2, 10_000), rng.randint(2, 10_000))
 
     attempts = 0
     while True:
-        pairs = tuple(specializations) if specializations else (draw(), draw())
+        pairs = fixed + tuple(draw() for _ in range(2 - len(fixed)))
         seq = [fiber_degrees(a, b, n) for a, b in pairs]
         if all(s == seq[0] for s in seq[1:]):
             return seq[0], pairs
         attempts += 1
-        if specializations or attempts >= 3:
+        if fixed or attempts >= 3:
             raise SpecializationMismatch(
                 f"degree sequences disagree across specializations: {seq}"
             )

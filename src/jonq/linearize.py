@@ -9,11 +9,11 @@ identities (the x^2, x^1 and x^0 coefficients); their order-nu parts are
 affine in the unknowns b_nu, a_nu, c_nu, with divisors of Siegel type
 (1 - beta^(1-2 nu), etc.) that must stay away from zero.
 
-The forcing polynomials at each order are never hand-derived: the solver
-substitutes the current truncated series into the full identities and
-reads off the order-nu residual, then divides by the numerically
-extracted linear coefficient.  The closed-form linear coefficients are
-kept as hard cross-checks.
+A series is a 1-D complex array of its coefficients 0..N.  The forcing
+polynomials at each order are never hand-derived: the solver substitutes
+the current truncated series into the full identities, reads off the
+order-nu residual and divides it by the closed-form divisor.  The
+numerically extracted linear coefficient is kept as a hard cross-check.
 """
 
 from __future__ import annotations
@@ -22,12 +22,29 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .algebra import PowerSeries
 from .errors import SmallDivisor
 from .maps import MapParams, inverted_square_map
+
+
+def mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Truncated product: coefficients 0..len(u) - 1 of u v."""
+    return np.convolve(u, v)[: len(u)]
+
+
+def shift(u: np.ndarray) -> np.ndarray:
+    """Multiply by the series variable (coefficients move up one order)."""
+    return np.concatenate(([0j], u[:-1]))
+
+
+def scale_argument(u: np.ndarray, c: complex) -> np.ndarray:
+    """u(c y): coefficient k becomes c**k times coefficient k."""
+    powers = np.full(len(u), complex(c))
+    powers[0] = 1.0
+    return u * np.cumprod(powers)
 
 
 @dataclass(frozen=True)
@@ -35,67 +52,63 @@ class ConjugacyCoeffs:
     """Solved truncated series of the conjugacy, plus the smallest divisor
     modulus met during the recursion."""
 
-    a: PowerSeries
-    b: PowerSeries
-    c: PowerSeries
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     params: MapParams
     small_divisor_floor: float
 
     @property
     def order(self) -> int:
-        return self.a.order
+        return len(self.a) - 1
 
 
-def x2_identity(
-    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
-) -> PowerSeries:
+def x2_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     """Residual series of the x^2 coefficient of the conjugacy identity
     (b does not enter)."""
     ib2 = 1.0 / (beta * beta)
-    a_, c_ = a.scale_argument(ib2), c.scale_argument(ib2)
+    a_, c_ = scale_argument(a, ib2), scale_argument(c, ib2)
     al2 = alpha * alpha
     return (
-        beta * (a_ * c)
-        + beta * (a_ * a)
-        - (c_ * a)
-        + alpha * (a_ * a)
-        + (al2 * (a_ * c) - alpha * (c_ * c) - (c_ * c) - (c_ * a)).shift()
+        beta * mul(a_, c)
+        + beta * mul(a_, a)
+        - mul(c_, a)
+        + alpha * mul(a_, a)
+        + shift(al2 * mul(a_, c) - alpha * mul(c_, c) - mul(c_, c) - mul(c_, a))
     )
 
 
-def x1_identity(
-    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
-) -> PowerSeries:
+def x1_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     """Residual series of the x^1 coefficient of the conjugacy identity."""
     ib2 = 1.0 / (beta * beta)
-    a_, b_, c_ = a.scale_argument(ib2), b.scale_argument(ib2), c.scale_argument(ib2)
+    a_, b_, c_ = (scale_argument(s, ib2) for s in (a, b, c))
     al2 = alpha * alpha
     return (
         beta * a_
         - beta * a
-        + (al2 * a_ - alpha * beta * c - beta * c - beta * a - alpha * c_ - c_).shift()
-        + beta * (alpha + beta) * (a * b_)
-        + (alpha + beta) * (b * a_)
-        + beta * beta * (b_ * c)
-        - (b * c_)
-        + (al2 * beta * (b_ * c) - (b * c_)).shift()
+        + shift(al2 * a_ - alpha * beta * c - beta * c - beta * a - alpha * c_ - c_)
+        + beta * (alpha + beta) * mul(a, b_)
+        + (alpha + beta) * mul(b, a_)
+        + beta * beta * mul(b_, c)
+        - mul(b, c_)
+        + shift(al2 * beta * mul(b_, c) - mul(b, c_))
     )
 
 
-def x0_identity(
-    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
-) -> PowerSeries:
+def x0_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     """Residual series of the x^0 coefficient of the conjugacy identity
-    (of the unknowns only b enters; a sets the truncation order)."""
-    b_ = b.scale_argument(1.0 / (beta * beta))
+    (of the unknowns only b enters)."""
+    b_ = scale_argument(b, 1.0 / (beta * beta))
     al2 = alpha * alpha
+    forcing = np.zeros(len(b), dtype=complex)
+    forcing[1:2] = alpha + 1.0
     return (
-        PowerSeries.monomial(1, a.order, alpha + 1.0)
+        forcing
         + b
         - beta * b_
-        - (al2 * b_).shift()
-        + b.shift()
-        - (alpha + beta) * (b_ * b)
+        - shift(al2 * b_)
+        + shift(b)
+        - (alpha + beta) * mul(b_, b)
     )
 
 
@@ -104,8 +117,8 @@ IDENTITIES = (x2_identity, x1_identity, x0_identity)
 
 
 def conjugacy_equations(
-    a: PowerSeries, b: PowerSeries, c: PowerSeries, alpha: complex, beta: complex
-) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
+    a, b, c, alpha: complex, beta: complex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three residual series of the conjugacy identity (x^2, x^1, x^0
     coefficients after clearing denominators); all vanish iff psi
     conjugates G to the linear model through the common truncation order.
@@ -119,14 +132,15 @@ def solve_coefficients(
     """Solve the conjugacy series through the given order.
 
     The series start from their seeds a_0 = 1 - beta, b_0 = 0 and
-    c_0 = alpha + beta and grow by one coefficient per order.  Per order
-    nu the sequence is b_nu (x^0 identity), then a_nu (x^1), then c_nu
-    (x^2); each linear coefficient is extracted by bumping the unknown and
-    differencing the residual, then cross-checked against its closed form:
+    c_0 = alpha + beta.  Per order nu the sequence is b_nu (x^0
+    identity), then a_nu (x^1), then c_nu (x^2); each unknown is minus
+    the order-nu residual over its closed-form divisor:
     1 - beta^(1-2 nu) for b_nu, beta^(1-2 nu) - beta for a_nu and
-    (1 - beta) (beta - beta^(-2 nu)) for c_nu.  Coefficient nu of each
-    identity depends only on coefficients 0..nu, so at order nu the series
-    carry coefficients 0..nu and no more.
+    (1 - beta) (beta - beta^(-2 nu)) for c_nu.  The divisor is
+    cross-checked against the linear coefficient read off by bumping the
+    unknown and differencing the residual.  Coefficient nu of each
+    identity depends only on coefficients 0..nu, so at order nu the
+    identities read coefficients 0..nu and no more.
 
     Raises :class:`SmallDivisor` when a divisor modulus falls below the
     floor (near-resonant rotation number).
@@ -134,37 +148,39 @@ def solve_coefficients(
     if order < 1:
         raise ValueError("order must be at least 1")
     alpha, beta = p.alpha, p.beta
-    series = [PowerSeries([1.0 - beta]), PowerSeries([0j]), PowerSeries([alpha + beta])]
+    a, b, c = (np.zeros(order + 1, dtype=complex) for _ in range(3))
+    a[0], c[0] = 1.0 - beta, alpha + beta
     floor_seen = float("inf")
 
     def scale():
         # round-off in substituted residuals grows with the largest
         # coefficient in play; near-resonant runs blow up well above 1
-        return max(1.0, max(abs(z) for s in series for z in s.coeffs))
+        return max(1.0, float(np.abs(np.concatenate((a, b, c))).max()))
 
     for nu in range(1, order + 1):
-        series = [PowerSeries(s.coeffs + (0j,)) for s in series]
+        # views: solving an unknown writes it into a, b or c
+        series = [s[: nu + 1] for s in (a, b, c)]
         # (identity that is read, index of the unknown in (a, b, c), divisor)
-        for identity, i, closed in (
+        for identity, i, div in (
             (x0_identity, 1, 1.0 - beta ** (1 - 2 * nu)),
             (x1_identity, 0, beta ** (1 - 2 * nu) - beta),
             (x2_identity, 2, (1.0 - beta) * (beta - beta ** (-2 * nu))),
         ):
-            resid = identity(*series, alpha, beta).coeffs[nu]
+            resid = identity(*series, alpha, beta)[nu]
             bumped = list(series)
-            bumped[i] = PowerSeries(series[i].coeffs[:-1] + (1.0,))
-            div = identity(*bumped, alpha, beta).coeffs[nu] - resid
-            if abs(div - closed) > 1e-9 * scale():
+            bumped[i] = series[i].copy()
+            bumped[i][nu] = 1.0
+            linear = identity(*bumped, alpha, beta)[nu] - resid
+            if abs(linear - div) > 1e-9 * scale():
                 raise ArithmeticError(
                     f"{'abc'[i]}-divisor cross-check failed at order {nu}:"
-                    f" {div!r} vs {closed!r}"
+                    f" {complex(linear)!r} vs {div!r}"
                 )
             floor_seen = min(floor_seen, abs(div))
             if abs(div) < divisor_floor:
                 raise SmallDivisor(nu, abs(div))
-            series[i] = PowerSeries(series[i].coeffs[:-1] + (-resid / div,))
+            series[i][nu] = -resid / div
 
-    a, b, c = series
     coeffs = ConjugacyCoeffs(a=a, b=b, c=c, params=p, small_divisor_floor=floor_seen)
     # The vanishing-residual post-condition is enforceable only while no
     # divisor got small: once one does, round-off is amplified by 1/|div|
@@ -185,12 +201,16 @@ def residual_norms(coeffs: ConjugacyCoeffs) -> tuple[float, float, float]:
     e1, e2, e3 = conjugacy_equations(
         coeffs.a, coeffs.b, coeffs.c, coeffs.params.alpha, coeffs.params.beta
     )
-    return tuple(max(abs(x) for x in e.coeffs) for e in (e1, e2, e3))
+    return tuple(float(np.abs(e).max()) for e in (e1, e2, e3))
 
 
 def evaluate_conjugacy(coeffs: ConjugacyCoeffs, x: complex, y: complex) -> complex:
     """psi evaluated by truncated series (finite x only)."""
-    return (coeffs.a(y) * x + coeffs.b(y)) / (coeffs.c(y) * x + 1.0)
+    a, b, c = (
+        reduce(lambda acc, co: acc * y + co, reversed(s.tolist()), 0j)
+        for s in (coeffs.a, coeffs.b, coeffs.c)
+    )
+    return (a * x + b) / (c * x + 1.0)
 
 
 def verify_conjugacy_numeric(
@@ -227,20 +247,17 @@ def estimate_radius(coeffs: ConjugacyCoeffs) -> float:
     n = coeffs.order
     if n < 8:
         raise ValueError("radius estimation needs order >= 8")
-    mags = [
-        max(abs(coeffs.a.coeffs[k]), abs(coeffs.b.coeffs[k]), abs(coeffs.c.coeffs[k]))
-        for k in range(n + 1)
-    ]
+    mags = np.abs(np.stack((coeffs.a, coeffs.b, coeffs.c))).max(axis=0)
     ks = [k for k in range(n // 2, n + 1) if mags[k] > 0]
-    slope = np.polyfit(ks, [math.log(mags[k]) for k in ks], 1)[0]
+    slope = np.polyfit(ks, np.log(mags[ks]), 1)[0]
     return math.exp(-slope)
 
 
 def coeffs_to_json(coeffs: ConjugacyCoeffs) -> dict:
     """JSON-ready export; complex numbers become [re, im] pairs."""
 
-    def series(s: PowerSeries):
-        return [[z.real, z.imag] for z in s.coeffs]
+    def series(s: np.ndarray):
+        return [[z.real, z.imag] for z in s.tolist()]
 
     return {
         "alpha": [coeffs.params.alpha.real, coeffs.params.alpha.imag],

@@ -223,10 +223,10 @@ def test_criterion_8_linearization(conjugacy_12):
     t0 = time.perf_counter()
     beta, alpha = PARAMS.beta, PARAMS.alpha
     seeds_ok = (
-        coeffs.a.coeffs[0] == 1.0 - beta
-        and coeffs.b.coeffs[0] == 0
-        and coeffs.c.coeffs[0] == alpha + beta
-        and abs(coeffs.b.coeffs[1] - beta * (1 + alpha) / (1 - beta)) <= 1e-12
+        coeffs.a[0] == 1.0 - beta
+        and coeffs.b[0] == 0
+        and coeffs.c[0] == alpha + beta
+        and abs(coeffs.b[1] - beta * (1 + alpha) / (1 - beta)) <= 1e-12
     )
     residuals = residual_norms(coeffs)
     resid_ok = max(residuals) <= 1e-10

@@ -7,7 +7,7 @@ import pytest
 
 import jonq.degree as degree_mod
 import jonq.linearize as linearize_mod
-from jonq.cli import main
+from jonq.cli import _config, build_parser, main
 
 FAST = ["--n", "400", "--samples", "4", "--seed", "1"]
 
@@ -330,6 +330,12 @@ class TestDegreeCommand:
         assert lines[1] == "n,degree"
         assert len(lines) == 2 + 6
 
+    def test_csv_below_the_classify_minimum(self, tmp_path):
+        # CSV prints the degrees alone, so it needs no growth classification
+        rc, out = run(tmp_path, "n4.csv", ["degree", "--max-n", "4", "--format", "csv"])
+        assert rc == 0
+        assert out.read_text().splitlines()[2:] == ["1,2", "2,2", "3,3", "4,3"]
+
     def test_json_lists_specializations(self, tmp_path):
         # the pairs that certified the sequence, as exact strings
         rc, out = run(tmp_path, "s.json",
@@ -377,6 +383,30 @@ class TestDegreeCommand:
 
 
 class TestParser:
+    def test_config_holds_every_argument_but_out(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        for name, subparser in sub.choices.items():
+            dests = {a.dest for a in subparser._actions} - {"help", "out"}
+            cfg = _config(parser.parse_args([name]))
+            assert set(cfg) == dests | {"version", "backend", "subcommand"}, name
+            assert cfg["subcommand"] == name
+
+    def test_rerunning_the_config_reproduces_the_run(self, tmp_path):
+        argv = ["accel", "--kind", "schrodinger", "--energy", "2.5",
+                "--potential", "0,1", "--rho", "1.5", "--n", "200", "--samples", "2"]
+        rc, out = run(tmp_path, "u.csv", argv)
+        assert rc == 0
+        text = out.read_text()
+        cfg = json.loads(text.splitlines()[0][len("# config: "):])
+        rerun = [cfg["subcommand"]]
+        for key, value in cfg.items():
+            if key not in ("version", "backend", "subcommand") and value is not None:
+                rerun += ["--" + key.replace("_", "-"), str(value)]
+        rc, again = run(tmp_path, "v.csv", rerun)
+        assert rc == 0
+        assert again.read_text() == text
+
     def test_unknown_flag_exits_two(self):
         proc = subprocess.run(
             [sys.executable, "-m", "jonq.cli", "lyapunov", "--nope"],

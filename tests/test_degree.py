@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,13 @@ class TestFiberPath:
         assert degs == degree_sequence(8, seed=0)
         assert len(pairs) == 2
         assert all(2 <= v <= 10_000 for pair in pairs for v in pair)
+
+    def test_single_pair_draws_its_partner(self):
+        # one supplied pair is cross-checked against the seed's first draw
+        rng = random.Random(3)
+        degs, pairs = certified_degrees(6, seed=3, specializations=[(3, 5)])
+        assert degs == [2, 2, 3, 3, 4, 4]
+        assert pairs == ((3, 5), (rng.randint(2, 10_000), rng.randint(2, 10_000)))
 
     def test_certified_pairs_after_retry(self, monkeypatch):
         # the first attempt disagrees; the pairs reported are the second's
