@@ -30,9 +30,29 @@ from .errors import SmallDivisor
 from .maps import MapParams, inverted_square_map
 
 
+def times(z, w) -> np.ndarray:
+    """Elementwise z w, rounded as Python rounds a complex product.
+
+    NumPy's complex loops fuse a product and a sum into one FMA
+    instruction on CPUs that have it, so their bits depend on the
+    machine; four real products and two real sums do not.
+    """
+    re = z.real * w.real - z.imag * w.imag
+    im = z.real * w.imag + z.imag * w.real
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Truncated product: coefficients 0..len(u) - 1 of u v."""
-    return np.convolve(u, v)[: len(u)]
+    """Truncated product: coefficients 0..len(u) - 1 of u v, each summed
+    in ascending order of u's index."""
+    n = len(u)
+    terms = times(u[:, None], v[None, :n])
+    out = np.zeros(n, dtype=complex)
+    for i in range(n):
+        out[i:] += terms[i, : n - i]
+    return out
 
 
 def shift(u: np.ndarray) -> np.ndarray:
@@ -42,15 +62,17 @@ def shift(u: np.ndarray) -> np.ndarray:
 
 def scale_argument(u: np.ndarray, c: complex) -> np.ndarray:
     """u(c y): coefficient k becomes c**k times coefficient k."""
-    powers = np.full(len(u), complex(c))
-    powers[0] = 1.0
-    return u * np.cumprod(powers)
+    powers = [1.0 + 0j]
+    for _ in range(len(u) - 1):
+        powers.append(powers[-1] * c)
+    return times(np.array(powers), u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyCoeffs:
     """Solved truncated series of the conjugacy, plus the smallest divisor
-    modulus met during the recursion."""
+    modulus met during the recursion.  solve_coefficients returns a, b and
+    c read-only."""
 
     a: np.ndarray
     b: np.ndarray
@@ -70,11 +92,13 @@ def x2_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     a_, c_ = scale_argument(a, ib2), scale_argument(c, ib2)
     al2 = alpha * alpha
     return (
-        beta * mul(a_, c)
-        + beta * mul(a_, a)
+        times(beta, mul(a_, c))
+        + times(beta, mul(a_, a))
         - mul(c_, a)
-        + alpha * mul(a_, a)
-        + shift(al2 * mul(a_, c) - alpha * mul(c_, c) - mul(c_, c) - mul(c_, a))
+        + times(alpha, mul(a_, a))
+        + shift(
+            times(al2, mul(a_, c)) - times(alpha, mul(c_, c)) - mul(c_, c) - mul(c_, a)
+        )
     )
 
 
@@ -84,14 +108,17 @@ def x1_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     a_, b_, c_ = (scale_argument(s, ib2) for s in (a, b, c))
     al2 = alpha * alpha
     return (
-        beta * a_
-        - beta * a
-        + shift(al2 * a_ - alpha * beta * c - beta * c - beta * a - alpha * c_ - c_)
-        + beta * (alpha + beta) * mul(a, b_)
-        + (alpha + beta) * mul(b, a_)
-        + beta * beta * mul(b_, c)
+        times(beta, a_)
+        - times(beta, a)
+        + shift(
+            times(al2, a_) - times(alpha * beta, c) - times(beta, c)
+            - times(beta, a) - times(alpha, c_) - c_
+        )
+        + times(beta * (alpha + beta), mul(a, b_))
+        + times(alpha + beta, mul(b, a_))
+        + times(beta * beta, mul(b_, c))
         - mul(b, c_)
-        + shift(al2 * beta * mul(b_, c) - mul(b, c_))
+        + shift(times(al2 * beta, mul(b_, c)) - mul(b, c_))
     )
 
 
@@ -105,10 +132,10 @@ def x0_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
     return (
         forcing
         + b
-        - beta * b_
-        - shift(al2 * b_)
+        - times(beta, b_)
+        - shift(times(al2, b_))
         + shift(b)
-        - (alpha + beta) * mul(b_, b)
+        - times(alpha + beta, mul(b_, b))
     )
 
 
@@ -179,8 +206,10 @@ def solve_coefficients(
             floor_seen = min(floor_seen, abs(div))
             if abs(div) < divisor_floor:
                 raise SmallDivisor(nu, abs(div))
-            series[i][nu] = -resid / div
+            series[i][nu] = -complex(resid) / div
 
+    for s in (a, b, c):
+        s.flags.writeable = False
     coeffs = ConjugacyCoeffs(a=a, b=b, c=c, params=p, small_divisor_floor=floor_seen)
     # The vanishing-residual post-condition is enforceable only while no
     # divisor got small: once one does, round-off is amplified by 1/|div|
