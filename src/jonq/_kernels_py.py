@@ -233,11 +233,11 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     ``cocycle.KINDS``), one trajectory per starting phase in ``thetas``.
 
     ``rho`` is a scalar or one radius per trajectory, so one call can carry
-    several radii.  Returns ``(s_half, s_full, p_half, p_full)`` where the
-    product equals exp(s) * p with p Frobenius-normalized; the *_half
-    values are recorded at step n // 2.  Each trajectory's numbers depend
-    only on its own phase and radius, so a batch of radii returns, bit for
-    bit, what one call per radius returns.
+    several radii.  Returns ``(s_half, s_full, p_full)`` where the n-step
+    product equals exp(s_full) * p_full with p_full Frobenius-normalized;
+    s_half is the log-norm sum recorded at step n // 2.  Each trajectory's
+    numbers depend only on its own phase and radius, so a batch of radii
+    returns, bit for bit, what one call per radius returns.
 
     * exp(2 pi i phase) is computed once per distinct starting phase and
       step, and scaled by each trajectory's radius.
@@ -292,7 +292,6 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     a = np.empty((2, 2, m))
     s = np.zeros(m)
     s_half = np.full(m, 0.5 * np.log(2.0))
-    p_half = p / np.sqrt(2.0)
     # btilde: running sums of ln|alpha - y_k^2|, in step order
     logb = np.zeros(m)
     logb_half = np.zeros(m)
@@ -327,18 +326,12 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
                 _renormalize(p[..., :e], a[..., :e], s[:e])
             if c == half:
                 s_half = s.copy()
-                p_half = p.copy()
     if btilde:
         s = s - 0.5 * logb
         s_half = s_half - 0.5 * logb_half
     back = np.empty_like(order)
     back[order] = np.arange(m)
-    return (
-        s_half[back],
-        s[back],
-        p_half[..., back].transpose(2, 0, 1),
-        p[..., back].transpose(2, 0, 1),
-    )
+    return s_half[back], s[back], p[..., back].transpose(2, 0, 1)
 
 
 def orbit_points(which, alpha, beta, x_num, x_den, y0, n):

@@ -26,6 +26,11 @@ from .cocycle import (
 from .errors import NotUnimodular, SideCrossing
 
 DEFAULT_H = 0.02
+# most segments piecewise_affine_fit tries
+MAX_SEGMENTS = 6
+# regime_classify's band: BAND_POINTS radii exp(s) with |s| <= BAND_EPS
+BAND_EPS = 0.05
+BAND_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ def _window_values(spec, rhos, h, n, samples, seed):
     n // 2 and n at their radii, from one kernel call: rows 5i to 5i + 4
     belong to window i.  The centre radius is rho itself, the others
     exp(s +- h) and exp(s +- h/2)."""
-    if h <= 0:
+    if not h > 0:  # NaN fails too
         raise ValueError("h must be positive")
     grids, radii = [], []
     for rho in rhos:
@@ -212,19 +217,6 @@ def _window_result(grid, values, h):
     return accel, regularity
 
 
-def acceleration_window(
-    spec: CocycleSpec,
-    rho: float,
-    h: float = DEFAULT_H,
-    n: int = 20000,
-    samples: int = 64,
-    seed: int = 0,
-) -> tuple[AccelerationEstimate, RegularityResult]:
-    """Acceleration and regularity at s = ln(rho): the one-centre case of
-    :func:`acceleration_windows`."""
-    return acceleration_windows(spec, [rho], h, n, samples, seed)[0]
-
-
 def acceleration_at(
     spec: CocycleSpec,
     rho: float,
@@ -234,8 +226,8 @@ def acceleration_at(
     seed: int = 0,
 ) -> AccelerationEstimate:
     """Acceleration omega = -(L(s) - L(s - h)) / h at s = ln(rho): the
-    first half of :func:`acceleration_window`."""
-    return acceleration_window(spec, rho, h, n, samples, seed)[0]
+    first half of the one-centre :func:`acceleration_windows`."""
+    return acceleration_windows(spec, [rho], h, n, samples, seed)[0][0]
 
 
 def quantization_check(estimates, tol: float) -> QuantizationReport:
@@ -262,15 +254,14 @@ def _segment_cost(s, v):
     return float((resid**2).sum()), float(slope), float(inter)
 
 
-def piecewise_affine_fit(
-    profile: LyapunovProfile, penalty: float | None = None, max_segments: int = 6
-) -> AffineFit:
+def piecewise_affine_fit(profile: LyapunovProfile, penalty: float | None = None) -> AffineFit:
     """Segmented affine fit with grid-restricted breakpoints.
 
-    Exact dynamic program over junction positions minimizing
-    total SSE + penalty * (segment count); the default penalty is the
-    BIC-style 2 * mean(stderr^2) * ln(#points).  Adjacent segments share
-    the junction grid point, whose s-value is the reported breakpoint.
+    Exact dynamic program over junction positions, with at most
+    MAX_SEGMENTS segments, minimizing total SSE + penalty * (segment
+    count); the default penalty is the BIC-style
+    2 * mean(stderr^2) * ln(#points).  Adjacent segments share the
+    junction grid point, whose s-value is the reported breakpoint.
     """
     s = profile.s_values
     v = profile.values
@@ -287,7 +278,7 @@ def piecewise_affine_fit(
         for j in range(i + 1, p):
             cost[(i, j)] = _segment_cost(s[i : j + 1], v[i : j + 1])
 
-    kmax = min(max_segments, p - 1)
+    kmax = min(MAX_SEGMENTS, p - 1)
     # best[j][k]: minimal SSE covering grid[0..j] with k segments ending at j
     inf = float("inf")
     best = [[inf] * (kmax + 1) for _ in range(p)]
@@ -339,8 +330,8 @@ def regularity_check(
     seed: int = 0,
 ) -> RegularityResult:
     """Compare one-sided s-slopes of the exponent at s = ln(rho): the
-    second half of :func:`acceleration_window`."""
-    return acceleration_window(spec, rho, h, n, samples, seed)[1]
+    second half of the one-centre :func:`acceleration_windows`."""
+    return acceleration_windows(spec, [rho], h, n, samples, seed)[0][1]
 
 
 _DET_ONE_KINDS = {"btilde", "diagonal_power", "schrodinger"}
@@ -383,23 +374,21 @@ def uh_classify(
 
 def regime_classify(
     spec: CocycleSpec,
-    band_eps: float = 0.05,
     n: int = 20000,
     samples: int = 64,
     seed: int = 0,
-    band_points: int = 5,
 ) -> RegimeResult:
     """Energy-regime proxy for a Schrodinger-type spec.
 
     Supercritical iff the exponent on the unit circle exceeds 3x its
     resolution; SubcriticalLike iff the exponent is zero within resolution
-    at every sampled radius exp(s), |s| <= band_eps (a numeric proxy for a
-    uniform subexponential band bound).  The critical boundary case is
-    never claimed.
+    at each of BAND_POINTS equally spaced radii exp(s), |s| <= BAND_EPS (a
+    numeric proxy for a uniform subexponential band bound).  The critical
+    boundary case is never claimed.
     """
     if spec.kind != "schrodinger":
         raise ValueError("regime classification needs a schrodinger spec")
-    band_s = [float(s) for s in np.linspace(-band_eps, band_eps, band_points)]
+    band_s = [float(s) for s in np.linspace(-BAND_EPS, BAND_EPS, BAND_POINTS)]
     circle, *band = lyapunov_many(
         spec, [1.0] + [math.exp(s) for s in band_s], n, samples, seed
     )

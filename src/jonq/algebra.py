@@ -73,15 +73,6 @@ class Mat2:
             + abs(self.m11) ** 2
         )
 
-    def op2_norm(self) -> float:
-        """Operator 2-norm (largest singular value), closed form."""
-        a = abs(self.m00) ** 2 + abs(self.m01) ** 2
-        b = abs(self.m10) ** 2 + abs(self.m11) ** 2
-        c = self.m00 * self.m10.conjugate() + self.m01 * self.m11.conjugate()
-        mid = 0.5 * (a + b)
-        rad = math.sqrt(max(0.0, (0.5 * (a - b)) ** 2 + abs(c) ** 2))
-        return math.sqrt(max(0.0, mid + rad))
-
     def scaled(self, f: complex) -> "Mat2":
         return Mat2(f * self.m00, f * self.m01, f * self.m10, f * self.m11)
 
@@ -131,19 +122,17 @@ def chordal(x, y) -> float:
     return abs(x - y) / math.sqrt((1.0 + abs(x) ** 2) * (1.0 + abs(y) ** 2))
 
 
-def check_nonresonant(freq: float, max_denominator: int = 64, tol: float = 1e-12) -> None:
-    """Reject frequencies indistinguishable from p/q with q <= 64.
+def check_nonresonant(freq: float) -> None:
+    """Reject frequencies within 1e-12 of p/q with q <= 64.
 
     A frequency this close to a low-order rational makes the rotation
     effectively periodic at the working precision.
     """
     if not 0.0 < freq < 1.0:
         raise ValueError("freq must lie in (0, 1)")
-    near = Fraction(freq).limit_denominator(max_denominator)
-    if abs(freq - float(near)) <= tol:
-        raise ResonantParameter(
-            f"freq {freq!r} is within {tol:g} of {near} (denominator <= {max_denominator})"
-        )
+    near = Fraction(freq).limit_denominator(64)
+    if abs(freq - float(near)) <= 1e-12:
+        raise ResonantParameter(f"freq {freq!r} is within 1e-12 of {near} (denominator <= 64)")
 
 
 def tree_sum(values) -> float:

@@ -23,6 +23,7 @@ from .backend import BACKEND
 from .errors import JonqError
 from . import accel as accel_mod
 from . import cocycle as cocycle_mod
+from . import degree as degree_mod
 from . import linearize as linearize_mod
 from . import maps as maps_mod
 
@@ -43,19 +44,15 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_document(args, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    config = json.dumps(_config(args), sort_keys=True, separators=(",", ":"))
+    # a non-finite argument raises ValueError here: a configuration error
+    config = json.dumps(_config(args), sort_keys=True, separators=(",", ":"),
+                        allow_nan=False)
     buf.write("# config: " + config + CSV_EOL)
     buf.write(",".join(header) + CSV_EOL)
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + CSV_EOL)
+        buf.write(",".join(str(v) for v in row) + CSV_EOL)
     return buf.getvalue()
 
 
@@ -70,8 +67,18 @@ def _json_document(args, payload: dict) -> str:
     return text + "\n"
 
 
+def finite(text: str, parse=float):
+    """``parse(text)`` (float or complex) if it is finite: every number the
+    command line reads goes through here, so NaN and infinity are
+    configuration errors (exit 2)."""
+    value = parse(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+    return finite(text.replace(" ", ""), complex)
 
 
 def _parse_matrix(text: str) -> Mat2:
@@ -92,7 +99,7 @@ def _build_spec(args, rho: float) -> cocycle_mod.CocycleSpec:
     if args.kind == "schrodinger":
         kw["energy"] = args.energy
         kw["potential"] = tuple(
-            float(t) for t in args.potential.split(",") if t.strip()
+            finite(t) for t in args.potential.split(",") if t.strip()
         ) if args.potential else ()
     if args.kind == "constant":
         if not args.const:
@@ -208,9 +215,6 @@ def _cmd_linearize(args) -> str:
 
 
 def _cmd_degree(args) -> str:
-    # imported here: no other subcommand uses it, so they do not load it
-    from . import degree as degree_mod
-
     vals = [Fraction(t) for t in args.specialize.split(",")] if args.specialize else []
     if len(vals) % 2:
         raise ValueError("--specialize needs pairs a1,b1[,a2,b2]")
@@ -239,22 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, rho_grid=True):
-        p.add_argument("--alpha-angle", type=float, default=DEFAULT_ALPHA_ANGLE)
-        p.add_argument("--freq", type=float, default=GOLDEN_FREQ)
+        p.add_argument("--alpha-angle", type=finite, default=DEFAULT_ALPHA_ANGLE)
+        p.add_argument("--freq", type=finite, default=GOLDEN_FREQ)
         p.add_argument("--n", type=int, default=20000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-")
         if rho_grid:
             p.add_argument("--samples", type=int, default=64)
-            p.add_argument("--rho", type=float, default=None)
-            p.add_argument("--s-min", type=float, default=-2.0)
-            p.add_argument("--s-max", type=float, default=2.0)
+            p.add_argument("--rho", type=finite, default=None)
+            p.add_argument("--s-min", type=finite, default=-2.0)
+            p.add_argument("--s-max", type=finite, default=2.0)
             p.add_argument("--s-steps", type=int, default=41)
 
     p = sub.add_parser("lyapunov", help="exponent estimates over a radius grid")
     add_common(p)
     p.add_argument("--kind", choices=cocycle_mod.KINDS, default="jonquieres_b")
-    p.add_argument("--energy", type=float, default=0.0)
+    p.add_argument("--energy", type=finite, default=0.0)
     p.add_argument("--potential", default="")
     p.add_argument("--const", default="")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -262,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accel", help="acceleration and regularity per radius")
     add_common(p)
     p.add_argument("--kind", choices=cocycle_mod.KINDS, default="btilde")
-    p.add_argument("--energy", type=float, default=0.0)
+    p.add_argument("--energy", type=finite, default=0.0)
     p.add_argument("--potential", default="")
     p.add_argument("--const", default="")
-    p.add_argument("--h", type=float, default=accel_mod.DEFAULT_H)
+    p.add_argument("--h", type=finite, default=accel_mod.DEFAULT_H)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(s_steps=40)  # no row and no +-h window at ln rho = 0
 
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, rho_grid=False)
     p.add_argument("--x0", default="0.01+0j")
     p.add_argument("--y0", default="0.01+0j")
-    p.add_argument("--dist-tol", type=float, default=1e-8)
+    p.add_argument("--dist-tol", type=finite, default=1e-8)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("classify", help="orbit-closure rank by box counting")
@@ -284,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(n=200000)
 
     p = sub.add_parser("linearize", help="conjugacy series of the inverted square map")
-    p.add_argument("--alpha-angle", type=float, default=DEFAULT_ALPHA_ANGLE)
-    p.add_argument("--freq", type=float, default=GOLDEN_FREQ)
+    p.add_argument("--alpha-angle", type=finite, default=DEFAULT_ALPHA_ANGLE)
+    p.add_argument("--freq", type=finite, default=GOLDEN_FREQ)
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--divisor-floor", type=float, default=1e-8)
+    p.add_argument("--divisor-floor", type=finite, default=1e-8)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("degree", help="exact degree growth of the family")

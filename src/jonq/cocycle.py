@@ -77,10 +77,11 @@ class CocycleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown cocycle kind {self.kind!r}")
-        if self.rho <= 0.0:
+        # written so that NaN fails each check
+        if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         check_nonresonant(self.freq)
-        if self.kind in _ALPHA_KINDS and abs(abs(self.alpha) - 1.0) > 1e-12:
+        if self.kind in _ALPHA_KINDS and not abs(abs(self.alpha) - 1.0) <= 1e-12:
             raise ValueError("|alpha| must equal 1 to 1e-12")
         if self.kind == "btilde":
             if self.rho == 1.0:
@@ -270,7 +271,7 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
     if n == 0:
         return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
     theta = theta % 1.0
-    _, s_full, _, p_full = _cocycle_sums(
+    _, s_full, p_full = _cocycle_sums(
         spec, np.array([float(spec.rho)]), np.array([theta]), n
     )
     p = p_full[0]
@@ -320,54 +321,40 @@ def phase_samples(samples: int, seed: int) -> np.ndarray:
 
 
 def phase_values_many(
-    spec: CocycleSpec, rhos, n: int, samples: int, seed: int, norm: str = "fro"
+    spec: CocycleSpec, rhos, n: int, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase (1/n) log-norms at n and n//2 for each radius in ``rhos``:
-    two (len(rhos), samples) arrays, row r for radius rhos[r].
+    """Per-phase (1/n) log Frobenius norms at n and n//2 for each radius in
+    ``rhos``: two (len(rhos), samples) arrays, row r for radius rhos[r].
 
     Every radius is validated as ``spec.with_rho(rho)`` and runs the same
     phases, so rows pair phase by phase; all rows come from one kernel
-    call.  ``norm`` selects Frobenius (canonical) or the operator 2-norm
-    variant, which exists only for the norm-independence check.
+    call.  The exponent does not depend on the matrix norm, so the
+    Frobenius norm the kernel renormalizes by is the only one.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if norm not in ("fro", "op2"):
-        raise ValueError("norm must be 'fro' or 'op2'")
     rhos = [spec.with_rho(float(rho)).rho for rho in rhos]
     thetas = phase_samples(samples, seed)
-    s_half, s_full, p_half, p_full = _cocycle_sums(
+    s_half, s_full, _ = _cocycle_sums(
         spec, np.repeat(rhos, samples), np.tile(thetas, len(rhos)), n
     )
-    half = n // 2
-    if norm == "op2":
-        # products are Frobenius-normalized, so the op-2-norm of the full
-        # product is exp(s) * op2(p) with op2(p) in [1/sqrt(2), 1]
-        corr_full = np.array(
-            [math.log(Mat2(*p.reshape(4)).op2_norm()) for p in p_full]
-        )
-        corr_half = np.array(
-            [math.log(Mat2(*p.reshape(4)).op2_norm()) for p in p_half]
-        )
-        s_full = s_full + corr_full
-        s_half = s_half + corr_half
     shape = (len(rhos), samples)
-    return (s_half / half).reshape(shape), (s_full / n).reshape(shape)
+    return (s_half / (n // 2)).reshape(shape), (s_full / n).reshape(shape)
 
 
 def lyapunov_phase_values(
-    spec: CocycleSpec, n: int, samples: int, seed: int, norm: str = "fro"
+    spec: CocycleSpec, n: int, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-phase (1/n) log-norms at n and n//2 (the raw estimator data):
     :func:`phase_values_many` at ``spec.rho`` alone."""
-    half_vals, vals = phase_values_many(spec, [spec.rho], n, samples, seed, norm)
+    half_vals, vals = phase_values_many(spec, [spec.rho], n, samples, seed)
     return half_vals[0], vals[0]
 
 
 def lyapunov_many(
-    spec: CocycleSpec, rhos, n: int, samples: int, seed: int, norm: str = "fro"
+    spec: CocycleSpec, rhos, n: int, samples: int, seed: int
 ) -> list[LyapunovEstimate]:
     """Phase-averaged Lyapunov-exponent estimates, one per radius in
     ``rhos``, from one kernel call (:func:`phase_values_many`).
@@ -376,7 +363,7 @@ def lyapunov_many(
     (1/n) ln ||A_n(y)||; reductions use pairwise-tree summation so results
     are reproducible bit-for-bit.
     """
-    half_rows, rows = phase_values_many(spec, rhos, n, samples, seed, norm)
+    half_rows, rows = phase_values_many(spec, rhos, n, samples, seed)
     return [
         estimate_from_phase_values(half_vals, vals, n)
         for half_vals, vals in zip(half_rows, rows)
@@ -406,19 +393,15 @@ def estimate_from_phase_values(
     )
 
 
-def lyapunov(
-    spec: CocycleSpec, n: int, samples: int, seed: int, norm: str = "fro"
-) -> LyapunovEstimate:
+def lyapunov(spec: CocycleSpec, n: int, samples: int, seed: int) -> LyapunovEstimate:
     """Phase-averaged Lyapunov-exponent estimate at ``spec.rho``: the
     one-radius case of :func:`lyapunov_many`."""
-    return lyapunov_many(spec, [spec.rho], n, samples, seed, norm)[0]
+    return lyapunov_many(spec, [spec.rho], n, samples, seed)[0]
 
 
-def two_step_limit_check(
-    alpha: complex, freq: float, rho: float, grid: int = 720
-) -> tuple[Mat2, float]:
+def two_step_limit_check(alpha: complex, freq: float, rho: float) -> tuple[Mat2, float]:
     """Average two-step normalized product and its sup-distance from the
-    large-radius limit.
+    large-radius limit, over 720 equally spaced phases.
 
     With m = exp(2*pi*i*freq) the two-step product B~(m y) B~(y) tends, as
     rho grows, to the unit-determinant matrix -(1/m) [[m^2, alpha + m^2],
@@ -430,7 +413,7 @@ def two_step_limit_check(
     spec = CocycleSpec(kind="btilde", alpha=alpha, rho=rho, freq=freq)
     m = spec.multiplier()
     limit = np.array([[-m, -(alpha + m * m) / m], [0j, -1.0 / m]])
-    thetas = np.arange(grid) / grid
+    thetas = np.arange(720) / 720
     g1 = generator_values(spec, thetas)
     g2 = generator_values(spec, np.mod(thetas + freq, 1.0))
     prods = g2 @ g1

@@ -39,7 +39,8 @@ class MapParams:
     freq: float
 
     def __post_init__(self):
-        if abs(abs(self.alpha) - 1.0) > 1e-12 or abs(abs(self.beta) - 1.0) > 1e-12:
+        # written so that NaN fails the check
+        if not (abs(abs(self.alpha) - 1.0) <= 1e-12 and abs(abs(self.beta) - 1.0) <= 1e-12):
             raise ValueError("|alpha| and |beta| must equal 1 to 1e-12")
         check_nonresonant(self.freq)
         if abs(cmath.exp(2j * math.pi * self.freq) - self.beta) > 1e-9:
@@ -246,8 +247,10 @@ class InvertedSquareMap:
             (0j, 1.0 / p.beta**2),
         )
 
-    def jacobian_origin_fd(self, step: float = 1e-6):
-        """Finite-difference Jacobian at the origin (cross-check oracle)."""
+    def jacobian_origin_fd(self):
+        """Finite-difference Jacobian at the origin, with step 1e-6
+        (cross-check oracle)."""
+        step = 1e-6
         g0 = self.apply(0j, 0j)
         gx = self.apply(step + 0j, 0j)
         gy = self.apply(0j, step + 0j)
@@ -255,10 +258,6 @@ class InvertedSquareMap:
             ((gx[0] - g0[0]) / step, (gy[0] - g0[0]) / step),
             ((gx[1] - g0[1]) / step, (gy[1] - g0[1]) / step),
         )
-
-
-def inverted_square_map(p: MapParams) -> InvertedSquareMap:
-    return InvertedSquareMap(params=p)
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def fixed_points(p: MapParams) -> tuple:
         x1 = projective_action(mat, x0)
         res = chordal(x1, x0)  # y = 0 fiber is preserved exactly
         out.append(FixedPoint(x=x0, y=0j, which_map="f", residual=res))
-    g = inverted_square_map(p)
+    g = InvertedSquareMap(params=p)
     gx, gy = g.apply(0j, 0j)
     out.append(FixedPoint(x=0j, y=0j, which_map="G", residual=abs(gx) + abs(gy)))
     for fp in out:

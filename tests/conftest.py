@@ -1,8 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import math
+
+import numpy as np
 import pytest
 
+from jonq.algebra import tree_mean
 from jonq.backend import kernels
+from jonq.cocycle import iterate, phase_samples
 
 
 @pytest.fixture
@@ -17,3 +22,21 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(kernels, "cocycle_sums", counting)
     return calls
+
+
+@pytest.fixture
+def op2_lyapunov():
+    """The estimate of ``lyapunov(spec, n, 8, 1)`` with the operator 2-norm
+    in place of the Frobenius norm: the same phases and the same
+    pairwise-tree mean, over (1/n) ln of exp(S) times |P|_2 for each
+    renormalized product (P, S) from ``iterate``."""
+
+    def estimate(spec, n):
+        values = []
+        for theta in phase_samples(8, 1):
+            p, s = iterate(spec, float(theta), n)
+            m = np.array([[p.m00, p.m01], [p.m10, p.m11]])
+            values.append((s + math.log(np.linalg.norm(m, 2))) / n)
+        return tree_mean(values)
+
+    return estimate

@@ -7,7 +7,6 @@ from jonq.accel import (
     AccelerationEstimate,
     RegularityResult,
     acceleration_at,
-    acceleration_window,
     acceleration_windows,
     lyapunov_profile,
     piecewise_affine_fit,
@@ -74,8 +73,9 @@ class TestProfile:
 
 
 def _reference_window(spec, rho, h, n, samples, seed):
-    """acceleration_window rebuilt from one lyapunov_phase_values call per
-    radius, with the paired-slope formulas written out."""
+    """The one-centre acceleration_windows rebuilt from one
+    lyapunov_phase_values call per radius, with the paired-slope formulas
+    written out."""
     s = math.log(rho)
 
     def vals(t):
@@ -108,14 +108,14 @@ class TestWindow:
     def test_matches_per_radius_reference(self, kind, rho):
         spec = CocycleSpec(kind=kind, rho=rho)
         args = (spec, rho, 0.02, 600, 6, 3)
-        accel, reg = acceleration_window(*args)
+        ((accel, reg),) = acceleration_windows(spec, [rho], *args[2:])
         assert (accel, reg) == _reference_window(*args)
         assert acceleration_at(*args) == accel
         assert regularity_check(*args) == reg
 
     def test_one_kernel_call_for_five_radii(self, kernel_calls):
         spec = CocycleSpec(kind="btilde", rho=2.0)
-        acceleration_window(spec, 2.0, n=200, samples=4)
+        acceleration_windows(spec, [2.0], n=200, samples=4)
         (call,) = kernel_calls
         rho, thetas = call[2], call[7]
         assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
@@ -124,7 +124,9 @@ class TestWindow:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            acceleration_window(CocycleSpec(kind="diagonal_power"), 1.0, h=0.0)
+            acceleration_windows(CocycleSpec(kind="diagonal_power"), [1.0], h=0.0)
+        with pytest.raises(ValueError):
+            acceleration_windows(CocycleSpec(kind="diagonal_power"), [1.0], h=math.nan)
 
     def test_many_centres_equal_one_centre_calls(self, kernel_calls):
         spec = CocycleSpec(kind="btilde", rho=0.5)
@@ -132,7 +134,7 @@ class TestWindow:
         windows = acceleration_windows(spec, rhos, n=300, samples=4, seed=2)
         assert len(kernel_calls) == 1
         assert len(set(kernel_calls[0][2].tolist())) == 5 * len(rhos)
-        assert windows == [acceleration_window(spec, rho, n=300, samples=4, seed=2)
+        assert windows == [acceleration_windows(spec, [rho], n=300, samples=4, seed=2)[0]
                            for rho in rhos]
 
     def test_many_centres_guard_every_window(self, kernel_calls):

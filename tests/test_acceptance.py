@@ -372,16 +372,11 @@ class TestCriterion11Properties:
                 )
         assert report(11, worst < 1e-10, f"det of normalized generator: {worst:.1e}")
 
-    def test_norm_independence(self):
+    def test_norm_independence(self, op2_lyapunov):
         spec = CocycleSpec(kind="jonquieres_b", alpha=ALPHA, rho=2.0)
         n = 2000
-        d_n = abs(
-            lyapunov(spec, n, 8, 1).value - lyapunov(spec, n, 8, 1, norm="op2").value
-        )
-        d_2n = abs(
-            lyapunov(spec, 2 * n, 8, 1).value
-            - lyapunov(spec, 2 * n, 8, 1, norm="op2").value
-        )
+        d_n = abs(lyapunov(spec, n, 8, 1).value - op2_lyapunov(spec, n))
+        d_2n = abs(lyapunov(spec, 2 * n, 8, 1).value - op2_lyapunov(spec, 2 * n))
         ok = d_n <= math.log(math.sqrt(2)) / n * 1.01 and d_2n <= 0.75 * d_n + 1e-9
         assert report(11, ok, f"norm independence: {d_n:.1e} -> {d_2n:.1e} halves")
 

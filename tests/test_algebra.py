@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
 from jonq.algebra import (
@@ -14,7 +13,6 @@ from jonq.algebra import (
     tree_sum,
 )
 from jonq.errors import IndeterminateAction, ResonantParameter
-from jonq.linearize import ConjugacyCoeffs, evaluate_conjugacy, mul, scale_argument, shift
 
 
 def rand_complex(rng, scale=1.0):
@@ -56,15 +54,6 @@ class TestMat2:
         for _ in range(200):
             a, b = rand_mat(rng, 3.0), rand_mat(rng, 3.0)
             assert (a @ b).frobenius() <= a.frobenius() * b.frobenius() * (1 + 1e-12)
-
-    def test_op2_norm_bounds(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            m = rand_mat(rng, 2.0)
-            fro = m.frobenius()
-            op2 = m.op2_norm()
-            assert op2 <= fro + 1e-12
-            assert fro <= math.sqrt(2) * op2 + 1e-12
 
     def test_inverse_and_det(self):
         rng = random.Random(11)
@@ -126,66 +115,6 @@ class TestChordal:
         for _ in range(20):
             x, y = rand_complex(rng, 5), rand_complex(rng, 5)
             assert chordal(x, y) == pytest.approx(chordal(y, x))
-
-
-class TestPowerSeries:
-    """Truncated series as coefficient arrays, with the product, shift and
-    argument scaling of the conjugacy solver."""
-
-    def rand_series(self, rng, order):
-        return np.array([rand_complex(rng) for _ in range(order + 1)])
-
-    def test_ring_laws_exact(self):
-        rng = random.Random(23)
-        n = 8
-        for _ in range(20):
-            a, b, c = (self.rand_series(rng, n) for _ in range(3))
-            assert self._close(mul(mul(a, b), c), mul(a, mul(b, c)))
-            assert self._close(mul(a, b + c), mul(a, b) + mul(a, c))
-
-    @staticmethod
-    def _close(s, t, tol=1e-12):
-        return len(s) == len(t) and all(abs(x - y) <= tol for x, y in zip(s, t))
-
-    def test_truncation_discipline(self):
-        # coefficient k of a product depends only on inputs 0..k
-        rng = random.Random(4)
-        a = self.rand_series(rng, 6)
-        b = self.rand_series(rng, 6)
-        full = mul(a, b)
-        chopped = mul(a[:4], b[:4])
-        assert full[:4].tobytes() == chopped.tobytes()
-
-    def test_scale_argument_identity(self):
-        rng = random.Random(9)
-        s = self.rand_series(rng, 6)
-        assert scale_argument(s, 1.0).tobytes() == s.tobytes()
-
-    def test_scale_argument_monomial(self):
-        beta = cmath.exp(2j * math.pi * 0.37)
-        c = beta ** -2
-        s = np.zeros(6, dtype=complex)
-        s[1] = 1.0
-        scaled = scale_argument(s, c)
-        assert scaled[1] == pytest.approx(c)
-        assert all(x == 0 for i, x in enumerate(scaled) if i != 1)
-
-    def test_scale_argument_is_multiplicative(self):
-        # (s t)(c y) agrees with s(c y) t(c y) coefficientwise
-        rng = random.Random(31)
-        c = rand_complex(rng)
-        s, t = self.rand_series(rng, 7), self.rand_series(rng, 7)
-        lhs = scale_argument(mul(s, t), c)
-        rhs = mul(scale_argument(s, c), scale_argument(t, c))
-        assert self._close(lhs, rhs)
-
-    def test_shift_and_eval(self):
-        s = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert shift(s).tolist() == [0j, 1 + 0j, 2 + 0j]
-        # psi(1, y) with b = c = 0 is a(y)
-        zero = np.zeros(3, dtype=complex)
-        coeffs = ConjugacyCoeffs(a=s, b=zero, c=zero, params=None, small_divisor_floor=1.0)
-        assert evaluate_conjugacy(coeffs, 1.0, 0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
 
 
 class TestGuardsAndSums:

@@ -7,7 +7,7 @@ import pytest
 
 import jonq.degree as degree_mod
 import jonq.linearize as linearize_mod
-from jonq.cli import _config, build_parser, main
+from jonq.cli import _config, _csv_document, build_parser, main
 
 FAST = ["--n", "400", "--samples", "4", "--seed", "1"]
 
@@ -406,6 +406,32 @@ class TestParser:
         rc, again = run(tmp_path, "v.csv", rerun)
         assert rc == 0
         assert again.read_text() == text
+
+    @pytest.mark.parametrize("argv", [
+        ["linearize", "--alpha-angle", "nan"],
+        ["orbit", "--dist-tol", "nan", "--n", "3"],
+        ["lyapunov", "--rho", "2", "--energy", "nan", "--n", "200", "--samples", "4"],
+        ["accel", "--kind", "jonquieres_b", "--rho", "2", "--s-max", "inf", "--n", "200",
+         "--samples", "4"],
+        ["orbit", "--x0", "nan+0j", "--n", "3"],
+        ["lyapunov", "--kind", "schrodinger", "--potential", "0,inf", "--rho", "2",
+         "--n", "200", "--samples", "4"],
+        ["lyapunov", "--kind", "constant", "--const", "1,0,0,nan", "--rho", "2",
+         "--n", "200", "--samples", "4"],
+    ], ids=["alpha-angle", "dist-tol", "energy", "s-max", "x0", "potential", "const"])
+    def test_non_finite_number_is_config_error(self, argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the option itself
+            rc = exc.code
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+    def test_csv_config_line_rejects_non_finite(self):
+        args = build_parser().parse_args(["orbit"])
+        args.dist_tol = math.nan
+        with pytest.raises(ValueError):
+            _csv_document(args, ["step"], [])
 
     def test_unknown_flag_exits_two(self):
         proc = subprocess.run(

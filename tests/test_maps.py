@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, INFINITY, is_infinity
 from jonq.errors import IndeterminatePoint, InsufficientPoints, Overflow, ResonantParameter
 from jonq.maps import (
+    InvertedSquareMap,
     MapParams,
     PointP1xC,
     apply_f,
     boxcount_rank,
     classify_orbit_closure,
     fixed_points,
-    inverted_square_map,
     matrix_orbit_equivalence,
     orbit,
     orbit_coordinates,
@@ -50,6 +50,12 @@ class TestApply:
             MapParams(alpha=2.0 + 0j, beta=P.beta, freq=P.freq)
         with pytest.raises(ValueError):
             MapParams(alpha=P.alpha, beta=P.beta, freq=0.123)  # freq/beta mismatch
+        # NaN fails the modulus check
+        nan = complex(math.nan, 0.0)
+        with pytest.raises(ValueError):
+            MapParams(alpha=nan, beta=P.beta, freq=P.freq)
+        with pytest.raises(ValueError):
+            MapParams(alpha=P.alpha, beta=nan, freq=P.freq)
 
 
 class TestOrbit:
@@ -209,7 +215,7 @@ class TestSemiconjugacy:
 
 class TestInvertedSquareMap:
     def test_composition_identity(self):
-        g = inverted_square_map(P)
+        g = InvertedSquareMap(params=P)
         rng = random.Random(9)
         worst = 0.0
         for _ in range(100):
@@ -226,14 +232,14 @@ class TestInvertedSquareMap:
         assert worst < 1e-12
 
     def test_origin_fixed(self):
-        g = inverted_square_map(P)
+        g = InvertedSquareMap(params=P)
         gx, gy = g.apply(0j, 0j)
         assert gx == 0 and gy == 0
 
     def test_jacobian_eigenvalues_against_fd_oracle(self):
-        g = inverted_square_map(P)
+        g = InvertedSquareMap(params=P)
         exact = g.jacobian_origin()
-        fd = g.jacobian_origin_fd(step=1e-6)
+        fd = g.jacobian_origin_fd()
         for i in range(2):
             for j in range(2):
                 assert abs(exact[i][j] - fd[i][j]) < 1e-4
