@@ -49,7 +49,8 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
     into out[i, j]; ``out`` has shape (2, 2) + y.shape.
 
     ``rho`` is |y| (a scalar or an array that broadcasts against ``y``);
-    only btilde reads it, to pick its square-root branch.
+    only btilde reads it, to pick its square-root branch.  ``cmat`` is the
+    constant kind's (2, 2) matrix; the other kinds ignore it.
     """
     if kind == "constant":
         out[:] = np.reshape(cmat, (2, 2) + (1,) * y.ndim)
@@ -127,7 +128,7 @@ def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
         if kind == "constant":
             c = np.asarray(cmat, dtype=np.complex128)
             frob2 = np.full(rho.shape, float(np.sum(np.abs(c) ** 2)))
-            det = np.full(rho.shape, abs(c[0] * c[3] - c[1] * c[2]))
+            det = np.full(rho.shape, abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
         elif kind == "jonquieres_a":
             frob2 = 3.0 + rho**2
             det = np.abs(1.0 - rho)

@@ -138,6 +138,18 @@ def _guard_sides(spec, s, h):
                 )
 
 
+def radius_at(s: float, what: str) -> float:
+    """rho = exp(s), or a ValueError that names ``what`` (the setting that
+    gave s) where rho overflows or underflows to 0."""
+    try:
+        rho = math.exp(s)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"{what}: rho = exp({s!r}) is outside the floating-point range")
+    return rho
+
+
 def _window_values(spec, rhos, h, n, samples, seed):
     """The s-grids (s - h, s - h/2, s, s + h/2, s + h), s = ln(rho), of the
     windows centred at each rho in ``rhos``, and the per-phase values at
@@ -151,8 +163,8 @@ def _window_values(spec, rhos, h, n, samples, seed):
         s = math.log(rho)
         _guard_sides(spec, s, h)
         grids.append((s - h, s - h / 2, s, s + h / 2, s + h))
-        radii += [math.exp(s - h), math.exp(s - h / 2), rho,
-                  math.exp(s + h / 2), math.exp(s + h)]
+        lo, lo2, hi2, hi = (radius_at(s + d, f"h = {h!r}") for d in (-h, -h / 2, h / 2, h))
+        radii += [lo, lo2, rho, hi2, hi]
     half_values, values = phase_values_many(spec, radii, n, samples, seed)
     return grids, half_values, values
 
@@ -340,7 +352,7 @@ _DET_ONE_KINDS = {"btilde", "diagonal_power", "schrodinger"}
 def _require_unimodular(spec: CocycleSpec):
     if spec.kind in _DET_ONE_KINDS:
         return
-    if spec.kind == "constant" and abs(spec.matrix.det() - 1.0) <= 1e-9:
+    if spec.kind == "constant" and abs(np.linalg.det(spec.matrix) - 1.0) <= 1e-9:
         return
     raise NotUnimodular(f"kind {spec.kind!r} does not have det = 1")
 

@@ -1,16 +1,16 @@
-"""Scalar, 2x2-matrix and circle primitives.
+"""Scalar, projective-line and circle primitives.
 
-Everything here is immutable and pure; all heavier machinery (cocycle
-iteration, profile fitting, polynomial degree growth) builds on these
-types.  The extended complex line is represented by ordinary ``complex``
-values plus the ``INFINITY`` sentinel, not by homogeneous pairs.
+Everything here is pure; all heavier machinery (cocycle iteration, profile
+fitting, polynomial degree growth) builds on these.  A 2x2 matrix is a
+NumPy (2, 2) complex array.  The extended complex line is represented by
+ordinary ``complex`` values plus the ``INFINITY`` sentinel, not by
+homogeneous pairs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndeterminateAction, ResonantParameter
@@ -41,68 +41,21 @@ def is_infinity(x) -> bool:
     return x is INFINITY
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 complex matrix."""
-
-    m00: complex
-    m01: complex
-    m10: complex
-    m11: complex
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
-
-    def det(self) -> complex:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
-    def frobenius(self) -> float:
-        return math.sqrt(
-            abs(self.m00) ** 2
-            + abs(self.m01) ** 2
-            + abs(self.m10) ** 2
-            + abs(self.m11) ** 2
-        )
-
-    def scaled(self, f: complex) -> "Mat2":
-        return Mat2(f * self.m00, f * self.m01, f * self.m10, f * self.m11)
-
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if d == 0:
-            raise ZeroDivisionError("singular Mat2")
-        return Mat2(self.m11 / d, -self.m01 / d, -self.m10 / d, self.m00 / d)
-
-    def trace(self) -> complex:
-        return self.m00 + self.m11
-
-    def eigenvalues(self) -> tuple[complex, complex]:
-        t = self.trace()
-        disc = cmath.sqrt(t * t - 4.0 * self.det())
-        return (0.5 * (t + disc), 0.5 * (t - disc))
-
-
-def projective_action(m: Mat2, x):
-    """Moebius action of ``m`` on the extended complex ``x``.
+def projective_action(m, x):
+    """Moebius action of the (2, 2) array ``m`` on the extended complex
+    ``x``, in Python complex arithmetic on its entries (so ``maps.apply_f``
+    is the orbit kernel's arithmetic to the bit).
 
     Raises :class:`IndeterminateAction` when numerator and denominator both
     vanish (projective kernel direction of a singular matrix); denominator
     zero alone maps to INFINITY.
     """
+    (m00, m01), (m10, m11) = m.tolist()
     if is_infinity(x):
-        num, den = m.m00, m.m10
+        num, den = m00, m10
     else:
-        num = m.m00 * x + m.m01
-        den = m.m10 * x + m.m11
+        num = m00 * x + m01
+        den = m10 * x + m11
     if den == 0:
         if num == 0:
             raise IndeterminateAction("projective action indeterminate")

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, Mat2
+from .algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ
 from .backend import BACKEND
 from .errors import JonqError
 from . import accel as accel_mod
@@ -56,6 +56,14 @@ def _csv_document(args, header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _rows_document(args, header: list[str], rows: list[list], **extra) -> str:
+    """``rows`` as CSV, or as JSON objects under "rows" next to ``extra``
+    (which CSV leaves out), as ``--format`` asks."""
+    if args.format == "json":
+        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows], **extra})
+    return _csv_document(args, header, rows)
+
+
 def _json_document(args, payload: dict) -> str:
     doc = {"config": _config(args), **payload}
     try:
@@ -81,11 +89,12 @@ def _parse_complex(text: str) -> complex:
     return finite(text.replace(" ", ""), complex)
 
 
-def _parse_matrix(text: str) -> Mat2:
+def _parse_matrix(text: str) -> list[list[complex]]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 4:
         raise ValueError("matrix needs 4 comma-separated complex entries")
-    return Mat2(*(_parse_complex(p) for p in parts))
+    a, b, c, d = (_parse_complex(p) for p in parts)
+    return [[a, b], [c, d]]
 
 
 def _build_spec(args, rho: float) -> cocycle_mod.CocycleSpec:
@@ -112,6 +121,8 @@ def _s_grid(args) -> list[tuple[float, float]]:
     """(ln rho, rho) pairs: a given --rho is used as it is, grid points
     take rho = exp(s)."""
     if args.rho is not None:
+        if not args.rho > 0.0:
+            raise ValueError(f"--rho must be positive, got {args.rho!r}")
         return [(math.log(args.rho), args.rho)]
     if args.s_steps < 1:
         raise ValueError("--s-steps must be at least 1")
@@ -120,7 +131,7 @@ def _s_grid(args) -> list[tuple[float, float]]:
     else:
         step = (args.s_max - args.s_min) / (args.s_steps - 1)
         grid = [args.s_min + i * step for i in range(args.s_steps)]
-    return [(s, math.exp(s)) for s in grid]
+    return [(s, accel_mod.radius_at(s, "--s-min/--s-max")) for s in grid]
 
 
 def _cmd_lyapunov(args) -> str:
@@ -137,9 +148,7 @@ def _cmd_lyapunov(args) -> str:
     ]
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "total_error", "n", "samples", "seed"]
-    if args.format == "json":
-        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows]})
-    return _csv_document(args, header, rows)
+    return _rows_document(args, header, rows)
 
 
 def _cmd_accel(args) -> str:
@@ -157,9 +166,7 @@ def _cmd_accel(args) -> str:
     # h_used is h, or h / 2 where the Richardson step fired
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag", "stderr", "h_used"]
-    if args.format == "json":
-        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows]})
-    return _csv_document(args, header, rows)
+    return _rows_document(args, header, rows)
 
 
 def _orbit_params(args) -> maps_mod.MapParams:
@@ -180,10 +187,9 @@ def _cmd_orbit(args) -> str:
         for row in rows:
             if not row[3]:
                 row[1] = row[2] = None
-        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows],
-                                    "indeterminacy_hits": list(rec.indeterminacy_hits),
-                                    "escaped": rec.escaped})
-    return _csv_document(args, header, rows)
+    return _rows_document(args, header, rows,
+                          indeterminacy_hits=list(rec.indeterminacy_hits),
+                          escaped=rec.escaped)
 
 
 def _cmd_classify(args) -> str:
@@ -254,24 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s-min", type=finite, default=-2.0)
             p.add_argument("--s-max", type=finite, default=2.0)
             p.add_argument("--s-steps", type=int, default=41)
+            p.add_argument("--kind", choices=cocycle_mod.KINDS, default="jonquieres_b")
+            p.add_argument("--energy", type=finite, default=0.0)
+            p.add_argument("--potential", default="")
+            p.add_argument("--const", default="")
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("lyapunov", help="exponent estimates over a radius grid")
     add_common(p)
-    p.add_argument("--kind", choices=cocycle_mod.KINDS, default="jonquieres_b")
-    p.add_argument("--energy", type=finite, default=0.0)
-    p.add_argument("--potential", default="")
-    p.add_argument("--const", default="")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("accel", help="acceleration and regularity per radius")
     add_common(p)
-    p.add_argument("--kind", choices=cocycle_mod.KINDS, default="btilde")
-    p.add_argument("--energy", type=finite, default=0.0)
-    p.add_argument("--potential", default="")
-    p.add_argument("--const", default="")
     p.add_argument("--h", type=finite, default=accel_mod.DEFAULT_H)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(s_steps=40)  # no row and no +-h window at ln rho = 0
+    # 40 steps: no row and no +-h window at ln rho = 0
+    p.set_defaults(kind="btilde", s_steps=40)
 
     p = sub.add_parser("orbit", help="map orbit with indeterminacy tracking")
     add_common(p, rho_grid=False)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .algebra import (
     GOLDEN_FREQ,
-    Mat2,
     check_nonresonant,
     default_alpha,
     tree_mean,
@@ -55,15 +54,16 @@ KINDS = (
 _ALPHA_KINDS = {"jonquieres_a", "jonquieres_b", "btilde"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CocycleSpec:
     """A generator family plus its parameters.
 
     ``alpha`` is only meaningful for the Jonquieres kinds, ``energy`` and
     ``potential`` (cosine coefficients: a0, a1, ...) for ``schrodinger``,
-    ``matrix`` for ``constant``.  Instances are validated on construction;
-    a ``btilde`` spec additionally verifies that a continuous square-root
-    branch of alpha - y^2 closes up around its circle.
+    ``matrix`` (any 2x2 array-like, kept as a read-only complex array) for
+    ``constant``.  Instances are validated on construction; a ``btilde``
+    spec additionally verifies that a continuous square-root branch of
+    alpha - y^2 closes up around its circle.
     """
 
     kind: str
@@ -72,7 +72,7 @@ class CocycleSpec:
     freq: float = GOLDEN_FREQ
     energy: float = 0.0
     potential: tuple = ()
-    matrix: Mat2 | None = None
+    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -89,6 +89,12 @@ class CocycleSpec:
             _verified_branch(self.alpha, self.rho)
         if self.kind == "constant" and self.matrix is None:
             raise ValueError("constant kind requires a matrix")
+        if self.matrix is not None:
+            matrix = np.array(self.matrix, dtype=np.complex128)
+            if matrix.shape != (2, 2):
+                raise ValueError(f"matrix has shape {matrix.shape}, want (2, 2)")
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "potential", tuple(float(c) for c in self.potential))
 
     def with_rho(self, rho: float) -> "CocycleSpec":
@@ -193,15 +199,6 @@ def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
     return generators(kind, alpha, rho, energy, potential, cmat, thetas)
 
 
-def _mat2s(g: np.ndarray) -> list[Mat2]:
-    return [Mat2(*row) for row in g.reshape(-1, 4).tolist()]
-
-
-def evaluate_generator(spec: CocycleSpec, theta: float) -> Mat2:
-    """Exact generator value at y = rho * exp(2*pi*i*theta)."""
-    return _mat2s(generator_values(spec, [theta]))[0]
-
-
 def _check_generator_scale(
     spec: CocycleSpec, rho: np.ndarray, thetas: np.ndarray
 ) -> None:
@@ -243,33 +240,21 @@ def _cocycle_sums(spec: CocycleSpec, rho: np.ndarray, thetas: np.ndarray, n: int
 
 
 def _kernel_args(spec: CocycleSpec):
-    cmat = None
-    if spec.kind == "constant":
-        m = spec.matrix
-        cmat = np.array([m.m00, m.m01, m.m10, m.m11], dtype=np.complex128)
-    pot = np.asarray(spec.potential, dtype=np.float64)
-    return (
-        spec.kind,
-        complex(spec.alpha),
-        float(spec.rho),
-        float(spec.freq),
-        float(spec.energy),
-        pot,
-        cmat,
-    )
+    return (spec.kind, complex(spec.alpha), float(spec.rho), float(spec.freq),
+            float(spec.energy), np.asarray(spec.potential, dtype=np.float64), spec.matrix)
 
 
-def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
+def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[np.ndarray, float]:
     """n-step product A(theta + (n-1) freq) ... A(theta), renormalized.
 
-    Returns (P, S) with the exact product equal to exp(S) * P up to
-    round-off and frobenius(P) = 1.  The empty product (n = 0) is the
-    identity, returned as (id / sqrt(2), ln sqrt(2)).
+    Returns (P, S), P a (2, 2) array, with the exact product equal to
+    exp(S) * P up to round-off and P of Frobenius norm 1.  The empty
+    product (n = 0) is the identity, returned as (id / sqrt(2), ln sqrt(2)).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
+        return np.eye(2, dtype=np.complex128) / math.sqrt(2.0), 0.5 * math.log(2.0)
     theta = theta % 1.0
     _, s_full, p_full = _cocycle_sums(
         spec, np.array([float(spec.rho)]), np.array([theta]), n
@@ -282,36 +267,35 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
         y = spec.rho * np.exp(2j * np.pi * phases)
         b = sqrt_branch_values(spec.alpha, spec.rho, y)
         p = p / np.prod(b / np.abs(b))
-    return Mat2(p[0, 0], p[0, 1], p[1, 0], p[1, 1]), float(s_full[0])
+    return p, float(s_full[0])
 
 
-def inverse_iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[Mat2, float]:
-    """Backward product A_{-n}(y) = A_n(beta^{-n} y)^{-1}, renormalized.
+def inverse_iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[np.ndarray, float]:
+    """Backward product A_{-n}(y) = A_n(beta^{-n} y)^{-1}, renormalized
+    as in :func:`iterate`.
 
-    Raises :class:`SingularFactor` with the offending step index when a
-    factor is numerically singular (relative det below 1e-12).
+    Raises :class:`SingularFactor` with the first offending step index
+    (1 to n) when a factor is numerically singular (relative det below
+    1e-12).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return Mat2.identity().scaled(1.0 / math.sqrt(2.0)), 0.5 * math.log(2.0)
-    p = Mat2.identity()
-    s = 0.0
+        return np.eye(2, dtype=np.complex128) / math.sqrt(2.0), 0.5 * math.log(2.0)
     phases = np.mod(theta - np.arange(1, n + 1) * spec.freq, 1.0)
-    for k, g in enumerate(_mat2s(generator_values(spec, phases)), start=1):
-        det = g.det()
-        if abs(det) <= 1e-12 * max(1e-300, g.frobenius() ** 2):
-            raise SingularFactor(k)
-        p = g.inverse() @ p
-        nrm = p.frobenius()
+    g = generator_values(spec, phases)
+    frob2 = (np.abs(g) ** 2).sum(axis=(1, 2))
+    singular = np.abs(np.linalg.det(g)) <= 1e-12 * np.maximum(1e-300, frob2)
+    if singular.any():
+        raise SingularFactor(int(np.argmax(singular)) + 1)
+    p = np.eye(2, dtype=np.complex128)
+    s = 0.0
+    for g_inv in np.linalg.inv(g):
+        p = g_inv @ p
+        nrm = np.linalg.norm(p)
         s += math.log(nrm)
-        p = p.scaled(1.0 / nrm)
+        p = p / nrm
     return p, s
-
-
-def reconstruct(p: Mat2, s: float) -> Mat2:
-    """Undo the renormalization: exp(s) * p."""
-    return p.scaled(math.exp(s))
 
 
 def phase_samples(samples: int, seed: int) -> np.ndarray:
@@ -399,7 +383,7 @@ def lyapunov(spec: CocycleSpec, n: int, samples: int, seed: int) -> LyapunovEsti
     return lyapunov_many(spec, [spec.rho], n, samples, seed)[0]
 
 
-def two_step_limit_check(alpha: complex, freq: float, rho: float) -> tuple[Mat2, float]:
+def two_step_limit_check(alpha: complex, freq: float, rho: float) -> tuple[np.ndarray, float]:
     """Average two-step normalized product and its sup-distance from the
     large-radius limit, over 720 equally spaced phases.
 
@@ -418,4 +402,4 @@ def two_step_limit_check(alpha: complex, freq: float, rho: float) -> tuple[Mat2,
     g2 = generator_values(spec, np.mod(thetas + freq, 1.0))
     prods = g2 @ g1
     worst = float(np.abs(prods - limit).sum(axis=(1, 2)).max())
-    return _mat2s(prods.mean(axis=0))[0], worst
+    return prods.mean(axis=0), worst

@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import (
     INFINITY,
-    Mat2,
     check_nonresonant,
     chordal,
     is_infinity,
@@ -89,9 +88,9 @@ class ClosureClassification:
     counts: tuple  # box counts N(2^-k) over the full ladder
 
 
-def cocycle_matrix(p: MapParams, y: complex) -> Mat2:
+def cocycle_matrix(p: MapParams, y: complex) -> np.ndarray:
     """The x-fiber Moebius matrix [[alpha, y], [1, 1]] of the map."""
-    return Mat2(p.alpha, y, 1.0 + 0j, 1.0 + 0j)
+    return np.array([[p.alpha, y], [1.0, 1.0]], dtype=np.complex128)
 
 
 def apply_f(p: MapParams, q: PointP1xC) -> PointP1xC:
@@ -146,11 +145,11 @@ def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
     theta0 = (cmath.phase(q.y) / (2.0 * math.pi)) % 1.0
     spec = CocycleSpec(kind="jonquieres_a", alpha=p.alpha, rho=rho, freq=p.freq)
     gens = generator_values(spec, np.mod(theta0 + np.arange(n) * p.freq, 1.0))
-    prod = Mat2.identity()
+    prod = np.eye(2, dtype=np.complex128)
     worst = 0.0
-    for g, x, finite in zip(gens.reshape(-1, 4).tolist(), u[1:].tolist(), v[1:].tolist()):
-        prod = Mat2(*g) @ prod
-        prod = prod.scaled(1.0 / prod.frobenius())
+    for g, x, finite in zip(gens, u[1:].tolist(), v[1:].tolist()):
+        prod = g @ prod
+        prod = prod / np.linalg.norm(prod)
         x_mat = projective_action(prod, q.x)
         worst = max(worst, chordal(x if finite else INFINITY, x_mat))
     return worst

@@ -35,8 +35,7 @@ def op2_lyapunov():
         values = []
         for theta in phase_samples(8, 1):
             p, s = iterate(spec, float(theta), n)
-            m = np.array([[p.m00, p.m01], [p.m10, p.m11]])
-            values.append((s + math.log(np.linalg.norm(m, 2))) / n)
+            values.append((s + math.log(np.linalg.norm(p, 2))) / n)
         return tree_mean(values)
 
     return estimate

@@ -15,7 +15,6 @@ from jonq.accel import (
     regularity_check,
     uh_classify,
 )
-from jonq.algebra import Mat2
 from jonq.cocycle import CocycleSpec, LyapunovEstimate, lyapunov, lyapunov_phase_values
 from jonq.errors import NotUnimodular, SideCrossing
 
@@ -30,7 +29,7 @@ def _wrap(points, template):
 
 class TestProfile:
     def test_constant_profile_flat(self):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
         prof = lyapunov_profile(spec, np.linspace(-1, 1, 5), 500, 4, 0)
         vals = prof.values
         assert np.all(np.abs(vals - math.log(2)) < 1e-2)
@@ -302,7 +301,7 @@ class TestRegularity:
 
 class TestUHClassify:
     def test_constant_hyperbolic(self):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
         assert uh_classify(spec, 1.0, **FAST).verdict == "UH"
 
     def test_normalized_family_not_uh(self):
@@ -311,7 +310,7 @@ class TestUHClassify:
 
     def test_rotation_not_uh(self):
         c, s = math.cos(1.0), math.sin(1.0)
-        spec = CocycleSpec(kind="constant", matrix=Mat2(c, -s, s, c))
+        spec = CocycleSpec(kind="constant", matrix=[[c, -s], [s, c]])
         assert uh_classify(spec, 1.0, **FAST).verdict == "NotUH"
 
     def test_rejects_non_unimodular(self):
@@ -331,7 +330,7 @@ class TestUHClassify:
         assert res.estimate == lyapunov(spec.with_rho(3.0), 300, 4, 1)
 
     def test_uh_path_makes_one_kernel_call(self, kernel_calls):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
         res = uh_classify(spec, 1.0, n=300, samples=4, seed=1)
         assert len(kernel_calls) == 1
         assert res.verdict == "UH"

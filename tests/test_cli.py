@@ -427,6 +427,23 @@ class TestParser:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,setting", [
+        (["accel", "--kind", "diagonal_power", "--rho", "2", "--h", "1000", "--n", "200",
+          "--samples", "4"], "h = 1000.0"),
+        (["lyapunov", "--s-max", "1000", "--s-steps", "2", "--n", "100", "--samples", "2"],
+         "--s-min/--s-max"),
+        (["lyapunov", "--rho", "0", "--n", "100", "--samples", "2"], "--rho"),
+        (["lyapunov", "--rho", "-1", "--n", "100", "--samples", "2"], "--rho"),
+    ], ids=["accel-h", "s-max", "rho-zero", "rho-negative"])
+    def test_out_of_range_radius_is_config_error(self, argv, setting, capsys):
+        # exp(s) past the float range, or a radius <= 0, names its setting
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid configuration: ")
+        assert setting in captured.err
+
     def test_csv_config_line_rejects_non_finite(self):
         args = build_parser().parse_args(["orbit"])
         args.dist_tol = math.nan

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jonq.algebra import GOLDEN_FREQ, Mat2, default_alpha
+from jonq.algebra import GOLDEN_FREQ, default_alpha
 from jonq.backend import kernels
 from jonq.cocycle import (
     KINDS,
     CocycleSpec,
-    evaluate_generator,
+    generator_values,
     inverse_iterate,
     iterate,
     lyapunov,
     lyapunov_phase_values,
     phase_samples,
-    reconstruct,
     sqrt_branch,
     two_step_limit_check,
     _verified_branch,
@@ -50,17 +49,28 @@ def winding_number_oracle(alpha, rho, steps=4096):
 class TestSpecs:
     def test_generator_values(self):
         spec = CocycleSpec(kind="jonquieres_a", alpha=1.0 + 0j, rho=1.0)
-        g = evaluate_generator(spec, 0.0)
-        assert g == Mat2(1, 1, 1, 1)
+        g = generator_values(spec, [0.0])[0]
+        assert np.array_equal(g, [[1, 1], [1, 1]])
 
         spec = CocycleSpec(kind="jonquieres_b", alpha=1j, rho=2.0)
-        g = evaluate_generator(spec, 0.25)
-        assert abs(g.m01 - (-4)) < 1e-12  # y = 2i, y^2 = -4
-        assert g.m00 == 1j
+        g = generator_values(spec, [0.25])[0]
+        assert abs(g[0, 1] - (-4)) < 1e-12  # y = 2i, y^2 = -4
+        assert g[0, 0] == 1j
 
-        m = Mat2(2, 0, 0, 0.5)
+        m = [[2, 0], [0, 0.5]]
         spec = CocycleSpec(kind="constant", matrix=m)
-        assert evaluate_generator(spec, 0.123) == m
+        assert np.array_equal(generator_values(spec, [0.123])[0], m)
+
+    def test_matrix_is_a_read_only_complex_copy(self):
+        m = np.array([[2, 0], [0, 0.5]])
+        spec = CocycleSpec(kind="constant", matrix=m)
+        m[0, 0] = 3
+        assert spec.matrix.dtype == np.complex128 and spec.matrix[0, 0] == 2
+        with pytest.raises(ValueError):
+            spec.matrix[0, 0] = 1
+        for bad in ([1, 2, 3, 4], np.eye(3)):
+            with pytest.raises(ValueError):
+                CocycleSpec(kind="constant", matrix=bad)
 
     def test_validation(self):
         with pytest.raises(RadiusOne):
@@ -101,8 +111,8 @@ class TestSqrtBranch:
         spec = CocycleSpec(kind="btilde", rho=rho)
         rng = np.random.default_rng(0)
         for theta in rng.random(100):
-            g = evaluate_generator(spec, float(theta))
-            assert abs(g.det() - 1.0) < 1e-10
+            g = generator_values(spec, [float(theta)])[0]
+            assert abs(np.linalg.det(g) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("rho", [1e10, 1e40, 1e74])
     def test_large_radius_branch_verifies(self, rho):
@@ -121,12 +131,12 @@ class TestIterate:
     def test_empty_product(self):
         spec = CocycleSpec(kind="jonquieres_b", rho=2.0)
         p, s = iterate(spec, 0.1, 0)
-        rec = reconstruct(p, s)
-        assert abs(rec.m00 - 1) < 1e-15 and abs(rec.m11 - 1) < 1e-15
-        assert abs(p.frobenius() - 1.0) < 1e-12
+        rec = p * math.exp(s)
+        assert abs(rec[0, 0] - 1) < 1e-15 and abs(rec[1, 1] - 1) < 1e-15
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-12
 
     def test_constant_power(self):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
         p, s = iterate(spec, 0.0, 10)
         want = math.log(math.sqrt(4.0**10 + 4.0**-10))
         assert s == pytest.approx(want, abs=1e-10)
@@ -145,34 +155,23 @@ class TestIterate:
         p_m, s_m = iterate(spec, theta, m)
         p_n, s_n = iterate(spec, (theta + m * spec.freq) % 1.0, n)
         combined = p_n @ p_m
-        nrm = combined.frobenius()
-        combined = combined.scaled(1.0 / nrm)
+        nrm = np.linalg.norm(combined)
+        combined = combined / nrm
         s_comb = s_n + s_m + math.log(nrm)
 
         p_all, s_all = iterate(spec, theta, n + m)
         assert s_all == pytest.approx(s_comb, rel=1e-9, abs=1e-9)
-        dev = max(
-            abs(a - b)
-            for a, b in zip(
-                (p_all.m00, p_all.m01, p_all.m10, p_all.m11),
-                (combined.m00, combined.m01, combined.m10, combined.m11),
-            )
-        )
-        assert dev < 1e-9
+        assert np.abs(p_all - combined).max() < 1e-9
 
     def test_direct_product_oracle(self):
         spec = CocycleSpec(kind="jonquieres_b", rho=1.5)
         theta = 0.37
-        prod = Mat2.identity()
+        prod = np.eye(2)
         for k in range(12):
-            prod = evaluate_generator(spec, (theta + k * spec.freq) % 1.0) @ prod
+            prod = generator_values(spec, [(theta + k * spec.freq) % 1.0])[0] @ prod
         p, s = iterate(spec, theta, 12)
-        rec = reconstruct(p, s)
-        for a, b in zip(
-            (rec.m00, rec.m01, rec.m10, rec.m11),
-            (prod.m00, prod.m01, prod.m10, prod.m11),
-        ):
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+        rec = p * math.exp(s)
+        assert np.all(np.abs(rec - prod) <= 1e-9 * np.maximum(1.0, np.abs(prod)))
 
     def test_overflow_guard(self):
         spec = CocycleSpec(kind="jonquieres_b", rho=1e80)
@@ -192,13 +191,13 @@ class TestIterate:
 
     def test_vanishing_product_raises(self):
         # [[0, 1], [0, 0]] squares to zero: the log-norm sum is -inf, then NaN
-        spec = CocycleSpec(kind="constant", matrix=Mat2(0, 1, 0, 0))
+        spec = CocycleSpec(kind="constant", matrix=[[0, 1], [0, 0]])
         with pytest.raises(SingularFactor):
             iterate(spec, 0.0, 2)
         with pytest.raises(SingularFactor):
             lyapunov(spec, 400, 4, 0)
         p, s = iterate(spec, 0.0, 1)
-        assert s == pytest.approx(0.0, abs=1e-15) and abs(p.m01 - 1) < 1e-15
+        assert s == pytest.approx(0.0, abs=1e-15) and abs(p[0, 1] - 1) < 1e-15
 
 
 class TestInverseIterate:
@@ -208,32 +207,26 @@ class TestInverseIterate:
             theta = 0.41
             p1, s1 = iterate(spec, theta, 1)
             pm1, sm1 = inverse_iterate(spec, (theta + spec.freq) % 1.0, 1)
-            prod = reconstruct(pm1, sm1) @ reconstruct(p1, s1)
-            assert abs(prod.m00 - 1) < 1e-10 and abs(prod.m11 - 1) < 1e-10
-            assert abs(prod.m01) < 1e-10 and abs(prod.m10) < 1e-10
+            prod = (pm1 * math.exp(sm1)) @ (p1 * math.exp(s1))
+            assert np.abs(prod - np.eye(2)).max() < 1e-10
 
     def test_diagonal_closed_form(self):
         spec = CocycleSpec(kind="diagonal_power", rho=2.0)
         p, s = inverse_iterate(spec, 0.3, 5)
-        rec = reconstruct(p, s)
-        assert abs(rec.m00) == pytest.approx(2.0**-5, rel=1e-10)
-        assert abs(rec.m11) == pytest.approx(2.0**5, rel=1e-10)
-        assert abs(rec.m01) < 1e-12 and abs(rec.m10) < 1e-12
+        rec = p * math.exp(s)
+        assert abs(rec[0, 0]) == pytest.approx(2.0**-5, rel=1e-10)
+        assert abs(rec[1, 1]) == pytest.approx(2.0**5, rel=1e-10)
+        assert abs(rec[0, 1]) < 1e-12 and abs(rec[1, 0]) < 1e-12
 
     def test_constant_inverse_power(self):
-        m = Mat2(2, 1, 0, 0.5)
+        m = np.array([[2, 1], [0, 0.5]])
         spec = CocycleSpec(kind="constant", matrix=m)
         p, s = inverse_iterate(spec, 0.0, 3)
-        rec = reconstruct(p, s)
-        want = m.inverse() @ m.inverse() @ m.inverse()
-        for a, b in zip(
-            (rec.m00, rec.m01, rec.m10, rec.m11),
-            (want.m00, want.m01, want.m10, want.m11),
-        ):
-            assert abs(a - b) < 1e-10
+        want = np.linalg.matrix_power(np.linalg.inv(m), 3)
+        assert np.abs(p * math.exp(s) - want).max() < 1e-10
 
     def test_singular_factor_reports_step(self):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(1, 1, 1, 1))
+        spec = CocycleSpec(kind="constant", matrix=[[1, 1], [1, 1]])
         with pytest.raises(SingularFactor) as exc:
             inverse_iterate(spec, 0.0, 2)
         assert exc.value.step == 1
@@ -241,7 +234,7 @@ class TestInverseIterate:
 
 class TestLyapunov:
     def test_constant_log_two(self):
-        spec = CocycleSpec(kind="constant", matrix=Mat2(2, 0, 0, 0.5))
+        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
         est = lyapunov(spec, 1000, 8, 0)
         assert est.value == pytest.approx(math.log(2), abs=1e-3)
         assert est.stderr < 1e-6
@@ -276,7 +269,7 @@ class TestLyapunov:
         # almost-constant test vectors: elliptic and unipotent constant
         # cocycles (both eigenvalues on the unit circle) have L = 0
         c, s = math.cos(0.7), math.sin(0.7)
-        for m in (Mat2(c, -s, s, c), Mat2(1, 1, 0, 1)):
+        for m in ([[c, -s], [s, c]], [[1, 1], [0, 1]]):
             spec = CocycleSpec(kind="constant", matrix=m)
             est = lyapunov(spec, 10_000, 4, 0)
             assert abs(est.value) <= 0.01
@@ -302,11 +295,11 @@ class TestTwoStepLimit:
         # the limit matrix is unipotent-like up to a unit scalar: both
         # eigenvalues on the unit circle, so its own exponent is 0
         m = cmath.exp(2j * math.pi * GOLDEN_FREQ)
-        limit = Mat2(-m, -(ALPHA + m * m) / m, 0j, -1.0 / m)
-        ev = limit.eigenvalues()
+        limit = np.array([[-m, -(ALPHA + m * m) / m], [0j, -1.0 / m]])
+        ev = np.linalg.eigvals(limit)
         assert abs(abs(ev[0]) - 1) < 1e-12
         assert abs(abs(ev[1]) - 1) < 1e-12
-        assert abs(limit.det() - 1.0) < 1e-12
+        assert abs(np.linalg.det(limit) - 1.0) < 1e-12
 
     def test_requires_large_radius(self):
         with pytest.raises(ValueError):
@@ -337,10 +330,6 @@ def spec_kwargs(draw, unit_margin=0.01):
     return kw
 
 
-def entries(m):
-    return np.array([m.m00, m.m01, m.m10, m.m11])
-
-
 phases = st.floats(0.0, 1.0, exclude_max=True)
 
 
@@ -350,7 +339,7 @@ class TestProperties:
     def test_btilde_unit_determinant(self, rho, theta):
         assume(abs(math.log(rho)) >= 0.01)
         spec = CocycleSpec(kind="btilde", rho=rho)
-        assert abs(evaluate_generator(spec, theta).det() - 1.0) < 1e-10
+        assert abs(np.linalg.det(generator_values(spec, [theta])[0]) - 1.0) < 1e-10
 
     @PROPERTY_SETTINGS
     @given(kw=spec_kwargs(), theta=phases, n=st.integers(1, 12), m=st.integers(1, 12))
@@ -362,18 +351,18 @@ class TestProperties:
         p_m, s_m = iterate(spec, (theta + n * spec.freq) % 1.0, m)
         p_all, s_all = iterate(spec, theta, n + m)
         combined = p_m @ p_n
-        nrm = combined.frobenius()
+        nrm = np.linalg.norm(combined)
         assert s_all == pytest.approx(s_n + s_m + math.log(nrm), rel=1e-9, abs=1e-9)
-        assert np.max(np.abs(entries(p_all) - entries(combined) / nrm)) < 1e-9
+        assert np.max(np.abs(p_all - combined / nrm)) < 1e-9
 
     @PROPERTY_SETTINGS
     @given(kw=spec_kwargs(), theta=phases)
     def test_one_step_is_the_generator(self, kw, theta):
         spec = CocycleSpec(**kw)
         p, s = iterate(spec, theta, 1)
-        g = evaluate_generator(spec, theta)
-        assert s == pytest.approx(math.log(g.frobenius()), rel=1e-12, abs=1e-12)
-        assert np.max(np.abs(entries(p) - entries(g) / g.frobenius())) < 1e-12
+        g = generator_values(spec, [theta])[0]
+        assert s == pytest.approx(math.log(np.linalg.norm(g)), rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(p - g / np.linalg.norm(g))) < 1e-12
 
     @PROPERTY_SETTINGS
     @given(
@@ -403,7 +392,7 @@ class TestProperties:
         thetas = np.array(data.draw(st.lists(phases, min_size=1, max_size=5)))
         n = data.draw(st.integers(1, 60))
         potential = np.array([0.3, 1.2])
-        cmat = np.array([2.0, 1.0, 1.0, 1.0], dtype=complex)
+        cmat = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
 
         def call(rho, phases_):
             return kernels.cocycle_sums(
@@ -447,7 +436,7 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
 
 
 KERNEL_POTENTIAL = np.array([0.3, 1.2])
-KERNEL_CMAT = np.array([2.0, 1.0, 1.0, 1.0], dtype=complex)
+KERNEL_CMAT = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
 
 
 def kernel_call(kind, rho, thetas, n, call=kernels.cocycle_sums):
@@ -559,7 +548,7 @@ class TestKernel:
         # diag(x, 1/x) grows by exactly x per step, the largest growth its
         # norm bound allows: the squared entries of the norm must not
         # overflow between renormalizations
-        cmat = np.array([x, 0, 0, 1 / x], dtype=complex)
+        cmat = np.array([[x, 0], [0, 1 / x]], dtype=complex)
         s_half, s_full, _ = kernels.cocycle_sums(
             "constant", ALPHA, 1.0, GOLDEN_FREQ, 0.0, np.array([]), cmat,
             np.array([0.1]), 64,
@@ -625,7 +614,7 @@ class TestKernel:
     def test_singular_constant_renormalizes_every_step(self):
         k = kernels.renormalization_intervals(
             "constant", ALPHA, np.ones(2), 0.0, np.array([]),
-            np.array([0, 1, 0, 0], dtype=complex),
+            np.array([[0, 1], [0, 0]], dtype=complex),
         )
         assert k.tolist() == [1, 1]
 
@@ -634,10 +623,9 @@ class TestKernel:
         # iterate restores the unit phase the kernel leaves out of btilde's p
         spec = CocycleSpec(kind="btilde", rho=rho)
         theta = 0.37
-        prod = Mat2.identity()
+        prod = np.eye(2)
         for k in range(20):
-            prod = evaluate_generator(spec, (theta + k * spec.freq) % 1.0) @ prod
+            prod = generator_values(spec, [(theta + k * spec.freq) % 1.0])[0] @ prod
         p, s = iterate(spec, theta, 20)
-        rec = reconstruct(p, s)
-        for a, b in zip(entries(rec), entries(prod)):
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+        rec = p * math.exp(s)
+        assert np.all(np.abs(rec - prod) <= 1e-9 * np.maximum(1.0, np.abs(prod)))

@@ -16,6 +16,7 @@ from jonq.maps import (
     apply_f,
     boxcount_rank,
     classify_orbit_closure,
+    cocycle_matrix,
     fixed_points,
     matrix_orbit_equivalence,
     orbit,
@@ -187,6 +188,13 @@ class TestMatrixCorrespondence:
     def test_expanding_radius_looser(self):
         q = PointP1xC(x=0.1 + 0.4j, y=4.0 * cmath.exp(0.3j))
         assert matrix_orbit_equivalence(P, q, 1000) < 1e-6
+
+    def test_two_step_generator_product_hand_oracle(self):
+        # A(beta y) A(y) with A(y) = [[alpha, y], [1, 1]], multiplied out by hand
+        a, b, y = P.alpha, P.beta, 0.3 + 0.1j
+        prod = cocycle_matrix(P, b * y) @ cocycle_matrix(P, y)
+        want = [[a * a + b * y, a * y + b * y], [a + 1, y + 1]]
+        assert np.allclose(prod, want, rtol=0, atol=1e-15)
 
 
 class TestSemiconjugacy:
