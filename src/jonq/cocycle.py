@@ -26,8 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .algebra import (
 )
 from ._kernels_py import generators, sqrt_branch_values
 from .backend import kernels
-from .errors import BranchFailure, Overflow, RadiusOne, SingularFactor
+from .errors import Overflow, RadiusOne, SingularFactor
 
 KINDS = (
     "jonquieres_a",
@@ -54,6 +53,36 @@ KINDS = (
 _ALPHA_KINDS = {"jonquieres_a", "jonquieres_b", "btilde"}
 
 
+def check_radii(kind: str, rhos) -> np.ndarray:
+    """The radii ``rhos`` of a ``kind`` cocycle as a float64 array, checked
+    in one pass: every radius is positive (NaN fails), and a ``btilde``
+    radius is not 1.  The error names the first radius that fails.
+
+    Nothing else about a btilde radius needs checking, because the branch
+    b of sqrt(alpha - y^2) that ``_kernels_py.sqrt_branch_values`` gives is
+    continuous and closes on every circle |y| = rho != 1.  It is the
+    principal root of 1 - w times sqrt(alpha), with w = y^2 / alpha, inside
+    the unit circle, and times i y, with w = alpha / y^2, outside.  Since
+    |alpha| = 1, |w| is rho^2 < 1 inside and rho^-2 < 1 outside, so 1 - w
+    has a positive real part and never meets the root's cut on the
+    negative axis: b is a continuous function of y, so it returns to its
+    value at theta = 0 as theta -> 1.  Then alpha - y^2 = b^2 winds 0 times
+    about 0 inside and twice (the factor y^2) outside.  The exponents read
+    only |b| = |alpha - y^2|^(1/2), which is the same on either branch.
+    """
+    rhos = np.asarray(rhos, dtype=np.float64)
+    # written so that NaN fails
+    bad = ~(rhos > 0.0)
+    if kind == "btilde":
+        bad |= rhos == 1.0
+    if bad.any():
+        rho = float(rhos[np.argmax(bad)])
+        if not rho > 0.0:
+            raise ValueError(f"rho must be positive, got {rho!r}")
+        raise RadiusOne(f"square-root normalization undefined at rho = {rho!r}")
+    return rhos
+
+
 @dataclass(frozen=True, eq=False)
 class CocycleSpec:
     """A generator family plus its parameters.
@@ -61,9 +90,9 @@ class CocycleSpec:
     ``alpha`` is only meaningful for the Jonquieres kinds, ``energy`` and
     ``potential`` (cosine coefficients: a0, a1, ...) for ``schrodinger``,
     ``matrix`` (any 2x2 array-like, kept as a read-only complex array) for
-    ``constant``.  Instances are validated on construction; a ``btilde``
-    spec additionally verifies that a continuous square-root branch of
-    alpha - y^2 closes up around its circle.
+    ``constant``.  Instances are validated on construction, the radius by
+    :func:`check_radii`, whose docstring shows why a ``btilde`` radius
+    other than 1 needs no branch check.
     """
 
     kind: str
@@ -77,16 +106,11 @@ class CocycleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown cocycle kind {self.kind!r}")
-        # written so that NaN fails each check
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
+        check_radii(self.kind, [self.rho])
         check_nonresonant(self.freq)
+        # written so that NaN fails
         if self.kind in _ALPHA_KINDS and not abs(abs(self.alpha) - 1.0) <= 1e-12:
             raise ValueError("|alpha| must equal 1 to 1e-12")
-        if self.kind == "btilde":
-            if self.rho == 1.0:
-                raise RadiusOne("square-root normalization undefined at rho = 1")
-            _verified_branch(self.alpha, self.rho)
         if self.kind == "constant" and self.matrix is None:
             raise ValueError("constant kind requires a matrix")
         if self.matrix is not None:
@@ -96,9 +120,6 @@ class CocycleSpec:
             matrix.flags.writeable = False
             object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "potential", tuple(float(c) for c in self.potential))
-
-    def with_rho(self, rho: float) -> "CocycleSpec":
-        return replace(self, rho=rho)
 
     def multiplier(self) -> complex:
         return cmath.exp(2j * math.pi * self.freq)
@@ -123,73 +144,6 @@ class LyapunovEstimate:
     @property
     def total_error(self) -> float:
         return self.stderr + abs(self.value - self.half_n_value)
-
-
-def sqrt_branch(spec: CocycleSpec, theta: float) -> complex:
-    """Continuous determination of sqrt(alpha - y(theta)^2) on the circle.
-
-    For rho < 1 the value alpha - y^2 winds 0 times around the origin, for
-    rho > 1 it winds twice; in both cases a global continuous square root
-    exists and is given in closed form.  Branch closure is verified once
-    per (alpha, rho) at spec construction.
-    """
-    if spec.rho == 1.0:
-        raise RadiusOne("square-root branch undefined at rho = 1")
-    y = spec.rho * cmath.exp(2j * math.pi * theta)
-    return complex(sqrt_branch_values(spec.alpha, spec.rho, y))
-
-
-def _tracked_branch(alpha: complex, rho: float, m: int) -> tuple[np.ndarray, int]:
-    """Track sqrt(alpha - y^2) around the circle by unwrapping the argument.
-
-    Returns the branch values on an (m+1)-point closed grid together with
-    the winding number of alpha - y^2 about 0.
-    """
-    theta = np.arange(m + 1) / m
-    w = alpha - (rho * np.exp(2j * np.pi * theta)) ** 2
-    if np.any(w == 0):
-        raise BranchFailure("alpha - y^2 vanishes on the circle")
-    phase = np.angle(w[0]) + np.concatenate(
-        ([0.0], np.cumsum(np.angle(w[1:] / w[:-1])))
-    )
-    winding = (phase[-1] - phase[0]) / (2.0 * math.pi)
-    s = np.sqrt(np.abs(w)) * np.exp(0.5j * phase)
-    return s, int(round(winding))
-
-
-@lru_cache(maxsize=128)
-def _verified_branch(alpha: complex, rho: float) -> int:
-    """Verify branch closure and consistency; returns the winding number.
-
-    Tracks the branch at 4096 grid points, doubling the resolution until
-    two successive refinements agree below 1e-6 max(1, rho) at shared
-    points, then checks closure (even winding) and agreement with the
-    closed form up to a global sign, to the same tolerance.  The branch
-    values grow like rho, so the tolerance is relative above rho = 1.
-    """
-    tol = 1e-6 * max(1.0, rho)
-    m = 4096
-    s_prev, winding = _tracked_branch(alpha, rho, m)
-    while True:
-        m *= 2
-        s_next, winding = _tracked_branch(alpha, rho, m)
-        if np.max(np.abs(s_next[::2] - s_prev)) < tol:
-            break
-        if m >= 1 << 20:
-            raise BranchFailure(
-                f"branch tracking did not stabilize (rho = {rho!r} too close to 1?)"
-            )
-        s_prev = s_next
-    if winding % 2 != 0:
-        raise BranchFailure(f"odd winding number {winding}: branch cannot close")
-    if abs(s_next[-1] - s_next[0]) > 1e-8 * max(1.0, abs(s_next[0])):
-        raise BranchFailure("tracked branch failed to close around the circle")
-    y = rho * np.exp(2j * np.pi * np.arange(m + 1) / m)
-    closed = sqrt_branch_values(alpha, rho, y)
-    dev = min(np.max(np.abs(closed - s_next)), np.max(np.abs(closed + s_next)))
-    if dev > tol:
-        raise BranchFailure("tracked branch disagrees with closed form")
-    return winding
 
 
 def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
@@ -310,7 +264,7 @@ def phase_values_many(
     """Per-phase (1/n) log Frobenius norms at n and n//2 for each radius in
     ``rhos``: two (len(rhos), samples) arrays, row r for radius rhos[r].
 
-    Every radius is validated as ``spec.with_rho(rho)`` and runs the same
+    The radii are checked by one :func:`check_radii` call and run the same
     phases, so rows pair phase by phase; all rows come from one kernel
     call.  The exponent does not depend on the matrix norm, so the
     Frobenius norm the kernel renormalizes by is the only one.
@@ -319,7 +273,7 @@ def phase_values_many(
         raise ValueError("n must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rhos = [spec.with_rho(float(rho)).rho for rho in rhos]
+    rhos = check_radii(spec.kind, rhos)
     thetas = phase_samples(samples, seed)
     s_half, s_full, _ = _cocycle_sums(
         spec, np.repeat(rhos, samples), np.tile(thetas, len(rhos)), n

@@ -23,11 +23,6 @@ class RadiusOne(JonqError):
     exit_code = 2
 
 
-class BranchFailure(JonqError):
-    """Square-root branch tracking failed to close or to stabilize under grid
-    refinement (radius too close to 1, or grid too coarse)."""
-
-
 class Overflow(JonqError):
     """A single generator value has Frobenius norm outside [1e-150, 1e150],
     or an orbit left the floating-point range."""

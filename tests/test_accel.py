@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestProfile:
         prof = lyapunov_profile(spec, grid, 300, 4, 2)
         assert len(kernel_calls) == 1
         for s, est in prof.points:
-            assert est == lyapunov(spec.with_rho(math.exp(s)), 300, 4, 2)
+            assert est == lyapunov(replace(spec, rho=math.exp(s)), 300, 4, 2)
 
     def test_fitted_slopes_nondecreasing(self):
         # convexity in ln rho: fitted segment slopes never decrease
@@ -78,7 +79,7 @@ def _reference_window(spec, rho, h, n, samples, seed):
     s = math.log(rho)
 
     def vals(t):
-        return lyapunov_phase_values(spec.with_rho(math.exp(t)), n, samples, seed)[1]
+        return lyapunov_phase_values(replace(spec, rho=math.exp(t)), n, samples, seed)[1]
 
     def slope(s_lo, s_hi):
         d = (vals(s_hi) - vals(s_lo)) / (s_hi - s_lo)
@@ -327,7 +328,7 @@ class TestUHClassify:
         radii = call[2].reshape(5, 4)
         assert len(set(call[2].tolist())) == 5 and np.all(radii[2] == 3.0)
         assert res.verdict == "NotUH" and res.regularity is None
-        assert res.estimate == lyapunov(spec.with_rho(3.0), 300, 4, 1)
+        assert res.estimate == lyapunov(replace(spec, rho=3.0), 300, 4, 1)
 
     def test_uh_path_makes_one_kernel_call(self, kernel_calls):
         spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
@@ -364,7 +365,7 @@ class TestRegimeClassify:
         spec = CocycleSpec(kind="schrodinger", energy=1.0, potential=())
         res = regime_classify(spec, n=300, samples=4, seed=0)
         assert len(kernel_calls) == 1
-        assert res.circle_estimate == lyapunov(spec.with_rho(1.0), 300, 4, 0)
+        assert res.circle_estimate == lyapunov(replace(spec, rho=1.0), 300, 4, 0)
         assert [s for s, _ in res.band_estimates] == list(np.linspace(-0.05, 0.05, 5))
 
     def test_requires_schrodinger(self):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -95,13 +96,19 @@ class TestLyapunovCommand:
                      "--freq", "0.5"] + FAST)
         assert rc == 2
 
-    def test_branch_failure_is_numeric_error(self, tmp_path):
-        # one ulp above the unit circle: the square-root branch cannot be
-        # tracked at double precision
-        rc, _ = run(tmp_path, "e2.csv",
-                    ["lyapunov", "--kind", "btilde",
-                     "--rho", "1.0000000000000002"] + FAST)
-        assert rc == 3
+    @pytest.mark.parametrize(
+        "rho", ["0.9999999", "1.0000001", "0.9999999999999999", "1.0000000000000002"]
+    )
+    def test_radius_next_to_one_runs(self, tmp_path, rho):
+        # 1 +- 1e-7 and one ulp either side: the square-root branch is
+        # defined off the unit circle, and L(btilde) = 0 there (Theorem A)
+        rc, out = run(tmp_path, "e2.csv",
+                      ["lyapunov", "--kind", "btilde", "--rho", rho,
+                       "--n", "20000", "--samples", "16"])
+        assert rc == 0
+        (row,) = csv.DictReader(out.read_text().splitlines()[1:])
+        assert row["rho"] == rho
+        assert abs(float(row["L"])) <= 3 * float(row["total_error"])
 
     def test_vanishing_product_is_numeric_error(self, capsys):
         # [[0, 1], [0, 0]] squares to zero: no NaN row is written

@@ -6,23 +6,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from jonq._kernels_py import sqrt_branch_values
 from jonq.algebra import GOLDEN_FREQ, default_alpha
 from jonq.backend import kernels
 from jonq.cocycle import (
     KINDS,
     CocycleSpec,
+    check_radii,
     generator_values,
     inverse_iterate,
     iterate,
     lyapunov,
+    lyapunov_many,
     lyapunov_phase_values,
     phase_samples,
-    sqrt_branch,
     two_step_limit_check,
-    _verified_branch,
 )
 from jonq.errors import (
-    BranchFailure,
     JonqError,
     Overflow,
     RadiusOne,
@@ -31,6 +31,11 @@ from jonq.errors import (
 )
 
 ALPHA = default_alpha()
+
+# radii next to the unit circle: 1 +- 1e-7 and one ulp either side
+NEXT_TO_ONE = (1 - 1e-7, 1 + 1e-7, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+# rho = exp(10^LOG_OFFSET_1E74) is 1e74
+LOG_OFFSET_1E74 = math.log10(math.log(1e74))
 
 
 def winding_number_oracle(alpha, rho, steps=4096):
@@ -88,6 +93,20 @@ class TestSpecs:
             CocycleSpec(kind="jonquieres_b", alpha=complex(math.nan, 0.0))
         with pytest.raises(ValueError):
             CocycleSpec(kind="jonquieres_b", rho=math.nan)
+        # a grid check raises what construction at its first bad radius
+        # raises, and names that radius
+        with pytest.raises(RadiusOne, match=r"rho = 1\.0"):
+            check_radii("btilde", [0.5, 1.0, -1.0])
+        with pytest.raises(ValueError, match=r"got -1\.0"):
+            check_radii("btilde", [0.5, -1.0, 1.0])
+        for rhos in ([2.0, 0.0], [2.0, math.nan]):
+            with pytest.raises(ValueError):
+                check_radii("jonquieres_b", rhos)
+        assert check_radii("jonquieres_b", [1.0, 2.0]).tolist() == [1.0, 2.0]
+        with pytest.raises(RadiusOne):
+            lyapunov_many(CocycleSpec(kind="btilde", rho=2.0), [0.5, 1.0], 100, 2, 0)
+        with pytest.raises(ValueError):
+            lyapunov_many(CocycleSpec(kind="jonquieres_b"), [1.0, -1.0], 100, 2, 0)
 
 
 class TestSqrtBranch:
@@ -97,14 +116,41 @@ class TestSqrtBranch:
 
     @pytest.mark.parametrize("rho", [0.5, 2.0])
     def test_branch_squares_and_closes(self, rho):
-        spec = CocycleSpec(kind="btilde", rho=rho)
-        for i in range(64):
-            theta = i / 64
-            s = sqrt_branch(spec, theta)
-            y = rho * cmath.exp(2j * math.pi * theta)
-            assert abs(s * s - (ALPHA - y * y)) < 1e-10
+        y = rho * np.exp(2j * np.pi * np.arange(64) / 64)
+        s = sqrt_branch_values(ALPHA, rho, y)
+        assert np.abs(s * s - (ALPHA - y * y)).max() < 1e-10
         # closure: theta -> 1^- approaches the value at 0
-        assert abs(sqrt_branch(spec, 1 - 1e-9) - sqrt_branch(spec, 0.0)) < 1e-6
+        ends = rho * np.exp(2j * np.pi * np.array([1 - 1e-9, 0.0]))
+        near_one, at_zero = sqrt_branch_values(ALPHA, rho, ends)
+        assert abs(near_one - at_zero) < 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_offset=st.floats(-12.0, LOG_OFFSET_1E74), outside=st.booleans())
+    @example(log_offset=-12.0, outside=False)
+    @example(log_offset=-12.0, outside=True)
+    @example(log_offset=LOG_OFFSET_1E74, outside=True)
+    def test_closed_form_branch_on_a_fine_grid(self, log_offset, outside):
+        # rho = exp(+-10^log_offset): from |ln rho| = 1e-12 up to rho = 1e74
+        # (and down to 1e-74).  The principal root of 1 - w, Re(1 - w) > 0,
+        # is continuous, so the branch closes.  The grid holds the phases
+        # where y^2 = alpha, closest to the unit circle's zero of alpha - y^2.
+        rho = math.exp(math.copysign(10.0 ** log_offset, 1.0 if outside else -1.0))
+        touch = np.angle(ALPHA) / (4 * np.pi) + np.array([0.0, 0.5])
+        thetas = np.concatenate((np.arange(2**14) / 2**14, touch % 1.0))
+        y = rho * np.exp(2j * np.pi * thetas)
+        b = sqrt_branch_values(ALPHA, rho, y)
+        scale = 1.0 + rho * rho  # |alpha| + |y|^2
+        assert np.abs(b * b - (ALPHA - y * y)).max() <= 1e-12 * scale
+        if rho < 1.0:
+            w, root = y * y / ALPHA, b / np.sqrt(ALPHA)
+        else:
+            w, root = ALPHA / (y * y), b / (1j * y)
+        assert (1.0 - w).real.min() > 0.0
+        assert root.real.min() > 0.0
+        (last,) = sqrt_branch_values(
+            ALPHA, rho, rho * np.exp(2j * np.pi * np.array([math.nextafter(1.0, 0.0)]))
+        )
+        assert abs(last - b[0]) <= 1e-12 * math.sqrt(scale)
 
     @pytest.mark.parametrize("rho", [0.5, 2.0])
     def test_det_of_normalized_generator(self, rho):
@@ -116,15 +162,18 @@ class TestSqrtBranch:
 
     @pytest.mark.parametrize("rho", [1e10, 1e40, 1e74])
     def test_large_radius_branch_verifies(self, rho):
-        # the branch values grow like rho, so the branch check tolerates
-        # 1e-6 * rho there; L(btilde) = 0 at every radius (Theorem A)
-        assert _verified_branch(ALPHA, rho) == 2
+        # alpha - y^2 winds twice however large rho is; L(btilde) = 0 at
+        # every radius (Theorem A)
+        assert winding_number_oracle(ALPHA, rho) == 2
         est = lyapunov(CocycleSpec(kind="btilde", rho=rho), 2000, 8, 0)
         assert abs(est.value) <= 3 * est.total_error
 
-    def test_radius_next_to_one_still_fails(self):
-        with pytest.raises(BranchFailure):
-            CocycleSpec(kind="btilde", rho=1 + 1e-7)
+    @pytest.mark.parametrize("rho", NEXT_TO_ONE)
+    def test_radius_next_to_one_has_zero_exponent(self, rho):
+        # Theorem A: L(btilde) = 0 at every radius other than 1, however
+        # close to it
+        est = lyapunov(CocycleSpec(kind="btilde", rho=rho), 20_000, 16, 0)
+        assert abs(est.value) <= 3 * est.total_error
 
 
 class TestIterate:
@@ -254,6 +303,15 @@ class TestLyapunov:
         assert a == b
         assert a.value != c.value
 
+    def test_batch_equals_per_radius_calls(self):
+        # btilde on both sides of the unit circle, two of them next to it
+        spec = CocycleSpec(kind="btilde", rho=2.0)
+        rhos = [1 - 1e-7, 0.5, 1 + 1e-7, 2.0]
+        batch = lyapunov_many(spec, rhos, 300, 4, 1)
+        for rho, est in zip(rhos, batch):
+            single = lyapunov(CocycleSpec(kind="btilde", rho=rho), 300, 4, 1)
+            assert repr(est) == repr(single)  # repr round-trips every float
+
     def test_squared_family_positive_regime(self):
         spec = CocycleSpec(kind="jonquieres_b", rho=4.0)
         est = lyapunov(spec, 4000, 16, 0)
@@ -316,8 +374,7 @@ def spec_kwargs(draw, unit_margin=0.01):
 
     ``btilde`` radii keep |ln rho| >= ``unit_margin``: its generator
     carries 1 / sqrt(alpha - y^2), which loses about eps / |rho^2 - 1| of
-    relative accuracy near the unit circle, and its branch check raises
-    BranchFailure within a few ulps of rho = 1.
+    relative accuracy near the unit circle.
     """
     kind = draw(st.sampled_from(PROPERTY_KINDS))
     rho = draw(st.floats(0.3, 3.0))
