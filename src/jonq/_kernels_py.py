@@ -309,7 +309,10 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         if btilde:
             terms = np.log(np.abs(alpha - y * y))
             terms[0] += logb
-            np.add.accumulate(terms, axis=0, out=terms)
+            # a one-step block (more than BLOCK_ENTRIES trajectories) is
+            # its own running sum
+            if steps > 1:
+                np.add.accumulate(terms, axis=0, out=terms)
             if start < half <= start + steps:
                 logb_half = terms[half - 1 - start].copy()
             logb = terms[-1].copy()

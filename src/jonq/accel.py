@@ -151,20 +151,19 @@ def radius_at(s: float, what: str) -> float:
 
 
 def _window_values(spec, rhos, h, n, samples, seed):
-    """The s-grids (s - h, s - h/2, s, s + h/2, s + h), s = ln(rho), of the
-    windows centred at each rho in ``rhos``, and the per-phase values at
-    n // 2 and n at their radii, from one kernel call: rows 5i to 5i + 4
-    belong to window i.  The centre radius is rho itself, the others
-    exp(s +- h) and exp(s +- h/2)."""
+    """The s-grids (s - h, s, s + h), s = ln(rho), of the windows centred at
+    each rho in ``rhos``, and the per-phase values at n // 2 and n at their
+    radii, from one kernel call: rows 3i to 3i + 2 belong to window i.  The
+    centre radius is rho itself, the others exp(s - h) and exp(s + h)."""
     if not h > 0:  # NaN fails too
         raise ValueError("h must be positive")
     grids, radii = [], []
     for rho in rhos:
         s = math.log(rho)
         _guard_sides(spec, s, h)
-        grids.append((s - h, s - h / 2, s, s + h / 2, s + h))
-        lo, lo2, hi2, hi = (radius_at(s + d, f"h = {h!r}") for d in (-h, -h / 2, h / 2, h))
-        radii += [lo, lo2, rho, hi2, hi]
+        grids.append((s - h, s, s + h))
+        lo, hi = (radius_at(s + d, f"h = {h!r}") for d in (-h, h))
+        radii += [lo, rho, hi]
     half_values, values = phase_values_many(spec, radii, n, samples, seed)
     return grids, half_values, values
 
@@ -178,48 +177,45 @@ def acceleration_windows(
     seed: int = 0,
 ) -> list[tuple[AccelerationEstimate, RegularityResult]]:
     """Acceleration and regularity at each centre s = ln(rho), rho in
-    ``rhos``, from one evaluation of the five radii exp(s - h),
-    exp(s - h/2), rho, exp(s + h/2) and exp(s + h) per centre, all in
-    one kernel call.
+    ``rhos``, from one evaluation of the three radii exp(s - h), rho and
+    exp(s + h) per centre, all in one kernel call.
 
-    Acceleration: omega = -(L(s) - L(s - h)) / h, with steps h and h/2;
-    when they disagree by more than 0.02 the Richardson-extrapolated value
-    2*omega(h/2) - omega(h) is reported.
+    Acceleration: omega = -(L(s) - L(s - h)) / h, the negated left
+    difference quotient, with the paired standard error of that slope.  L
+    is convex and piecewise affine in s with integer slopes (Avila's global
+    theory), so away from a kink the quotient is exact up to estimator
+    noise.  A window whose centre sits on a kink (L = |ln rho| at rho = 1)
+    reports the left slope there.
 
     Regularity: the one-sided s-slopes agree within twice the estimator
-    error, which combines the paired-sample standard errors, the h vs h/2
-    structural differences, and an O(h) discretization allowance.
+    error, which adds the two paired-sample standard errors and an O(h)
+    discretization allowance h/2.
     """
     grids, _, values = _window_values(spec, rhos, h, n, samples, seed)
-    return [_window_result(grid, values[5 * i : 5 * i + 5], h)
+    return [_window_result(grid, values[3 * i : 3 * i + 3], h)
             for i, grid in enumerate(grids)]
 
 
 def _window_result(grid, values, h):
-    """The acceleration and regularity of one five-radius window: ``values``
-    holds the phase values at the radii exp(grid[0]) ... exp(grid[4])."""
-    lo, lo2, mid, hi2, hi = values
-    s = grid[2]
+    """The acceleration and regularity of one three-radius window:
+    ``values`` holds the phase values at the radii exp(grid[0]),
+    exp(grid[1]) and exp(grid[2])."""
+    lo, mid, hi = values
+    s = grid[1]
     left, le = _paired_slope(lo, mid, grid[0], s)
-    left2, le2 = _paired_slope(lo2, mid, grid[1], s)
-    right, re_ = _paired_slope(mid, hi, s, grid[4])
-    right2, _ = _paired_slope(mid, hi2, s, grid[3])
+    right, re_ = _paired_slope(mid, hi, s, grid[2])
 
-    omega_h, omega_h2 = -left, -left2
-    if abs(omega_h - omega_h2) > 0.02:
-        omega, h_used, err = 2 * omega_h2 - omega_h, h / 2, le + 2 * le2
-    else:
-        omega, h_used, err = omega_h, h, le
+    omega = -left
     nearest = int(round(omega))
     accel = AccelerationEstimate(
         omega=omega,
         nearest_integer=nearest,
         distance=abs(omega - nearest),
-        h=h_used,
-        stderr=err,
+        h=h,
+        stderr=le,
     )
 
-    slope_err = le + re_ + abs(left - left2) + abs(right - right2) + h / 2
+    slope_err = le + re_ + h / 2
     regularity = RegularityResult(
         regular=abs(left - right) <= 2.0 * slope_err,
         left_slope=left,
@@ -370,12 +366,12 @@ def uh_classify(
     UH requires a positive exponent at 3x resolution plus a Regular
     profile; an exponent at zero within resolution is NotUH; anything else
     is Undetermined.  The exponent is read at the centre (rho itself) of
-    the five-radius window that gives the regularity, all in one kernel
+    the three-radius window that gives the regularity, all in one kernel
     call.
     """
     _require_unimodular(spec)
     (grid,), half_values, values = _window_values(spec, [rho], h, n, samples, seed)
-    est = estimate_from_phase_values(half_values[2], values[2], n)
+    est = estimate_from_phase_values(half_values[1], values[1], n)
     if est.value <= 3.0 * est.total_error:
         return UHResult(verdict="NotUH", estimate=est, regularity=None)
     _, reg = _window_result(grid, values, h)

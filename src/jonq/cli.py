@@ -163,7 +163,7 @@ def _cmd_accel(args) -> str:
          reg.left_slope, reg.right_slope, int(reg.regular), est.stderr, est.h]
         for (_, rho), (est, reg) in zip(grid, windows)
     ]
-    # h_used is h, or h / 2 where the Richardson step fired
+    # h_used is the window's step h on every row
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag", "stderr", "h_used"]
     return _rows_document(args, header, rows)

@@ -86,17 +86,12 @@ def _reference_window(spec, rho, h, n, samples, seed):
         return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(len(d)))
 
     left, le = slope(s - h, s)
-    left2, le2 = slope(s - h / 2, s)
     right, re_ = slope(s, s + h)
-    right2, _ = slope(s, s + h / 2)
-    if abs(left - left2) > 0.02:
-        omega, h_used, err = -2 * left2 + left, h / 2, le + 2 * le2
-    else:
-        omega, h_used, err = -left, h, le
+    omega = -left
     nearest = int(round(omega))
-    slope_err = le + re_ + abs(left - left2) + abs(right - right2) + h / 2
+    slope_err = le + re_ + h / 2
     return (
-        AccelerationEstimate(omega, nearest, abs(omega - nearest), h_used, err),
+        AccelerationEstimate(omega, nearest, abs(omega - nearest), h, le),
         RegularityResult(abs(left - right) <= 2.0 * slope_err, left, right, slope_err),
     )
 
@@ -113,14 +108,29 @@ class TestWindow:
         assert acceleration_at(*args) == accel
         assert regularity_check(*args) == reg
 
-    def test_one_kernel_call_for_five_radii(self, kernel_calls):
+    def test_one_kernel_call_for_three_radii(self, kernel_calls):
         spec = CocycleSpec(kind="btilde", rho=2.0)
         acceleration_windows(spec, [2.0], n=200, samples=4)
         (call,) = kernel_calls
         rho, thetas = call[2], call[7]
-        assert len(set(rho.tolist())) == 5 and len(thetas) == 5 * 4
+        assert len(set(rho.tolist())) == 3 and len(thetas) == 3 * 4
         # the same phases at every radius, so slopes pair phase by phase
-        assert np.all(thetas.reshape(5, 4) == thetas[:4])
+        assert np.all(thetas.reshape(3, 4) == thetas[:4])
+
+    def test_kink_reports_the_left_slope(self):
+        # L = |ln rho| has its kink at rho = 1, the window's centre: omega
+        # is the negated left slope, 1, not the right one.  At finite n,
+        # L_n(1) = ln 2 / 2n (A_n is a diagonal of unit entries) and
+        # L_n(exp(-h)) = h up to exp(-4nh), so omega = 1 - ln 2 / (2nh)
+        n, h = FAST["n"], 0.02
+        ((accel, reg),) = acceleration_windows(
+            CocycleSpec(kind="diagonal_power"), [1.0], h, **FAST
+        )
+        assert accel.h == h
+        assert abs(accel.omega - 1.0) <= 2.0 * (accel.stderr + h / 2)
+        assert accel.omega == pytest.approx(1.0 - math.log(2.0) / (2 * n * h), abs=1e-12)
+        assert accel.nearest_integer == 1
+        assert not reg.regular
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -133,7 +143,7 @@ class TestWindow:
         rhos = [0.5, 0.6, 2.0, 3.0]
         windows = acceleration_windows(spec, rhos, n=300, samples=4, seed=2)
         assert len(kernel_calls) == 1
-        assert len(set(kernel_calls[0][2].tolist())) == 5 * len(rhos)
+        assert len(set(kernel_calls[0][2].tolist())) == 3 * len(rhos)
         assert windows == [acceleration_windows(spec, [rho], n=300, samples=4, seed=2)[0]
                            for rho in rhos]
 
@@ -325,8 +335,8 @@ class TestUHClassify:
         spec = CocycleSpec(kind="btilde", rho=3.0)
         res = uh_classify(spec, 3.0, n=300, samples=4, seed=1)
         (call,) = kernel_calls
-        radii = call[2].reshape(5, 4)
-        assert len(set(call[2].tolist())) == 5 and np.all(radii[2] == 3.0)
+        radii = call[2].reshape(3, 4)
+        assert len(set(call[2].tolist())) == 3 and np.all(radii[1] == 3.0)
         assert res.verdict == "NotUH" and res.regularity is None
         assert res.estimate == lyapunov(replace(spec, rho=3.0), 300, 4, 1)
 

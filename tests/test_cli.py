@@ -143,6 +143,8 @@ class TestLyapunovCommand:
 
 class TestAccelCommand:
     def test_columns_and_values(self, tmp_path):
+        from jonq.accel import DEFAULT_H
+
         rc, out = run(
             tmp_path, "f.csv",
             ["accel", "--kind", "diagonal_power", "--rho", "1.0",
@@ -158,7 +160,7 @@ class TestAccelCommand:
         assert int(row[2]) == 1
         assert row[6] == "0"  # kinked at rho = 1: not regular
         assert 0.0 <= float(row[7]) < 0.05
-        assert float(row[8]) in (0.02, 0.01)  # h, or h / 2 after Richardson
+        assert float(row[8]) == DEFAULT_H  # h_used is h, at every row
 
     def test_requested_rho_is_exact(self, tmp_path):
         rc, out = run(
@@ -178,7 +180,7 @@ class TestAccelCommand:
         assert len(out.read_text().splitlines()) == 2 + 3
         (call,) = kernel_calls
         rho, thetas = call[2], call[7]
-        assert len(set(rho.tolist())) == 5 * 3 and len(thetas) == 5 * 3 * 4
+        assert len(set(rho.tolist())) == 3 * 3 and len(thetas) == 3 * 3 * 4
 
     def test_btilde_grid_off_unit_radius(self, tmp_path):
         rc, out = run(tmp_path, "f4.csv",

@@ -584,6 +584,23 @@ class TestKernel:
             assert part.shape == want.shape and part.tobytes() == want.tobytes()
             assert np.all(np.isfinite(part))
 
+    def test_one_step_blocks_equal_per_radius_calls(self):
+        # 65 radii x 64 phases is more than BLOCK_ENTRIES trajectories, so
+        # the batch fills one step per block and btilde's running log sum
+        # is added step by step; one radius alone (64 trajectories) fills
+        # 64-step blocks and accumulates them
+        rhos, thetas, n = np.geomspace(0.3, 3.0, 65), phase_samples(64, 3), 40
+        assert 1.0 not in rhos and len(rhos) * len(thetas) > kernels.BLOCK_ENTRIES
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        batch = kernel_call("btilde", rho, phases, n)
+        singles = [kernel_call("btilde", r, thetas, n) for r in rhos]
+        for i, part in enumerate(batch):
+            want = np.concatenate([single[i] for single in singles])
+            assert part.shape == want.shape and part.tobytes() == want.tobytes()
+        want = kernel_call("btilde", rho, phases, n, call=every_step_products)
+        assert np.max(np.abs(batch[1] - want[1])) / n <= 1e-12
+        assert np.max(np.abs(batch[0] - want[0])) / (n // 2) <= 1e-12
+
     @pytest.mark.parametrize("kind,rho,interval", [
         ("jonquieres_a", 1.0, 1),  # det = alpha - y can vanish
         ("jonquieres_a", 1.5, 8),
