@@ -56,7 +56,10 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
         out[:] = np.reshape(cmat, (2, 2) + (1,) * y.ndim)
     elif kind in ("jonquieres_a", "jonquieres_b"):
         out[0, 0] = alpha
-        out[0, 1] = y if kind == "jonquieres_a" else y * y
+        if kind == "jonquieres_a":
+            out[0, 1] = y
+        else:
+            np.multiply(y, y, out=out[0, 1])
         out[1] = 1.0
     elif kind == "btilde":
         # the jonquieres_b generator divided by the branch
@@ -88,8 +91,9 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
         raise ValueError(f"unknown kind {kind!r}")
 
 
-# generator entries are filled for this many trajectory-steps at a time:
-# 64 KB per complex array, whatever the number of trajectories
+# a pass of cocycle_sums runs up to this many columns (trajectories times
+# chunks, and at least one chunk), and generator entries are filled for
+# this many column-steps at a time: 64 KB per complex array
 BLOCK_ENTRIES = 4096
 # between two renormalizations a product's Frobenius norm stays inside
 # [1e-150, 1e150], so the squared entries that make up the norm stay
@@ -218,8 +222,9 @@ def unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals):
 
 
 def _renormalize(p, a, s):
-    """Divide each product in ``p`` (2, 2, m) by its Frobenius norm and
-    add the log of that norm to ``s``; ``a`` is a (2, 2, m) buffer."""
+    """Divide each product in ``p`` (2, 2, ...) by its Frobenius norm and
+    add the log of that norm to ``s`` (shaped like p[0, 0]); ``a`` is a
+    real buffer of p's shape."""
     np.abs(p, out=a)
     a *= a
     nrm = np.sqrt(a[0, 0] + a[0, 1] + a[1, 0] + a[1, 1])
@@ -229,6 +234,21 @@ def _renormalize(p, a, s):
     p *= 1.0 / nrm
 
 
+def chunk_bounds(n):
+    """Step boundaries of the chunks that ``cocycle_sums`` runs from the
+    identity: [0, n // 2) and [n // 2, n) are each split evenly into
+    min(8, length // 128) chunks, and a half shorter than 256 steps is one
+    chunk.  So a chunk has at least 128 steps or is a whole half, n // 2
+    is a boundary whenever n >= 2, and n = 2e4 runs 16 chunks of 1250."""
+    half = n // 2
+    bounds = [0]
+    for lo, hi in ((0, half), (half, n)):
+        if hi > lo:
+            count = min(8, max(1, (hi - lo) // 128))
+            bounds += [lo + (hi - lo) * i // count for i in range(1, count + 1)]
+    return bounds
+
+
 def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     """Renormalized n-step products of the ``kind`` family (a name in
     ``cocycle.KINDS``), one trajectory per starting phase in ``thetas``.
@@ -236,31 +256,59 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     ``rho`` is a scalar or one radius per trajectory, so one call can carry
     several radii.  Returns ``(s_half, s_full, p_full)`` where the n-step
     product equals exp(s_full) * p_full with p_full Frobenius-normalized;
-    s_half is the log-norm sum recorded at step n // 2.  Each trajectory's
-    numbers depend only on its own phase and radius, so a batch of radii
-    returns, bit for bit, what one call per radius returns.
+    s_half is the log-norm sum of the product of the first n // 2 steps.
 
+    * Chunks.  By the cocycle property
+      A_n(theta) = A_(n-t)(theta + t freq) A_t(theta), the run is cut into
+      the step ranges of ``chunk_bounds(n)`` (16 chunks of 1250 steps at
+      n = 2e4; n // 2 is always a boundary).  Every chunk of every
+      trajectory runs from the identity, side by side with the others as
+      extra columns of one per-step loop (``chunk_products``).  The
+      normalized chunk products are then multiplied into a running product
+      in step order, which renormalizes after each; s_half is its sum after
+      the first half's chunks.
+    * Passes.  A pass runs as many chunks as fit in BLOCK_ENTRIES = 4096
+      columns (trajectories times chunks), and at least one, and is folded
+      into the running product as soon as it ends.  So 192 trajectories at
+      n = 2e4 run one pass of 1250 steps, and more than 4096 trajectories
+      run one chunk per pass, n steps in all, with the work and memory of
+      an unchunked loop.
+    * Each trajectory's numbers depend only on its own phase, radius and
+      n, so a batch of radii returns, bit for bit, what one call per radius
+      returns.  The chunks, the steps at which a chunk renormalizes and the
+      fold order are functions of n and the trajectory alone; the passes
+      only decide which columns run side by side, and every operation is
+      elementwise over the columns (btilde's log terms are summed by
+      running sums, never by a reduction whose grouping depends on the
+      block length).
     * exp(2 pi i phase) is computed once per distinct starting phase and
-      step, and scaled by each trajectory's radius.
+      step, and scaled by each trajectory's radius.  Step j's phase is
+      thetas + j * freq reduced mod 1, with j the step's index in the whole
+      run, whichever chunk runs it.
     * Generator entries are filled (by ``generator_entries``) for blocks of
-      steps of at most BLOCK_ENTRIES = 4096 trajectory-steps, so the
-      per-step loop runs the 2x2 product alone.
-    * A trajectory renormalizes every k steps, k from
-      ``renormalization_intervals``: a closed-form bound on the generators
-      keeps every unnormalized stretch inside [1e-150, 1e150].  At
-      rho = 1, where det A = alpha - y^w vanishes somewhere on the circle,
-      a jonquieres trajectory takes its k from the smallest |det A| over
-      its own n steps (``unit_circle_intervals``).  k is 1 where the
-      shrinkage cannot be bounded (a singular constant, or y_j^w = alpha
-      up to rounding at some step j < n at rho = 1) or the growth is too
-      large (jonquieres_b at rho = 1e75).  Every trajectory also
-      renormalizes at n // 2 and at n.
-      Trajectories are grouped by k, so a k = 1 group renormalizes alone.
+      steps of at most BLOCK_ENTRIES entries, one step when a pass has more
+      columns, so the per-step loop runs the 2x2 product alone.
+    * A chunk renormalizes every k of its own steps, counted from its
+      start, k from ``renormalization_intervals``: a closed-form bound on
+      the generators keeps every unnormalized stretch inside
+      [1e-150, 1e150].  At rho = 1, where det A = alpha - y^w vanishes
+      somewhere on the circle, a jonquieres trajectory takes its k from
+      the smallest |det A| over its own n steps
+      (``unit_circle_intervals``).  k is 1 where the shrinkage cannot be
+      bounded (a singular constant, or y_j^w = alpha up to rounding at
+      some step j < n at rho = 1) or the growth is too large
+      (jonquieres_b at rho = 1e75).  Every chunk also renormalizes at its
+      end.  Trajectories are grouped by k, so a k = 1 group renormalizes
+      alone.
     * btilde runs on the jonquieres_b matrices: B~ = B / b with
-      |b| = |alpha - y^2|^(1/2) on either branch, so its s is the
-      jonquieres_b s minus 1/2 sum_k ln|alpha - y_k^2|.  Its p is the
-      jonquieres_b direction, which is the btilde p times the unit phase
-      prod_k b_k / |b_k|; ``cocycle.iterate`` divides that phase out.
+      |b| = |alpha - y^2|^(1/2) on either branch, so a chunk's s is the
+      jonquieres_b s minus 1/4 of the running sum, in step order, of
+      ln|alpha - y_k^2|^2 over its steps.  With a = arg(alpha) / 2 pi,
+      |alpha - y^2|^2 = (|alpha| - rho^2)^2 + 4 |alpha| rho^2 sin^2(pi (2 phase - a)),
+      which has no cancellation near y^2 = alpha and needs one sine per
+      distinct phase and step.  Its p is the jonquieres_b direction, which
+      is the btilde p times the unit phase prod_k b_k / |b_k|;
+      ``cocycle.iterate`` divides that phase out.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     m = len(thetas)
@@ -269,73 +317,128 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         rho = np.full(m, float(rho))
     elif rho.shape != (m,):
         raise ValueError(f"rho has shape {rho.shape}, want a scalar or ({m},)")
+    intervals = renormalization_intervals(kind, alpha, rho, energy, potential, cmat)
+    intervals = unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals)
+    order = np.argsort(intervals, kind="stable")
+    thetas, rho, intervals = thetas[order], rho[order], intervals[order]
+    half = n // 2
+    # the running product, over the chunks folded in so far
+    p = np.zeros((2, 2, m), dtype=np.complex128)
+    p[0, 0] = 1.0
+    p[1, 1] = 1.0
+    s = np.zeros(m)
+    s_half = np.full(m, 0.5 * np.log(2.0))
+    bounds = chunk_bounds(n)
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    per_pass = max(1, BLOCK_ENTRIES // max(1, m))
+    for first in range(0, len(chunks), per_pass):
+        # longest first, as chunk_products wants them
+        group = sorted(chunks[first:first + per_pass], key=lambda c: c[0] - c[1])
+        chunk_p, chunk_s = chunk_products(
+            kind, alpha, rho, freq, energy, potential, cmat, thetas, intervals, group
+        )
+        # fold the pass in, in step order, with the step loop's product
+        for i in sorted(range(len(group)), key=lambda i: group[i][0]):
+            g = chunk_p[:, :, i]
+            p = g[:, 0, None] * p[0] + g[:, 1, None] * p[1]
+            s += chunk_s[i]
+            _renormalize(p, np.empty(p.shape), s)
+            if group[i][1] == half:
+                s_half = s.copy()
+    back = np.empty_like(order)
+    back[order] = np.arange(m)
+    return s_half[back], s[back], p[..., back].transpose(2, 0, 1)
+
+
+def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
+                   intervals, chunks):
+    """The step ranges ``chunks`` [(lo, hi), ...], longest first, of every
+    trajectory, each run from the identity and renormalized as
+    ``cocycle_sums`` describes, side by side: one pass of its loop.
+
+    The trajectories (``thetas``, ``rho``) come sorted by their
+    renormalization ``intervals``.  Returns ``(p, s)``: exp(s[h]) p[:, :, h]
+    is chunk h's product, with p[:, :, h] (shape (2, 2, m))
+    Frobenius-normalized; for btilde it is the jonquieres_b direction, as
+    in ``cocycle_sums``.
+    """
     btilde = kind == "btilde"
     family = "jonquieres_b" if btilde else kind
+    starts, inverse = np.unique(thetas, return_inverse=True)
     # sorted by interval, the trajectories renormalized after c steps are a
     # prefix: those whose k divides c, that is k <= the power of 2 in c.
     # ends[c % 8] is that prefix's length: k <= 8 when 8 divides c, k <= 4
     # when c = 4 mod 8, k <= 2 when c = 2 or 6 mod 8, and k = 1 otherwise
-    intervals = renormalization_intervals(kind, alpha, rho, energy, potential, cmat)
-    intervals = unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals)
-    order = np.argsort(intervals, kind="stable")
-    ends = np.searchsorted(
-        intervals[order], [8, 1, 2, 1, 4, 1, 2, 1], side="right"
-    ).tolist()
-    thetas, rho = thetas[order], rho[order]
-    starts, inverse = np.unique(thetas, return_inverse=True)
-    half = n // 2
-    # p[i, j] is entry (i, j) of every trajectory's product
-    p = np.zeros((2, 2, m), dtype=np.complex128)
+    ends = np.searchsorted(intervals, [8, 1, 2, 1, 4, 1, 2, 1], side="right").tolist()
+    if btilde:
+        r = abs(alpha)
+        offset, scale = (r - rho * rho) ** 2, 4.0 * r * rho * rho
+        shift = cmath.phase(alpha) / (2.0 * math.pi)
+    lo = np.array([chunk[0] for chunk in chunks])
+    lengths = [hi - start for start, hi in chunks]
+    c, m = len(lengths), len(rho)
+    # p[i, j, h] is entry (i, j) of every trajectory's chunk h; since the
+    # chunks come longest first, those still running are a prefix of h
+    p = np.zeros((2, 2, c, m), dtype=np.complex128)
     p[0, 0] = 1.0
     p[1, 1] = 1.0
     q = np.empty_like(p)
     t = np.empty_like(p)
-    a = np.empty((2, 2, m))
-    s = np.zeros(m)
-    s_half = np.full(m, 0.5 * np.log(2.0))
-    # btilde: running sums of ln|alpha - y_k^2|, in step order
-    logb = np.zeros(m)
-    logb_half = np.zeros(m)
-    block = max(1, BLOCK_ENTRIES // max(1, m))
-    g = np.empty((2, 2, block, m), dtype=np.complex128)
-    for start in range(0, n, block):
-        steps = min(block, n - start)
+    a = np.empty(p.shape)
+    s = np.zeros((c, m))
+    # btilde: running sums of ln|alpha - y_k^2|^2, in step order
+    logb = np.zeros((c, m))
+    block = max(1, BLOCK_ENTRIES // max(1, c * m))
+    g = np.empty((2, 2, block, c, m), dtype=np.complex128)
+    done, live = 0, c
+    while live:
+        # a block ends at every chunk end
+        stop = min(done + block, lengths[live - 1])
+        steps = stop - done
         # x - floor(x) is np.mod(x, 1.0) to the bit, at a fifth of the cost
-        phases = starts + (np.arange(start, start + steps) * freq)[:, None]
+        phases = starts + ((lo[:live] + np.arange(done, stop)[:, None]) * freq)[..., None]
         phases -= np.floor(phases)
-        y = rho * np.exp(2j * np.pi * phases)[:, inverse]
-        gb = g[:, :, :steps]
+        y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
+        y *= rho
+        gb = g[:, :, :steps, :live]
         generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
         if btilde:
-            terms = np.log(np.abs(alpha - y * y))
-            terms[0] += logb
-            # a one-step block (more than BLOCK_ENTRIES trajectories) is
-            # its own running sum
+            sine = np.sin(np.pi * (2.0 * phases - shift))
+            sine *= sine
+            terms = sine.take(inverse, axis=-1)
+            terms *= scale
+            terms += offset
+            np.log(terms, out=terms)
+            terms[0] += logb[:live]
+            # a one-step block is its own running sum
             if steps > 1:
                 np.add.accumulate(terms, axis=0, out=terms)
-            if start < half <= start + steps:
-                logb_half = terms[half - 1 - start].copy()
-            logb = terms[-1].copy()
-        # column j of every generator, as (2, steps, m)
+            logb[:live] = terms[-1]
+        # column j of every generator, as (2, steps, live, m)
         col0, col1 = gb[:, 0], gb[:, 1]
+        pv, qv, tv = p[:, :, :live], q[:, :, :live], t[:, :, :live]
         for j in range(steps):
             # q[i, l] = g[i, 0] * p[0, l] + g[i, 1] * p[1, l]
-            np.multiply(col0[:, j, None], p[0], out=q)
-            np.multiply(col1[:, j, None], p[1], out=t)
-            q += t
-            p, q = q, p
-            c = start + j + 1
-            e = m if c == half or c == n else ends[c % 8]
-            if e:
-                _renormalize(p[..., :e], a[..., :e], s[:e])
-            if c == half:
-                s_half = s.copy()
+            np.multiply(col0[:, j, None], pv[0], out=qv)
+            np.multiply(col1[:, j, None], pv[1], out=tv)
+            qv += tv
+            p, q, pv, qv = q, p, qv, pv
+            count = done + j + 1
+            running = live
+            if count == lengths[live - 1]:
+                # the chunks that end here renormalize in full, and both
+                # buffers keep their product, which no later step touches
+                running = lengths.index(count)
+                _renormalize(pv[:, :, running:], a[:, :, running:live], s[running:live])
+                q[:, :, running:live] = p[:, :, running:live]
+            e = ends[count % 8]
+            if e and running:
+                _renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
+                             s[:running, :e])
+        done, live = stop, running
     if btilde:
-        s = s - 0.5 * logb
-        s_half = s_half - 0.5 * logb_half
-    back = np.empty_like(order)
-    back[order] = np.arange(m)
-    return s_half[back], s[back], p[..., back].transpose(2, 0, 1)
+        s -= 0.25 * logb
+    return p, s
 
 
 def orbit_points(which, alpha, beta, x_num, x_den, y0, n):

@@ -66,6 +66,15 @@ class AffineFit:
 
 @dataclass(frozen=True)
 class AccelerationEstimate:
+    """The acceleration omega of one window and its nearest integer.
+
+    ``stderr`` is the phase-sampling standard error of omega, the left
+    difference quotient, alone.  It leaves out the finite-n bias of that
+    quotient (1 - ln 2 / (2 n h) in place of 1 on the kink of
+    ``diagonal_power`` at rho = 1); the regularity check's
+    ``slope_error`` adds h / 2 for it.
+    """
+
     omega: float
     nearest_integer: int
     distance: float
@@ -199,7 +208,11 @@ def acceleration_windows(
 def _window_result(grid, values, h):
     """The acceleration and regularity of one three-radius window:
     ``values`` holds the phase values at the radii exp(grid[0]),
-    exp(grid[1]) and exp(grid[2])."""
+    exp(grid[1]) and exp(grid[2]).
+
+    omega's ``stderr`` is the phase-sampling error of the left slope only,
+    without the finite-n bias of the difference quotient; ``slope_error``
+    is both slopes' sampling errors plus h / 2 for that bias."""
     lo, mid, hi = values
     s = grid[1]
     left, le = _paired_slope(lo, mid, grid[0], s)

@@ -448,6 +448,8 @@ class TestProperties:
             rhos = data.draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=4))
         thetas = np.array(data.draw(st.lists(phases, min_size=1, max_size=5)))
         n = data.draw(st.integers(1, 60))
+        # each half of the run is a chunk, so n >= 2 runs two
+        assert len(kernels.chunk_bounds(n)) - 1 == min(n, 2)
         potential = np.array([0.3, 1.2])
         cmat = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
 
@@ -468,10 +470,12 @@ class TestProperties:
                                  0.0, np.array([]), None, np.zeros(2), 4)
 
 
-def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
+def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas, n,
+                        first=0):
     """The reference kernel: the true generator of ``kind`` (btilde with
     its square-root branch) multiplied in at every step, and the product
-    renormalized after every step."""
+    renormalized after every step.  It runs the steps first, ..., first +
+    n - 1, with the phases thetas + step * freq."""
     m = len(thetas)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (m,))
     p = np.zeros((2, 2, m), dtype=np.complex128)
@@ -481,7 +485,7 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     # at n = 1 the half-way product is the identity, as in the kernel
     s_half = s + 0.5 * np.log(2.0)
     for k in range(n):
-        phases = np.mod(thetas + k * freq, 1.0)
+        phases = np.mod(thetas + (first + k) * freq, 1.0)
         g = kernels.generators(kind, alpha, rho, energy, potential, cmat, phases)
         p = np.einsum("mij,jkm->ikm", g, p)
         nrm = np.sqrt((np.abs(p) ** 2).sum(axis=(0, 1)))
@@ -543,17 +547,20 @@ def unit_circle_batches(draw):
     return kind, n, radii, thetas
 
 
+REFERENCE_CASES = [
+    ("jonquieres_a", [0.5, 1.0, 2.0]),
+    # rho = 1e75 renormalizes every step, 1e20 every 2, the others every 8
+    # (rho = 1 too, at phases that stay off det A = 0)
+    ("jonquieres_b", [0.5, 1.0, 2.0, 1e20, 1e75]),
+    ("btilde", [0.5, 0.9, 1.1, 2.0]),
+    ("schrodinger", [0.5, 1.0, 2.0]),
+    ("diagonal_power", [0.5, 1.0, 2.0]),
+    ("constant", [1.0]),
+]
+
+
 class TestKernel:
-    @pytest.mark.parametrize("kind,rhos", [
-        ("jonquieres_a", [0.5, 1.0, 2.0]),
-        # rho = 1e75 renormalizes every step, 1e20 every 2, the others
-        # (rho = 1 too, at these phases) every 8
-        ("jonquieres_b", [0.5, 1.0, 2.0, 1e20, 1e75]),
-        ("btilde", [0.5, 0.9, 1.1, 2.0]),
-        ("schrodinger", [0.5, 1.0, 2.0]),
-        ("diagonal_power", [0.5, 1.0, 2.0]),
-        ("constant", [1.0]),
-    ])
+    @pytest.mark.parametrize("kind,rhos", REFERENCE_CASES)
     def test_matches_every_step_reference(self, kind, rhos):
         # sparse renormalization and btilde through the jonquieres_b
         # matrices move L (full and half) by at most 1e-12
@@ -565,6 +572,84 @@ class TestKernel:
         assert np.max(np.abs(s_half - want[0])) / (n // 2) <= 1e-12
         # the directions agree up to a unit phase (btilde's is prod b / |b|)
         assert np.max(np.abs(np.abs(p_full) - np.abs(want[2]))) < 1e-9
+
+    @pytest.mark.parametrize("kind,rhos", REFERENCE_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 2001])
+    def test_matches_every_step_reference_at_chunk_remainders(self, kind, rhos, n):
+        # odd halves, and chunks of two lengths in one pass (n = 2001 runs
+        # 7 chunks of 142 or 143 steps, then 7 of 143)
+        thetas = phase_samples(3, 11)
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        s_half, s_full, p_full = kernel_call(kind, rho, phases, n)
+        want = kernel_call(kind, rho, phases, n, call=every_step_products)
+        assert np.max(np.abs(s_full - want[1])) / n <= 1e-12
+        assert np.max(np.abs(s_half - want[0])) / max(1, n // 2) <= 1e-12
+        assert np.max(np.abs(np.abs(p_full) - np.abs(want[2]))) < 1e-9
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 511, 512, 2001, 20000, 20001])
+    def test_chunk_bounds(self, n):
+        bounds = kernels.chunk_bounds(n)
+        half = n // 2
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        for lo, hi in ((0, half), (half, n)):
+            lengths = [b - a for a, b in zip(bounds, bounds[1:]) if lo <= a < hi]
+            assert sum(lengths) == hi - lo and len(lengths) <= 8
+            # at least 128 steps, or the whole half
+            assert len(lengths) <= 1 or min(lengths) >= 128
+            assert max(lengths, default=0) - min(lengths, default=0) <= 1
+        if n == 20000:
+            assert bounds == list(range(0, 20001, 1250))
+
+    @pytest.mark.parametrize("kind,rhos", [
+        # renormalized every step, every 2 and every 8 steps, so a chunk
+        # of 143 steps ends between two renormalizations
+        ("jonquieres_b", [1e75, 1e20, 2.0]),
+        ("btilde", [0.5, 2.0]),
+    ])
+    def test_chunk_products_are_normalized_chunk_products(self, kind, rhos):
+        n, thetas = 2001, phase_samples(3, 5)
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        intervals = kernels.renormalization_intervals(
+            kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
+        )
+        assert np.all(np.diff(intervals) >= 0)
+        bounds = kernels.chunk_bounds(n)
+        chunks = sorted(zip(bounds[:-1], bounds[1:]), key=lambda c: c[0] - c[1])
+        assert len({hi - lo for lo, hi in chunks}) == 2
+        p, s = kernels.chunk_products(kind, ALPHA, rho, GOLDEN_FREQ, 0.4,
+                                      KERNEL_POTENTIAL, KERNEL_CMAT, phases,
+                                      intervals, chunks)
+        for h, (lo, hi) in enumerate(chunks):
+            norms = np.sqrt((np.abs(p[:, :, h]) ** 2).sum(axis=(0, 1)))
+            assert np.max(np.abs(norms - 1.0)) <= 1e-15
+            _, want_s, want_p = every_step_products(
+                kind, ALPHA, rho, GOLDEN_FREQ, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT,
+                phases, hi - lo, first=lo,
+            )
+            assert np.max(np.abs(s[h] - want_s)) / (hi - lo) <= 1e-12
+            got_p = p[:, :, h].transpose(2, 0, 1)
+            assert np.max(np.abs(np.abs(got_p) - np.abs(want_p))) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["btilde", "jonquieres_b"])
+    def test_pass_grouping_leaves_bits_unchanged(self, kind):
+        # at n = 2000 (14 chunks), 65 radii x 64 phases is more than
+        # BLOCK_ENTRIES trajectories, so each pass runs one chunk; 13 radii
+        # run 4 chunks per pass, and one radius all 14 in one pass
+        rhos, thetas, n = np.geomspace(0.3, 3.0, 65), phase_samples(64, 3), 2000
+        assert len(rhos) * len(thetas) > kernels.BLOCK_ENTRIES
+        assert len(kernels.chunk_bounds(n)) - 1 == 14
+
+        def call(radii):
+            return kernel_call(kind, np.repeat(radii, len(thetas)),
+                               np.tile(thetas, len(radii)), n)
+
+        batch = call(rhos)
+        for parts in (np.split(rhos, 5), np.split(rhos, 65)):
+            calls = [call(radii) for radii in parts]
+            for i, whole in enumerate(batch):
+                want = np.concatenate([part[i] for part in calls])
+                assert whole.shape == want.shape and whole.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind,rhos,intervals", [
         ("jonquieres_b", [2.0, 1e20, 1.0, 1e10, 1e75], [8, 2, 1, 4, 1]),
@@ -586,9 +671,10 @@ class TestKernel:
 
     def test_one_step_blocks_equal_per_radius_calls(self):
         # 65 radii x 64 phases is more than BLOCK_ENTRIES trajectories, so
-        # the batch fills one step per block and btilde's running log sum
-        # is added step by step; one radius alone (64 trajectories) fills
-        # 64-step blocks and accumulates them
+        # the batch runs one chunk per pass, fills one step per block and
+        # adds btilde's running log sum step by step; one radius alone (64
+        # trajectories) runs both chunks in one pass, fills 20-step blocks
+        # and accumulates them
         rhos, thetas, n = np.geomspace(0.3, 3.0, 65), phase_samples(64, 3), 40
         assert 1.0 not in rhos and len(rhos) * len(thetas) > kernels.BLOCK_ENTRIES
         rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
@@ -651,6 +737,25 @@ class TestKernel:
         assert np.all(np.isfinite(got[1]))
         assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
         assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
+    def test_unit_circle_hit_in_a_later_chunk(self, kind):
+        # the hit at step j is inside the fourth chunk of the second half
+        n, j = 2000, 1500
+        bounds = kernels.chunk_bounds(n)
+        lo = max(b for b in bounds if b < j)
+        assert n // 2 < lo < j < bounds[bounds.index(lo) + 1]
+        thetas = np.array([hit_phase(kind, j), 0.3, 0.71])
+        assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 8, 8]
+        got = kernel_call(kind, 1.0, thetas, n)
+        want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
+        assert np.all(np.isfinite(got[1]))
+        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
+        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
+        for i, part in enumerate(got):
+            want = np.concatenate([kernel_call(kind, 1.0, thetas[k:k + 1], n)[i]
+                                   for k in range(len(thetas))])
+            assert part.tobytes() == want.tobytes()
 
     @settings(PROPERTY_SETTINGS, max_examples=15)
     @given(unit_circle_batches())
