@@ -4,6 +4,7 @@ quasiperiodic cocycles they generate."""
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND
+# the kernels are the NumPy ones in ``_kernels_py`` (see ``backend``)
+BACKEND = "python"
 
 __all__ = ["BACKEND", "__version__"]

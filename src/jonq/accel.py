@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import DEFAULT_H
 from .cocycle import (
     CocycleSpec,
     LyapunovEstimate,
@@ -25,7 +26,6 @@ from .cocycle import (
 )
 from .errors import NotUnimodular, SideCrossing
 
-DEFAULT_H = 0.02
 # most segments piecewise_affine_fit tries
 MAX_SEGMENTS = 6
 # regime_classify's band: BAND_POINTS radii exp(s) with |s| <= BAND_EPS

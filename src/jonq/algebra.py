@@ -20,6 +20,18 @@ from .errors import IndeterminateAction, ResonantParameter
 GOLDEN_FREQ = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_ALPHA_ANGLE = math.sqrt(2.0) - 1.0
 
+# the cocycle generator families (see ``cocycle``)
+KINDS = (
+    "jonquieres_a",
+    "jonquieres_b",
+    "btilde",
+    "schrodinger",
+    "diagonal_power",
+    "constant",
+)
+# the s = ln rho step of an acceleration window (see ``accel``)
+DEFAULT_H = 0.02
+
 
 def default_alpha() -> complex:
     return cmath.exp(2j * math.pi * DEFAULT_ALPHA_ANGLE)

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import io
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import __version__
-from .algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ
-from .backend import BACKEND
+from . import BACKEND, __version__
+from .algebra import DEFAULT_ALPHA_ANGLE, DEFAULT_H, GOLDEN_FREQ, KINDS
 from .errors import JonqError
-from . import accel as accel_mod
-from . import cocycle as cocycle_mod
 from . import degree as degree_mod
-from . import linearize as linearize_mod
-from . import maps as maps_mod
+
+# The numeric commands import ``backend`` when they run: it loads the NumPy
+# half of the package (the kernels, ``accel``, ``cocycle``, ``linearize`` and
+# ``maps``) at once, so ``jonq degree`` and the parser start without NumPy,
+# and a tracer that imports ``backend`` before wrapping finds every module a
+# command runs already loaded.
 
 CSV_EOL = "\n"
 
@@ -44,24 +44,23 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _csv_document(args, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
+def _csv_document(args, header: list[str], columns: list) -> str:
+    """The config line, the header and one row per index of ``columns``
+    (equal-length sequences, one per header name), each cell as ``str``."""
     # a non-finite argument raises ValueError here: a configuration error
     config = json.dumps(_config(args), sort_keys=True, separators=(",", ":"),
                         allow_nan=False)
-    buf.write("# config: " + config + CSV_EOL)
-    buf.write(",".join(header) + CSV_EOL)
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + CSV_EOL)
-    return buf.getvalue()
+    rows = map(",".join, zip(*(map(str, c) for c in columns)))
+    return CSV_EOL.join(["# config: " + config, ",".join(header), *rows]) + CSV_EOL
 
 
-def _rows_document(args, header: list[str], rows: list[list], **extra) -> str:
-    """``rows`` as CSV, or as JSON objects under "rows" next to ``extra``
-    (which CSV leaves out), as ``--format`` asks."""
+def _rows_document(args, header: list[str], columns: list, **extra) -> str:
+    """``columns`` as CSV, or zipped into JSON row objects under "rows" next
+    to ``extra`` (which CSV leaves out), as ``--format`` asks."""
     if args.format == "json":
-        return _json_document(args, {"rows": [dict(zip(header, r)) for r in rows], **extra})
-    return _csv_document(args, header, rows)
+        rows = [dict(zip(header, r)) for r in zip(*columns)]
+        return _json_document(args, {"rows": rows, **extra})
+    return _csv_document(args, header, columns)
 
 
 def _json_document(args, payload: dict) -> str:
@@ -97,8 +96,10 @@ def _parse_matrix(text: str) -> list[list[complex]]:
     return [[a, b], [c, d]]
 
 
-def _build_spec(args, rho: float) -> cocycle_mod.CocycleSpec:
+def _build_spec(args, rho: float):
     """The spec template, validated at ``rho``: the first radius that runs."""
+    from .backend import cocycle
+
     kw = dict(
         kind=args.kind,
         rho=rho,
@@ -114,12 +115,14 @@ def _build_spec(args, rho: float) -> cocycle_mod.CocycleSpec:
         if not args.const:
             raise ValueError("--const is required for kind constant")
         kw["matrix"] = _parse_matrix(args.const)
-    return cocycle_mod.CocycleSpec(**kw)
+    return cocycle.CocycleSpec(**kw)
 
 
 def _s_grid(args) -> list[tuple[float, float]]:
     """(ln rho, rho) pairs: a given --rho is used as it is, grid points
     take rho = exp(s)."""
+    from .backend import accel
+
     if args.rho is not None:
         if not args.rho > 0.0:
             raise ValueError(f"--rho must be positive, got {args.rho!r}")
@@ -131,13 +134,15 @@ def _s_grid(args) -> list[tuple[float, float]]:
     else:
         step = (args.s_max - args.s_min) / (args.s_steps - 1)
         grid = [args.s_min + i * step for i in range(args.s_steps)]
-    return [(s, accel_mod.radius_at(s, "--s-min/--s-max")) for s in grid]
+    return [(s, accel.radius_at(s, "--s-min/--s-max")) for s in grid]
 
 
 def _cmd_lyapunov(args) -> str:
+    from .backend import cocycle
+
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
-    estimates = cocycle_mod.lyapunov_many(
+    estimates = cocycle.lyapunov_many(
         spec, [rho for _, rho in grid], args.n, args.samples, args.seed
     )
     rows = [
@@ -148,13 +153,15 @@ def _cmd_lyapunov(args) -> str:
     ]
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "total_error", "n", "samples", "seed"]
-    return _rows_document(args, header, rows)
+    return _rows_document(args, header, list(zip(*rows)))
 
 
 def _cmd_accel(args) -> str:
+    from .backend import accel
+
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
-    windows = accel_mod.acceleration_windows(
+    windows = accel.acceleration_windows(
         spec, [rho for _, rho in grid], h=args.h, n=args.n,
         samples=args.samples, seed=args.seed,
     )
@@ -166,36 +173,47 @@ def _cmd_accel(args) -> str:
     # h_used is the window's step h on every row
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag", "stderr", "h_used"]
-    return _rows_document(args, header, rows)
+    return _rows_document(args, header, list(zip(*rows)))
 
 
-def _orbit_params(args) -> maps_mod.MapParams:
-    return maps_mod.MapParams.from_angles(args.alpha_angle, args.freq)
+def _orbit_start(args):
+    """The map parameters and the start point of ``orbit`` and ``classify``."""
+    from .backend import maps
+
+    params = maps.MapParams.from_angles(args.alpha_angle, args.freq)
+    q = maps.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
+    return params, q
 
 
 def _cmd_orbit(args) -> str:
-    params = _orbit_params(args)
-    q = maps_mod.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
-    rec = maps_mod.orbit(params, q, args.n, dist_tol=args.dist_tol)
-    # Python's abs, not np.abs: the two differ in the last bit
-    rows = [[k, x.real if v else math.inf, x.imag if v else 0.0, int(v != 0),
-             y.real, y.imag, abs(y)]
-            for k, (x, v, y) in enumerate(zip(rec.u.tolist(), rec.v.tolist(), rec.y.tolist()))]
+    import numpy as np
+
+    from .backend import maps
+
+    rec = maps.orbit(*_orbit_start(args), args.n, dist_tol=args.dist_tol)
+    finite_x = rec.v != 0
+    # at infinity the CSV writes inf, 0.0 and the JSON null, null
+    at_infinity = (None, None) if args.format == "json" else (math.inf, 0.0)
+    columns = [
+        range(len(rec.u)),
+        np.where(finite_x, rec.u.real, at_infinity[0]).tolist(),
+        np.where(finite_x, rec.u.imag, at_infinity[1]).tolist(),
+        finite_x.astype(int).tolist(),
+        rec.y.real.tolist(),
+        rec.y.imag.tolist(),
+        # Python's abs, not np.abs: the two differ in the last bit
+        list(map(abs, rec.y.tolist())),
+    ]
     header = ["step", "x_re", "x_im", "x_finite", "y_re", "y_im", "y_abs"]
-    if args.format == "json":
-        # at infinity the CSV writes inf, 0.0 and the JSON null, null
-        for row in rows:
-            if not row[3]:
-                row[1] = row[2] = None
-    return _rows_document(args, header, rows,
+    return _rows_document(args, header, columns,
                           indeterminacy_hits=list(rec.indeterminacy_hits),
                           escaped=rec.escaped)
 
 
 def _cmd_classify(args) -> str:
-    params = _orbit_params(args)
-    q = maps_mod.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
-    cls = maps_mod.classify_orbit_closure(params, q, args.n, which=args.map)
+    from .backend import maps
+
+    cls = maps.classify_orbit_closure(*_orbit_start(args), args.n, which=args.map)
     payload = {
         "rank": cls.rank,
         "confidence": cls.confidence,
@@ -207,15 +225,17 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_linearize(args) -> str:
-    params = maps_mod.MapParams.from_angles(args.alpha_angle, args.freq)
-    coeffs = linearize_mod.solve_coefficients(
+    from .backend import linearize, maps
+
+    params = maps.MapParams.from_angles(args.alpha_angle, args.freq)
+    coeffs = linearize.solve_coefficients(
         params, args.order, divisor_floor=args.divisor_floor
     )
-    r1, r2, r3 = linearize_mod.residual_norms(coeffs)
-    payload = linearize_mod.coeffs_to_json(coeffs)
+    r1, r2, r3 = linearize.residual_norms(coeffs)
+    payload = linearize.coeffs_to_json(coeffs)
     payload["residuals"] = [r1, r2, r3]
     payload["radius_estimate"] = (
-        linearize_mod.estimate_radius(coeffs) if args.order >= 8 else None
+        linearize.estimate_radius(coeffs) if args.order >= 8 else None
     )
     return _json_document(args, payload)
 
@@ -230,8 +250,7 @@ def _cmd_degree(args) -> str:
         specializations=[tuple(vals[i : i + 2]) for i in range(0, len(vals), 2)],
     )
     if args.format == "csv":
-        rows = [[i + 1, d] for i, d in enumerate(degs)]
-        return _csv_document(args, ["n", "degree"], rows)
+        return _csv_document(args, ["n", "degree"], [range(1, len(degs) + 1), degs])
     report = degree_mod.growth_classify(degs)
     payload = degree_mod.growth_report_json(report)
     # the (alpha, beta) pairs that certified the sequence, as exact strings
@@ -260,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s-min", type=finite, default=-2.0)
             p.add_argument("--s-max", type=finite, default=2.0)
             p.add_argument("--s-steps", type=int, default=41)
-            p.add_argument("--kind", choices=cocycle_mod.KINDS, default="jonquieres_b")
+            p.add_argument("--kind", choices=KINDS, default="jonquieres_b")
             p.add_argument("--energy", type=finite, default=0.0)
             p.add_argument("--potential", default="")
             p.add_argument("--const", default="")
@@ -271,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accel", help="acceleration and regularity per radius")
     add_common(p)
-    p.add_argument("--h", type=finite, default=accel_mod.DEFAULT_H)
+    p.add_argument("--h", type=finite, default=DEFAULT_H)
     # 40 steps: no row and no +-h window at ln rho = 0
     p.set_defaults(kind="btilde", s_steps=40)
 

@@ -30,25 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels_py as kernels
 from .algebra import (
     GOLDEN_FREQ,
+    KINDS,
     check_nonresonant,
     default_alpha,
     tree_mean,
     tree_sum,
 )
 from ._kernels_py import generators, sqrt_branch_values
-from .backend import kernels
 from .errors import Overflow, RadiusOne, SingularFactor
-
-KINDS = (
-    "jonquieres_a",
-    "jonquieres_b",
-    "btilde",
-    "schrodinger",
-    "diagonal_power",
-    "constant",
-)
 
 _ALPHA_KINDS = {"jonquieres_a", "jonquieres_b", "btilde"}
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels_py as kernels
 from .algebra import (
     INFINITY,
     check_nonresonant,
@@ -23,7 +24,6 @@ from .algebra import (
     is_infinity,
     projective_action,
 )
-from .backend import kernels
 from .cocycle import CocycleSpec, generator_values
 from .errors import IndeterminateAction, IndeterminatePoint, InsufficientPoints, Overflow
 

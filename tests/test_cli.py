@@ -356,16 +356,17 @@ class TestDegreeCommand:
 
     def test_leaves_sympy_out(self, tmp_path):
         # the fiber path is exact without sympy; only the composition
-        # oracle imports it
+        # oracle imports it.  It uses no NumPy either, so the command
+        # starts without the NumPy half of the package
         code = (
             "import sys, jonq.cli; "
             "rc = jonq.cli.main(['degree', '--max-n', '12', '--out', sys.argv[1]]); "
-            "print(rc, 'sympy' in sys.modules)"
+            "print(rc, 'sympy' in sys.modules, 'numpy' in sys.modules)"
         )
         out = tmp_path / "t.json"
         proc = subprocess.run([sys.executable, "-c", code, str(out)],
                               capture_output=True, text=True)
-        assert proc.stdout == "0 False\n"
+        assert proc.stdout == "0 False False\n"
         assert json.loads(out.read_text())["degrees"][-1] == 7
 
     def test_degenerate_specialization_is_numeric_error(self, tmp_path):
@@ -473,8 +474,17 @@ class TestParser:
         assert proc.returncode == 0
 
     def test_import_leaves_sympy_out(self):
-        # only `degree` needs sympy, so the other subcommands do not pay for it
-        code = "import sys, jonq.cli; jonq.cli.build_parser(); print('sympy' in sys.modules)"
+        # only `degree` needs sympy, so the other subcommands do not pay for
+        # it; only the numeric commands need NumPy, and they import it when
+        # they run
+        code = ("import sys, jonq.cli; jonq.cli.build_parser(); "
+                "print('sympy' in sys.modules, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
+
+    def test_package_import_leaves_numpy_out(self):
+        code = "import sys, jonq; print(jonq.BACKEND, 'numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "python False\n"
