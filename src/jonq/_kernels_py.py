@@ -4,13 +4,15 @@ map orbits in projective x-coordinates.
 
 ``generator_entries`` is the one definition of the cocycle generator
 families (at given points y), with ``sqrt_branch_values`` for the
-square-root normalization; ``generators`` evaluates them at phases.  The
-kernel and ``cocycle`` evaluate every generator through them, so this
-module imports nothing from the package.
+square-root normalization and ``moving_entry`` for the one entry of the
+jonquieres generators that depends on y; ``generators`` evaluates them at
+phases.  The kernel and ``cocycle`` evaluate every generator through them,
+so this module imports nothing from the package.
 """
 
 import cmath
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +46,13 @@ def generators(kind, alpha, rho, energy, potential, cmat, phases):
     return g.transpose(2, 0, 1)
 
 
+def moving_entry(kind, y):
+    """w in the jonquieres generator [[alpha, w], [1, 1]] at the points
+    ``y``: y for jonquieres_a and y^2 for jonquieres_b.  The other three
+    entries are the same at every y."""
+    return y if kind == "jonquieres_a" else y * y
+
+
 def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
     """Write entry (i, j) of the ``kind`` generator at the points ``y``
     into out[i, j]; ``out`` has shape (2, 2) + y.shape.
@@ -56,16 +65,13 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
         out[:] = np.reshape(cmat, (2, 2) + (1,) * y.ndim)
     elif kind in ("jonquieres_a", "jonquieres_b"):
         out[0, 0] = alpha
-        if kind == "jonquieres_a":
-            out[0, 1] = y
-        else:
-            np.multiply(y, y, out=out[0, 1])
+        out[0, 1] = moving_entry(kind, y)
         out[1] = 1.0
     elif kind == "btilde":
         # the jonquieres_b generator divided by the branch
         b = sqrt_branch_values(alpha, rho, y)
         np.divide(alpha, b, out=out[0, 0])
-        np.divide(y * y, b, out=out[0, 1])
+        np.divide(moving_entry("jonquieres_b", y), b, out=out[0, 1])
         np.divide(1.0, b, out=out[1, 0])
         out[1, 1] = out[1, 0]
     elif kind == "schrodinger":
@@ -92,8 +98,9 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
 
 
 # a pass of cocycle_sums runs up to this many columns (trajectories times
-# chunks, and at least one chunk), and generator entries are filled for
-# this many column-steps at a time: 64 KB per complex array
+# chunks, and at least one chunk), and a block of generators holds this
+# many 2x2 generators, 256 KB: BLOCK_ENTRIES column-steps of four entries,
+# or four times as many of the jonquieres row update's one moving entry
 BLOCK_ENTRIES = 4096
 # between two renormalizations a product's Frobenius norm stays inside
 # [1e-150, 1e150], so the squared entries that make up the norm stay
@@ -285,9 +292,16 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       step, and scaled by each trajectory's radius.  Step j's phase is
       thetas + j * freq reduced mod 1, with j the step's index in the whole
       run, whichever chunk runs it.
-    * Generator entries are filled (by ``generator_entries``) for blocks of
-      steps of at most BLOCK_ENTRIES entries, one step when a pass has more
-      columns, so the per-step loop runs the 2x2 product alone.
+    * jonquieres_a, jonquieres_b and btilde (whose products are
+      jonquieres_b products) step as a row update: the generator is
+      [[alpha, w], [1, 1]] with w from ``moving_entry``, so row 0 <-
+      alpha row 0 + w row 1 and row 1 <- row 0 + row 1, with the 2x2
+      product's roundings, and a block holds the one moving entry for up
+      to 4 * BLOCK_ENTRIES column-steps.  The other kinds fill all four
+      entries (by ``generator_entries``) for blocks of at most
+      BLOCK_ENTRIES column-steps and step by the 2x2 product.  A block is
+      one step when a pass has more columns, so the per-step loop runs the
+      step alone.
     * A chunk renormalizes every k of its own steps, counted from its
       start, k from ``renormalization_intervals``: a closed-form bound on
       the generators keeps every unnormalized stretch inside
@@ -364,6 +378,8 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     """
     btilde = kind == "btilde"
     family = "jonquieres_b" if btilde else kind
+    # the jonquieres products run as a row update, the others as a 2x2 product
+    row_step = family in ("jonquieres_a", "jonquieres_b")
     starts, inverse = np.unique(thetas, return_inverse=True)
     # sorted by interval, the trajectories renormalized after c steps are a
     # prefix: those whose k divides c, that is k <= the power of 2 in c.
@@ -382,14 +398,18 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     p = np.zeros((2, 2, c, m), dtype=np.complex128)
     p[0, 0] = 1.0
     p[1, 1] = 1.0
-    q = np.empty_like(p)
-    t = np.empty_like(p)
+    # the step's scratch: one row in the row update, else a 2x2 product
+    t = np.empty_like(p[0] if row_step else p)
     a = np.empty(p.shape)
     s = np.zeros((c, m))
     # btilde: running sums of ln|alpha - y_k^2|^2, in step order
     logb = np.zeros((c, m))
-    block = max(1, BLOCK_ENTRIES // max(1, c * m))
-    g = np.empty((2, 2, block, c, m), dtype=np.complex128)
+    # a block holds BLOCK_ENTRIES generators: four entries per column-step,
+    # or one, the moving entry, in the row update
+    block = max(1, BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
+    if not row_step:
+        g = np.empty((2, 2, block, c, m), dtype=np.complex128)
+        q = np.empty_like(p)
     done, live = 0, c
     while live:
         # a block ends at every chunk end
@@ -400,8 +420,17 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
         phases -= np.floor(phases)
         y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
         y *= rho
-        gb = g[:, :, :steps, :live]
-        generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
+        if row_step:
+            # y becomes w, in a new array: NumPy rounds an in-place complex
+            # product of one element without the fused multiply-add it uses
+            # for longer arrays, so squaring y in place would give a lone
+            # trajectory other bits
+            y = moving_entry(family, y)
+        else:
+            gb = g[:, :, :steps, :live]
+            generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
+            # column j of every generator, as (2, steps, live, m)
+            col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
         if btilde:
             sine = np.sin(np.pi * (2.0 * phases - shift))
             sine *= sine
@@ -414,23 +443,33 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
             if steps > 1:
                 np.add.accumulate(terms, axis=0, out=terms)
             logb[:live] = terms[-1]
-        # column j of every generator, as (2, steps, live, m)
-        col0, col1 = gb[:, 0], gb[:, 1]
-        pv, qv, tv = p[:, :, :live], q[:, :, :live], t[:, :, :live]
+        pv, tv = p[:, :, :live], t[..., :live, :]
+        row0, row1 = pv
         for j in range(steps):
-            # q[i, l] = g[i, 0] * p[0, l] + g[i, 1] * p[1, l]
-            np.multiply(col0[:, j, None], pv[0], out=qv)
-            np.multiply(col1[:, j, None], pv[1], out=tv)
-            qv += tv
-            p, q, pv, qv = q, p, qv, pv
+            if row_step:
+                # [[alpha, w], [1, 1]] p: row 0 <- alpha row 0 + w row 1 and
+                # row 1 <- row 0 + row 1, each product rounded as the 2x2
+                # product rounds it (generator entry first)
+                np.multiply(y[j], row1, out=tv)
+                row1 += row0
+                np.multiply(alpha, row0, out=row0)
+                row0 += tv
+            else:
+                # q[i, l] = g[i, 0] * p[0, l] + g[i, 1] * p[1, l]
+                np.multiply(col0[:, j, None], pv[0], out=qv)
+                np.multiply(col1[:, j, None], pv[1], out=tv)
+                qv += tv
+                p, q, pv, qv = q, p, qv, pv
             count = done + j + 1
             running = live
             if count == lengths[live - 1]:
                 # the chunks that end here renormalize in full, and both
-                # buffers keep their product, which no later step touches
+                # buffers of the 2x2 product keep their product, which no
+                # later step touches
                 running = lengths.index(count)
                 _renormalize(pv[:, :, running:], a[:, :, running:live], s[running:live])
-                q[:, :, running:live] = p[:, :, running:live]
+                if not row_step:
+                    q[:, :, running:live] = p[:, :, running:live]
             e = ends[count % 8]
             if e and running:
                 _renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
@@ -460,22 +499,38 @@ def orbit_points(which, alpha, beta, x_num, x_den, y0, n):
     if cv != 1:
         cu, cv = (one, 0j) if cv == 0 else (cu / cv, one)
     u[0], v[0], ys[0] = cu, cv, cy
-    substeps = 2 if which == "f2" else 1
-    for count in range(1, n + 1):
-        for _ in range(substeps):
-            if which == "g":
-                nu = (1.0 + cy) * cu + (a + 1.0) * cy * cv
-                nv = (a + b) * cu + (b + a * a * cy) * cv
-                cy = cy / (b * b)
-            else:
-                # projective_action of [[alpha, y], [1, 1]], as apply_f
-                nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
-                cy = b * cy
+    count = n + 1
+    if which == "g":
+        # the step's constants; every product keeps its left-to-right order
+        a1, ab, aa, bb = a + 1.0, a + b, a * a, b * b
+        for k in range(1, n + 1):
+            nu = (1.0 + cy) * cu + a1 * cy * cv
+            nv = ab * cu + (b + aa * cy) * cv
+            cy = cy / bb
             if nv != 0:
                 cu, cv = nu / nv, one
             elif nu != 0:
                 cu, cv = one, 0j
             else:
-                return u[:count], v[:count], ys[:count], count
-        u[count], v[count], ys[count] = cu, cv, cy
-    return u, v, ys, n + 1
+                count = k
+                break
+            u[k], v[k], ys[k] = cu, cv, cy
+    else:
+        # point k of f2 is two f steps: the first one's point is stored in
+        # slot k and overwritten by the second's
+        points = range(1, n + 1)
+        if which == "f2":
+            points = chain.from_iterable(zip(points, points))
+        for k in points:
+            # projective_action of [[alpha, y], [1, 1]], as apply_f
+            nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
+            cy = b * cy
+            if nv != 0:
+                cu, cv = nu / nv, one
+            elif nu != 0:
+                cu, cv = one, 0j
+            else:
+                count = k
+                break
+            u[k], v[k], ys[k] = cu, cv, cy
+    return u[:count], v[:count], ys[:count], count

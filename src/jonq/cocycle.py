@@ -15,8 +15,10 @@ exp(2*pi*i*freq)):
 * ``constant``:       a fixed matrix
 
 The formulas are defined once, in ``_kernels_py.generator_entries``
-(vectorized over points y); every evaluation here goes through it, by way
-of ``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
+(vectorized over points y; the jonquieres entry y or y^2 comes from
+``_kernels_py.moving_entry``, which the kernel's row update also reads);
+every evaluation here goes through it, by way of
+``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
 at several radii (``lyapunov_many``, ``phase_values_many``) come from one
 kernel call that runs every radius on the same phases.
 """

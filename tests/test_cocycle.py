@@ -687,6 +687,33 @@ class TestKernel:
         assert np.max(np.abs(batch[1] - want[1])) / n <= 1e-12
         assert np.max(np.abs(batch[0] - want[0])) / (n // 2) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "btilde"])
+    def test_block_length_leaves_bits_unchanged(self, kind, monkeypatch):
+        # 192 trajectories at n = 2001 (14 chunks of 142 or 143 steps): with
+        # BLOCK_ENTRIES = 4096 one pass runs every chunk in 6-step blocks,
+        # with 64 each pass runs one chunk in one-step blocks, and with
+        # 65,536 one pass runs every chunk in blocks that only chunk ends cut
+        n, thetas = 2001, phase_samples(64, 5)
+        if kind == "btilde":
+            rhos = [0.5, 1 + 1e-7, 2.0]
+        else:
+            # one trajectory at rho = 1 puts y^w on alpha at step 1500
+            rhos = [0.5, 1.0, 2.0]
+            thetas[0] = hit_phase(kind, 1500)
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        intervals = kernels.unit_circle_intervals(
+            kind, ALPHA, rho, GOLDEN_FREQ, phases, n,
+            kernels.renormalization_intervals(kind, ALPHA, rho, 0.4,
+                                              KERNEL_POTENTIAL, KERNEL_CMAT),
+        )
+        assert intervals.min() == (8 if kind == "btilde" else 1)
+        want = kernel_call(kind, rho, phases, n)
+        for entries in (64, 65536):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            got = kernel_call(kind, rho, phases, n)
+            for part, whole in zip(got, want):
+                assert part.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("kind,rho,interval", [
         ("jonquieres_a", 1.0, 1),  # det = alpha - y can vanish
         ("jonquieres_a", 1.5, 8),

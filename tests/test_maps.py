@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, INFINITY, is_infinity
+from jonq.backend import kernels
 from jonq.errors import IndeterminatePoint, InsufficientPoints, Overflow, ResonantParameter
 from jonq.maps import (
     InvertedSquareMap,
@@ -121,6 +122,35 @@ def _bits(z: complex) -> tuple:
 _ESCAPE_X0 = -(1.0 + 0.5) / (1.0 + P.alpha)  # step 1 lands exactly on x = -1
 
 
+def per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n):
+    """A frozen copy of ``kernels.orbit_points`` as one loop over the steps,
+    with a substep loop for f2 and a map test at every step."""
+    u, v, ys = np.empty((3, n + 1), dtype=np.complex128)
+    a, b, one = complex(alpha), complex(beta), 1.0 + 0j
+    cu, cv, cy = complex(x_num), complex(x_den), complex(y0)
+    if cv != 1:
+        cu, cv = (one, 0j) if cv == 0 else (cu / cv, one)
+    u[0], v[0], ys[0] = cu, cv, cy
+    substeps = 2 if which == "f2" else 1
+    for count in range(1, n + 1):
+        for _ in range(substeps):
+            if which == "g":
+                nu = (1.0 + cy) * cu + (a + 1.0) * cy * cv
+                nv = (a + b) * cu + (b + a * a * cy) * cv
+                cy = cy / (b * b)
+            else:
+                nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
+                cy = b * cy
+            if nv != 0:
+                cu, cv = nu / nv, one
+            elif nu != 0:
+                cu, cv = one, 0j
+            else:
+                return u[:count], v[:count], ys[:count], count
+        u[count], v[count], ys[count] = cu, cv, cy
+    return u, v, ys, n + 1
+
+
 class TestOrbitProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -155,6 +185,30 @@ class TestOrbitProperties:
             else:
                 assert vk == 1 and _bits(uk) == _bits(pt.x)
             assert _bits(yk) == _bits(pt.y)
+
+    @pytest.mark.parametrize("alpha,beta,x_num,x_den,y0,n,counts", [
+        (P.alpha, P.beta, 0.3 + 0.1j, 1, 1e-3j, 2000, {"g": 2001, "f2": 2001}),
+        (P.alpha, P.beta, 1, 0, 0.5, 2000, {"g": 2001, "f2": 2001}),  # from infinity
+        (P.alpha, P.beta, 0.2, 1, 0, 2000, {"g": 2001, "f2": 2001}),  # y0 = 0
+        (P.alpha, P.beta, 7.0 - 2j, 1, 3 + 1j, 3000, {"g": 3001, "f2": 3001}),
+        (P.alpha, P.beta, _ESCAPE_X0, 1, 0.5, 50, {"g": 51, "f2": 51}),
+        (1.0, -1.0, 0.5, 1, 1.0, 10, {"g": 11, "f2": 11}),  # g at infinity each step
+        # below, a step lands on u = v = 0 exactly: after f step k, an f2
+        # orbit keeps (k + 1) // 2 points
+        (1.0, 1.0, -1.0, 1, 1.0, 10, {"g": 1, "f2": 1}),  # g and f step 1
+        (1.0, -1.0, 0j, 1, -1.0, 10, {"g": 11, "f2": 1}),  # f step 2
+        (-1.0, 1j, -1.0, 1, 1.0, 10, {"g": 2, "f2": 2}),  # g step 2, f step 3
+        (-1.0, 1j, 1, 0, -1j, 10, {"g": 11, "f2": 2}),  # f step 4
+    ], ids=["start", "infinity", "y0-zero", "far", "escape", "g-infinity",
+            "hit-1", "hit-f2", "hit-f3", "hit-f4"])
+    @pytest.mark.parametrize("which", ["g", "f2"])
+    def test_kernel_is_the_per_step_loop_to_the_bit(self, which, alpha, beta, x_num,
+                                                    x_den, y0, n, counts):
+        got = kernels.orbit_points(which, alpha, beta, x_num, x_den, y0, n)
+        want = per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n)
+        assert got[3] == want[3] == counts[which]
+        for part, frozen in zip(got[:3], want[:3]):
+            assert len(part) == counts[which] and part.tobytes() == frozen.tobytes()
 
     @pytest.mark.parametrize("which", ["f", "g", "f2"])
     @settings(max_examples=40, deadline=None, derandomize=True)
