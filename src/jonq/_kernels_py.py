@@ -185,14 +185,15 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     own phase.  With a = arg(alpha) / 2 pi,
     |alpha - y_j^w| >= 2 sqrt|alpha| |sin pi (w phi_j - a)|, which grows
     with the distance of w phi_j - a to the nearest integer; one pass over
-    the steps, BLOCK_ENTRIES phase-steps at a time, takes the smallest
-    distance.  UNIT_CIRCLE_MARGIN is subtracted, so a bound <= 0 means that
-    y_j^w may equal alpha up to rounding.
+    the steps, in blocks of the row update's 4 * BLOCK_ENTRIES phase-steps,
+    takes the smallest distance (a minimum, so any block length gives the
+    same bits).  UNIT_CIRCLE_MARGIN is subtracted, so a bound <= 0 means
+    that y_j^w may equal alpha up to rounding.
     """
     w = 1 if kind == "jonquieres_a" else 2
     a = cmath.phase(alpha) / (2.0 * math.pi)
     nearest = np.full(len(thetas), 0.5)
-    block = max(1, BLOCK_ENTRIES // max(1, len(thetas)))
+    block = max(1, 4 * BLOCK_ENTRIES // max(1, len(thetas)))
     for start in range(0, n, block):
         # the kernel's phases, computed as it computes them
         x = thetas + (np.arange(start, min(n, start + block)) * freq)[:, None]

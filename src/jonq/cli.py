@@ -17,15 +17,17 @@ import sys
 from fractions import Fraction
 
 from . import BACKEND, __version__
-from .algebra import DEFAULT_ALPHA_ANGLE, DEFAULT_H, GOLDEN_FREQ, KINDS
+from .algebra import DEFAULT_ALPHA_ANGLE, DEFAULT_H, GOLDEN_FREQ, KINDS, MapParams
 from .errors import JonqError
 from . import degree as degree_mod
 
-# The numeric commands import ``backend`` when they run: it loads the NumPy
-# half of the package (the kernels, ``accel``, ``cocycle``, ``linearize`` and
-# ``maps``) at once, so ``jonq degree`` and the parser start without NumPy,
-# and a tracer that imports ``backend`` before wrapping finds every module a
-# command runs already loaded.
+# The NumPy commands import ``backend`` when they run: it loads the NumPy
+# half of the package (the kernels, ``accel``, ``cocycle`` and ``maps``, and
+# the pure-Python ``linearize``) at once, and a tracer that imports
+# ``backend`` before wrapping finds every module a command runs already
+# loaded.  ``jonq degree`` and ``jonq linearize`` are pure Python: they import
+# ``degree`` and ``linearize`` themselves, so they and the parser start
+# without NumPy.
 
 CSV_EOL = "\n"
 
@@ -225,9 +227,9 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_linearize(args) -> str:
-    from .backend import linearize, maps
+    from . import linearize
 
-    params = maps.MapParams.from_angles(args.alpha_angle, args.freq)
+    params = MapParams.from_angles(args.alpha_angle, args.freq)
     coeffs = linearize.solve_coefficients(
         params, args.order, divisor_floor=args.divisor_floor
     )

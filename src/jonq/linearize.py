@@ -9,74 +9,69 @@ identities (the x^2, x^1 and x^0 coefficients); their order-nu parts are
 affine in the unknowns b_nu, a_nu, c_nu, with divisors of Siegel type
 (1 - beta^(1-2 nu), etc.) that must stay away from zero.
 
-A series is a 1-D complex array of its coefficients 0..N.  The forcing
-polynomials at each order are never hand-derived: the solver substitutes
-the current truncated series into the full identities, reads off the
-order-nu residual and divides it by the closed-form divisor.  The
-numerically extracted linear coefficient is kept as a hard cross-check.
+A series is a tuple of Python ``complex`` coefficients 0..N, and the
+module runs without NumPy.  Each identity is defined once, as its
+coefficient k: products enter through their coefficient k (or k - 1,
+under a factor y), each summed in ascending order of the first factor's
+index, and u(y / beta^2) through the repeated-product powers of
+1 / beta^2.  Every complex product is Python's, four real products and
+two real sums, so the bits do not depend on the CPU (NumPy's complex
+loops may fuse a product and a sum into one FMA instruction).  The
+forcing polynomials at each order are never hand-derived: the solver
+substitutes the current series into an identity, reads off its order-nu
+coefficient and divides it by the closed-form divisor.  The numerically
+extracted linear coefficient is kept as a hard cross-check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, repeat
 
-import numpy as np
-
+from .algebra import MapParams
 from .errors import SmallDivisor
-from .maps import InvertedSquareMap, MapParams
 
 
-def times(z, w) -> np.ndarray:
-    """Elementwise z w, rounded as Python rounds a complex product.
+def mul_at(u, v, k: int) -> complex:
+    """Coefficient k of the product u v: u[i] v[k - i] summed from 0j in
+    ascending order of i.
 
-    NumPy's complex loops fuse a product and a sum into one FMA
-    instruction on CPUs that have it, so their bits depend on the
-    machine; four real products and two real sums do not.
+    ``reduce`` adds in that order; ``sum`` may not (it compensates float
+    sums from Python 3.12).
     """
-    re = z.real * w.real - z.imag * w.imag
-    im = z.real * w.imag + z.imag * w.real
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    return reduce(operator.add, map(operator.mul, u[: k + 1], reversed(v[: k + 1])), 0j)
 
 
-def mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Truncated product: coefficients 0..len(u) - 1 of u v, each summed
-    in ascending order of u's index."""
-    n = len(u)
-    terms = times(u[:, None], v[None, :n])
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        out[i:] += terms[i, : n - i]
-    return out
+def mul(u, v) -> tuple:
+    """Truncated product: coefficients 0..len(u) - 1 of u v."""
+    return tuple(mul_at(u, v, k) for k in range(len(u)))
 
 
-def shift(u: np.ndarray) -> np.ndarray:
+def shift(u) -> tuple:
     """Multiply by the series variable (coefficients move up one order)."""
-    return np.concatenate(([0j], u[:-1]))
+    return (0j, *u[:-1])
 
 
-def scale_argument(u: np.ndarray, c: complex) -> np.ndarray:
-    """u(c y): coefficient k becomes c**k times coefficient k."""
-    powers = [1.0 + 0j]
-    for _ in range(len(u) - 1):
-        powers.append(powers[-1] * c)
-    return times(np.array(powers), u)
+def scale_argument(u, c: complex) -> tuple:
+    """u(c y): coefficient k becomes c**k times coefficient k, the powers
+    taken by repeated products."""
+    powers = accumulate(repeat(c, len(u) - 1), operator.mul, initial=1.0 + 0j)
+    return tuple(map(operator.mul, powers, u))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConjugacyCoeffs:
     """Solved truncated series of the conjugacy, plus the smallest divisor
-    modulus met during the recursion.  solve_coefficients returns a, b and
-    c read-only."""
+    modulus met during the recursion."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    a: tuple
+    b: tuple
+    c: tuple
     params: MapParams
     small_divisor_floor: float
 
@@ -85,57 +80,60 @@ class ConjugacyCoeffs:
         return len(self.a) - 1
 
 
-def x2_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
-    """Residual series of the x^2 coefficient of the conjugacy identity
+# Each identity adds its terms left to right in one fixed order, and the
+# y-multiplied terms enter as exactly 0j at k = 0: the solved bits depend
+# on both.
+
+
+def x2_identity(k: int, a, b, c, alpha: complex, beta: complex) -> complex:
+    """Coefficient k of the x^2 residual series of the conjugacy identity
     (b does not enter)."""
-    ib2 = 1.0 / (beta * beta)
-    a_, c_ = scale_argument(a, ib2), scale_argument(c, ib2)
-    al2 = alpha * alpha
-    a_c, a_a, c_a, c_c = mul(a_, c), mul(a_, a), mul(c_, a), mul(c_, c)
-    return (
-        times(beta, a_c)
-        + times(beta, a_a)
-        - c_a
-        + times(alpha, a_a)
-        + shift(times(al2, a_c) - times(alpha, c_c) - c_c - c_a)
-    )
+    a_, c_ = (scale_argument(s[: k + 1], 1.0 / (beta * beta)) for s in (a, c))
+    a_c, a_a, c_a = mul_at(a_, c, k), mul_at(a_, a, k), mul_at(c_, a, k)
+    shifted = (
+        alpha * alpha * mul_at(a_, c, k - 1)
+        - alpha * mul_at(c_, c, k - 1)
+        - mul_at(c_, c, k - 1)
+        - mul_at(c_, a, k - 1)
+    ) if k else 0j
+    return beta * a_c + beta * a_a - c_a + alpha * a_a + shifted
 
 
-def x1_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
-    """Residual series of the x^1 coefficient of the conjugacy identity."""
-    ib2 = 1.0 / (beta * beta)
-    a_, b_, c_ = (scale_argument(s, ib2) for s in (a, b, c))
-    al2 = alpha * alpha
-    b_c, bc_ = mul(b_, c), mul(b, c_)
+def x1_identity(k: int, a, b, c, alpha: complex, beta: complex) -> complex:
+    """Coefficient k of the x^1 residual series of the conjugacy identity."""
+    a_, b_, c_ = (scale_argument(s[: k + 1], 1.0 / (beta * beta)) for s in (a, b, c))
+    b_c, bc_ = mul_at(b_, c, k), mul_at(b, c_, k)
+    j = k - 1
+    shifted, shifted_products = (
+        alpha * alpha * a_[j] - alpha * beta * c[j] - beta * c[j] - beta * a[j]
+        - alpha * c_[j] - c_[j],
+        alpha * alpha * beta * mul_at(b_, c, j) - mul_at(b, c_, j),
+    ) if k else (0j, 0j)
     return (
-        times(beta, a_)
-        - times(beta, a)
-        + shift(
-            times(al2, a_) - times(alpha * beta, c) - times(beta, c)
-            - times(beta, a) - times(alpha, c_) - c_
-        )
-        + times(beta * (alpha + beta), mul(a, b_))
-        + times(alpha + beta, mul(b, a_))
-        + times(beta * beta, b_c)
+        beta * a_[k]
+        - beta * a[k]
+        + shifted
+        + beta * (alpha + beta) * mul_at(a, b_, k)
+        + (alpha + beta) * mul_at(b, a_, k)
+        + beta * beta * b_c
         - bc_
-        + shift(times(al2 * beta, b_c) - bc_)
+        + shifted_products
     )
 
 
-def x0_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
-    """Residual series of the x^0 coefficient of the conjugacy identity
+def x0_identity(k: int, a, b, c, alpha: complex, beta: complex) -> complex:
+    """Coefficient k of the x^0 residual series of the conjugacy identity
     (of the unknowns only b enters)."""
-    b_ = scale_argument(b, 1.0 / (beta * beta))
-    al2 = alpha * alpha
-    forcing = np.zeros(len(b), dtype=complex)
-    forcing[1:2] = alpha + 1.0
+    b_ = scale_argument(b[: k + 1], 1.0 / (beta * beta))
+    forcing = alpha + 1.0 if k == 1 else 0j
+    shifted_b_, shifted_b = (alpha * alpha * b_[k - 1], b[k - 1]) if k else (0j, 0j)
     return (
         forcing
-        + b
-        - times(beta, b_)
-        - shift(times(al2, b_))
-        + shift(b)
-        - times(alpha + beta, mul(b_, b))
+        + b[k]
+        - beta * b_[k]
+        - shifted_b_
+        + shifted_b
+        - (alpha + beta) * mul_at(b_, b, k)
     )
 
 
@@ -143,14 +141,15 @@ def x0_identity(a, b, c, alpha: complex, beta: complex) -> np.ndarray:
 IDENTITIES = (x2_identity, x1_identity, x0_identity)
 
 
-def conjugacy_equations(
-    a, b, c, alpha: complex, beta: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conjugacy_equations(a, b, c, alpha: complex, beta: complex) -> tuple[tuple, tuple, tuple]:
     """The three residual series of the conjugacy identity (x^2, x^1, x^0
-    coefficients after clearing denominators); all vanish iff psi
-    conjugates G to the linear model through the common truncation order.
+    coefficients after clearing denominators) through the order of a; all
+    vanish iff psi conjugates G to the linear model through that order.
     """
-    return tuple(identity(a, b, c, alpha, beta) for identity in IDENTITIES)
+    return tuple(
+        tuple(identity(k, a, b, c, alpha, beta) for k in range(len(a)))
+        for identity in IDENTITIES
+    )
 
 
 def solve_coefficients(
@@ -166,8 +165,8 @@ def solve_coefficients(
     (1 - beta) (beta - beta^(-2 nu)) for c_nu.  The divisor is
     cross-checked against the linear coefficient read off by bumping the
     unknown and differencing the residual.  Coefficient nu of each
-    identity depends only on coefficients 0..nu, so at order nu the
-    identities read coefficients 0..nu and no more.
+    identity depends only on coefficients 0..nu, so each order evaluates
+    that one coefficient, O(nu) work, and the solve is O(order^2).
 
     Raises :class:`SmallDivisor` when a divisor modulus falls below the
     floor (near-resonant rotation number).
@@ -175,49 +174,46 @@ def solve_coefficients(
     if order < 1:
         raise ValueError("order must be at least 1")
     alpha, beta = p.alpha, p.beta
-    a, b, c = (np.zeros(order + 1, dtype=complex) for _ in range(3))
-    a[0], c[0] = 1.0 - beta, alpha + beta
+    a, b, c = [1.0 - beta], [0j], [alpha + beta]
+    # round-off in substituted residuals grows with the largest
+    # coefficient in play; near-resonant runs blow up well above 1
+    scale = max(1.0, abs(a[0]), abs(c[0]))
     floor_seen = float("inf")
 
-    def scale():
-        # round-off in substituted residuals grows with the largest
-        # coefficient in play; near-resonant runs blow up well above 1
-        return max(1.0, float(np.abs(np.concatenate((a, b, c))).max()))
-
     for nu in range(1, order + 1):
-        # views: solving an unknown writes it into a, b or c
-        series = [s[: nu + 1] for s in (a, b, c)]
-        # (identity that is read, index of the unknown in (a, b, c), divisor)
-        for identity, i, div in (
-            (x0_identity, 1, 1.0 - beta ** (1 - 2 * nu)),
-            (x1_identity, 0, beta ** (1 - 2 * nu) - beta),
-            (x2_identity, 2, (1.0 - beta) * (beta - beta ** (-2 * nu))),
+        for s in (a, b, c):
+            s.append(0j)
+        # (identity that is read, its unknown and name, divisor); the
+        # identities are looked up here, on each call
+        for identity, unknown, name, div in (
+            (x0_identity, b, "b", 1.0 - beta ** (1 - 2 * nu)),
+            (x1_identity, a, "a", beta ** (1 - 2 * nu) - beta),
+            (x2_identity, c, "c", (1.0 - beta) * (beta - beta ** (-2 * nu))),
         ):
-            resid = identity(*series, alpha, beta)[nu]
-            bumped = list(series)
-            bumped[i] = series[i].copy()
-            bumped[i][nu] = 1.0
-            linear = identity(*bumped, alpha, beta)[nu] - resid
-            if abs(linear - div) > 1e-9 * scale():
+            resid = identity(nu, a, b, c, alpha, beta)
+            unknown[nu] = 1.0 + 0j
+            linear = identity(nu, a, b, c, alpha, beta) - resid
+            if abs(linear - div) > 1e-9 * scale:
                 raise ArithmeticError(
-                    f"{'abc'[i]}-divisor cross-check failed at order {nu}:"
-                    f" {complex(linear)!r} vs {div!r}"
+                    f"{name}-divisor cross-check failed at order {nu}:"
+                    f" {linear!r} vs {div!r}"
                 )
             floor_seen = min(floor_seen, abs(div))
             if abs(div) < divisor_floor:
                 raise SmallDivisor(nu, abs(div))
-            series[i][nu] = -complex(resid) / div
+            unknown[nu] = -resid / div
+            scale = max(scale, abs(unknown[nu]))
 
-    for s in (a, b, c):
-        s.flags.writeable = False
-    coeffs = ConjugacyCoeffs(a=a, b=b, c=c, params=p, small_divisor_floor=floor_seen)
+    coeffs = ConjugacyCoeffs(
+        a=tuple(a), b=tuple(b), c=tuple(c), params=p, small_divisor_floor=floor_seen
+    )
     # The vanishing-residual post-condition is enforceable only while no
     # divisor got small: once one does, round-off is amplified by 1/|div|
     # at every later order and the raw residuals quantify exactly that
     # sensitivity (callers read them via residual_norms).
     if floor_seen >= 1e-4:
         r1, r2, r3 = residual_norms(coeffs)
-        if max(r1, r2, r3) > 1e-10 * scale():
+        if max(r1, r2, r3) > 1e-10 * scale:
             raise ArithmeticError(
                 f"solved series leave residuals ({r1:.2e}, {r2:.2e}, {r3:.2e})"
             )
@@ -230,13 +226,20 @@ def residual_norms(coeffs: ConjugacyCoeffs) -> tuple[float, float, float]:
     e1, e2, e3 = conjugacy_equations(
         coeffs.a, coeffs.b, coeffs.c, coeffs.params.alpha, coeffs.params.beta
     )
-    return tuple(float(np.abs(e).max()) for e in (e1, e2, e3))
+    return tuple(_max_abs(e) for e in (e1, e2, e3))
+
+
+def _max_abs(values) -> float:
+    """The largest modulus, or NaN if any value is NaN: ``max`` alone
+    drops a NaN that is not first, and would let a NaN residual pass."""
+    mags = [abs(z) for z in values]
+    return math.nan if any(m != m for m in mags) else max(mags)
 
 
 def evaluate_conjugacy(coeffs: ConjugacyCoeffs, x: complex, y: complex) -> complex:
     """psi evaluated by truncated series (finite x only)."""
     a, b, c = (
-        reduce(lambda acc, co: acc * y + co, reversed(s.tolist()), 0j)
+        reduce(lambda acc, co: acc * y + co, reversed(s), 0j)
         for s in (coeffs.a, coeffs.b, coeffs.c)
     )
     return (a * x + b) / (c * x + 1.0)
@@ -251,6 +254,9 @@ def verify_conjugacy_numeric(
     The truncation error scales like y_radius^(order+1) while y_radius
     stays inside the convergence radius.
     """
+    # G is the NumPy half's map; no command runs this check
+    from .maps import InvertedSquareMap
+
     g = InvertedSquareMap(params=coeffs.params)
     beta = coeffs.params.beta
     rng = random.Random(0)
@@ -272,17 +278,21 @@ def estimate_radius(coeffs: ConjugacyCoeffs) -> float:
     n = coeffs.order
     if n < 8:
         raise ValueError("radius estimation needs order >= 8")
-    mags = np.abs(np.stack((coeffs.a, coeffs.b, coeffs.c))).max(axis=0)
+    mags = [_max_abs(z) for z in zip(coeffs.a, coeffs.b, coeffs.c)]
     ks = [k for k in range(n // 2, n + 1) if mags[k] > 0]
-    slope = np.polyfit(ks, np.log(mags[ks]), 1)[0]
+    logs = [math.log(mags[k]) for k in ks]
+    k_mean, log_mean = math.fsum(ks) / len(ks), math.fsum(logs) / len(logs)
+    slope = math.fsum(
+        (k - k_mean) * (v - log_mean) for k, v in zip(ks, logs)
+    ) / math.fsum((k - k_mean) ** 2 for k in ks)
     return math.exp(-slope)
 
 
 def coeffs_to_json(coeffs: ConjugacyCoeffs) -> dict:
     """JSON-ready export; complex numbers become [re, im] pairs."""
 
-    def series(s: np.ndarray):
-        return [[z.real, z.imag] for z in s.tolist()]
+    def series(s):
+        return [[z.real, z.imag] for z in s]
 
     return {
         "alpha": [coeffs.params.alpha.real, coeffs.params.alpha.imag],

@@ -19,43 +19,13 @@ import numpy as np
 from . import _kernels_py as kernels
 from .algebra import (
     INFINITY,
-    check_nonresonant,
+    MapParams,
     chordal,
     is_infinity,
     projective_action,
 )
 from .cocycle import CocycleSpec, generator_values
 from .errors import IndeterminateAction, IndeterminatePoint, InsufficientPoints, Overflow
-
-
-@dataclass(frozen=True)
-class MapParams:
-    """Unit-modulus parameter pair; ``freq`` is the angle of beta in (0, 1)
-    and fixes the square root beta^(1/2) = exp(i pi freq) once."""
-
-    alpha: complex
-    beta: complex
-    freq: float
-
-    def __post_init__(self):
-        # written so that NaN fails the check
-        if not (abs(abs(self.alpha) - 1.0) <= 1e-12 and abs(abs(self.beta) - 1.0) <= 1e-12):
-            raise ValueError("|alpha| and |beta| must equal 1 to 1e-12")
-        check_nonresonant(self.freq)
-        if abs(cmath.exp(2j * math.pi * self.freq) - self.beta) > 1e-9:
-            raise ValueError("freq must be the angle of beta")
-
-    @staticmethod
-    def from_angles(alpha_angle: float, freq: float) -> "MapParams":
-        return MapParams(
-            alpha=cmath.exp(2j * math.pi * alpha_angle),
-            beta=cmath.exp(2j * math.pi * freq),
-            freq=freq % 1.0,
-        )
-
-    @property
-    def beta_sqrt(self) -> complex:
-        return cmath.exp(1j * math.pi * self.freq)
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,26 @@ class TestLinearizeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: FloatingPointError: non-finite value")
 
+    def test_leaves_numpy_out(self, tmp_path):
+        # the conjugacy series are tuples of Python complex numbers, so
+        # `jonq linearize` starts without the NumPy half of the package
+        code = (
+            "import sys, jonq.cli; "
+            "rc = jonq.cli.main(['linearize', '--order', '12', '--out', sys.argv[1]]); "
+            "print(rc, 'numpy' in sys.modules)"
+        )
+        out = tmp_path / "l.json"
+        proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 False\n"
+        assert json.loads(out.read_text())["N"] == 12
+
+    def test_module_import_leaves_numpy_out(self):
+        code = "import sys, jonq.linearize; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
+
 
 class TestDegreeCommand:
     def test_growth_json(self, tmp_path):

@@ -817,6 +817,19 @@ class TestKernel:
             # and it gives away no more than the margin
             assert np.all(dets - bound <= kernels.UNIT_CIRCLE_MARGIN + 1e-14)
 
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
+    def test_unit_circle_bound_is_the_same_for_any_block_length(self, kind, monkeypatch):
+        # 64 phases at n = 2e4, one of them a hit at step 1500: 79 blocks of
+        # 256 steps at BLOCK_ENTRIES = 4096, 5,000 blocks of 4 steps at 64
+        # and 5 blocks of 4096 steps at 65,536
+        n, thetas = 20000, phase_samples(64, 5)
+        thetas[0] = hit_phase(kind, 1500)
+        want = kernels.unit_circle_det_bounds(kind, ALPHA, thetas, GOLDEN_FREQ, n)
+        for entries in (64, 65536):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            got = kernels.unit_circle_det_bounds(kind, ALPHA, thetas, GOLDEN_FREQ, n)
+            assert got.tobytes() == want.tobytes()
+
     def test_singular_constant_renormalizes_every_step(self):
         k = kernels.renormalization_intervals(
             "constant", ALPHA, np.ones(2), 0.0, np.array([]),
