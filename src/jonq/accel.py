@@ -1,6 +1,6 @@
 """Radius sweeps of the Lyapunov exponent, finite-difference acceleration,
-integer-quantization checks, segmented piecewise-affine fitting, and
-regularity / uniform-hyperbolicity / energy-regime classification.
+integer-quantization checks, segmented piecewise-affine fitting and the
+one-sided-slope regularity check.
 
 Throughout, s = ln(rho) is the sweep variable.  The acceleration is the
 negated left s-derivative of the exponent: complexifying the additive
@@ -19,18 +19,13 @@ import numpy as np
 from .algebra import DEFAULT_H
 from .cocycle import (
     CocycleSpec,
-    LyapunovEstimate,
-    estimate_from_phase_values,
     lyapunov_many,
     phase_values_many,
 )
-from .errors import NotUnimodular, SideCrossing
+from .errors import SideCrossing
 
 # most segments piecewise_affine_fit tries
 MAX_SEGMENTS = 6
-# regime_classify's band: BAND_POINTS radii exp(s) with |s| <= BAND_EPS
-BAND_EPS = 0.05
-BAND_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -91,20 +86,6 @@ class RegularityResult:
 
 
 @dataclass(frozen=True)
-class UHResult:
-    verdict: str  # "UH" | "NotUH" | "Undetermined"
-    estimate: LyapunovEstimate
-    regularity: RegularityResult | None
-
-
-@dataclass(frozen=True)
-class RegimeResult:
-    verdict: str  # "Supercritical" | "SubcriticalLike" | "Unresolved"
-    circle_estimate: LyapunovEstimate
-    band_estimates: tuple
-
-
-@dataclass(frozen=True)
 class QuantizationReport:
     passed: bool
     tol: float
@@ -159,24 +140,6 @@ def radius_at(s: float, what: str) -> float:
     return rho
 
 
-def _window_values(spec, rhos, h, n, samples, seed):
-    """The s-grids (s - h, s, s + h), s = ln(rho), of the windows centred at
-    each rho in ``rhos``, and the per-phase values at n // 2 and n at their
-    radii, from one kernel call: rows 3i to 3i + 2 belong to window i.  The
-    centre radius is rho itself, the others exp(s - h) and exp(s + h)."""
-    if not h > 0:  # NaN fails too
-        raise ValueError("h must be positive")
-    grids, radii = [], []
-    for rho in rhos:
-        s = math.log(rho)
-        _guard_sides(spec, s, h)
-        grids.append((s - h, s, s + h))
-        lo, hi = (radius_at(s + d, f"h = {h!r}") for d in (-h, h))
-        radii += [lo, rho, hi]
-    half_values, values = phase_values_many(spec, radii, n, samples, seed)
-    return grids, half_values, values
-
-
 def acceleration_windows(
     spec: CocycleSpec,
     rhos,
@@ -200,42 +163,31 @@ def acceleration_windows(
     error, which adds the two paired-sample standard errors and an O(h)
     discretization allowance h/2.
     """
-    grids, _, values = _window_values(spec, rhos, h, n, samples, seed)
-    return [_window_result(grid, values[3 * i : 3 * i + 3], h)
-            for i, grid in enumerate(grids)]
-
-
-def _window_result(grid, values, h):
-    """The acceleration and regularity of one three-radius window:
-    ``values`` holds the phase values at the radii exp(grid[0]),
-    exp(grid[1]) and exp(grid[2]).
-
-    omega's ``stderr`` is the phase-sampling error of the left slope only,
-    without the finite-n bias of the difference quotient; ``slope_error``
-    is both slopes' sampling errors plus h / 2 for that bias."""
-    lo, mid, hi = values
-    s = grid[1]
-    left, le = _paired_slope(lo, mid, grid[0], s)
-    right, re_ = _paired_slope(mid, hi, s, grid[2])
-
-    omega = -left
-    nearest = int(round(omega))
-    accel = AccelerationEstimate(
-        omega=omega,
-        nearest_integer=nearest,
-        distance=abs(omega - nearest),
-        h=h,
-        stderr=le,
-    )
-
-    slope_err = le + re_ + h / 2
-    regularity = RegularityResult(
-        regular=abs(left - right) <= 2.0 * slope_err,
-        left_slope=left,
-        right_slope=right,
-        slope_error=slope_err,
-    )
-    return accel, regularity
+    if not h > 0:  # NaN fails too
+        raise ValueError("h must be positive")
+    centres, radii = [], []
+    for rho in rhos:
+        s = math.log(rho)
+        _guard_sides(spec, s, h)
+        centres.append(s)
+        radii += [radius_at(s - h, f"h = {h!r}"), rho, radius_at(s + h, f"h = {h!r}")]
+    # rows 3i to 3i + 2 belong to window i
+    _, values = phase_values_many(spec, radii, n, samples, seed)
+    windows = []
+    for i, s in enumerate(centres):
+        lo, mid, hi = values[3 * i : 3 * i + 3]
+        left, le = _paired_slope(lo, mid, s - h, s)
+        right, re_ = _paired_slope(mid, hi, s, s + h)
+        nearest = int(round(-left))
+        slope_err = le + re_ + h / 2
+        windows.append((
+            AccelerationEstimate(omega=-left, nearest_integer=nearest,
+                                 distance=abs(-left - nearest), h=h, stderr=le),
+            RegularityResult(regular=abs(left - right) <= 2.0 * slope_err,
+                             left_slope=left, right_slope=right,
+                             slope_error=slope_err),
+        ))
+    return windows
 
 
 def acceleration_at(
@@ -354,72 +306,3 @@ def regularity_check(
     second half of the one-centre :func:`acceleration_windows`."""
     return acceleration_windows(spec, [rho], h, n, samples, seed)[0][1]
 
-
-_DET_ONE_KINDS = {"btilde", "diagonal_power", "schrodinger"}
-
-
-def _require_unimodular(spec: CocycleSpec):
-    if spec.kind in _DET_ONE_KINDS:
-        return
-    if spec.kind == "constant" and abs(np.linalg.det(spec.matrix) - 1.0) <= 1e-9:
-        return
-    raise NotUnimodular(f"kind {spec.kind!r} does not have det = 1")
-
-
-def uh_classify(
-    spec: CocycleSpec,
-    rho: float,
-    h: float = DEFAULT_H,
-    n: int = 20000,
-    samples: int = 64,
-    seed: int = 0,
-) -> UHResult:
-    """Numeric uniform-hyperbolicity verdict for det-1 families.
-
-    UH requires a positive exponent at 3x resolution plus a Regular
-    profile; an exponent at zero within resolution is NotUH; anything else
-    is Undetermined.  The exponent is read at the centre (rho itself) of
-    the three-radius window that gives the regularity, all in one kernel
-    call.
-    """
-    _require_unimodular(spec)
-    (grid,), half_values, values = _window_values(spec, [rho], h, n, samples, seed)
-    est = estimate_from_phase_values(half_values[1], values[1], n)
-    if est.value <= 3.0 * est.total_error:
-        return UHResult(verdict="NotUH", estimate=est, regularity=None)
-    _, reg = _window_result(grid, values, h)
-    if reg.regular:
-        return UHResult(verdict="UH", estimate=est, regularity=reg)
-    return UHResult(verdict="Undetermined", estimate=est, regularity=reg)
-
-
-def regime_classify(
-    spec: CocycleSpec,
-    n: int = 20000,
-    samples: int = 64,
-    seed: int = 0,
-) -> RegimeResult:
-    """Energy-regime proxy for a Schrodinger-type spec.
-
-    Supercritical iff the exponent on the unit circle exceeds 3x its
-    resolution; SubcriticalLike iff the exponent is zero within resolution
-    at each of BAND_POINTS equally spaced radii exp(s), |s| <= BAND_EPS (a
-    numeric proxy for a uniform subexponential band bound).  The critical
-    boundary case is never claimed.
-    """
-    if spec.kind != "schrodinger":
-        raise ValueError("regime classification needs a schrodinger spec")
-    band_s = [float(s) for s in np.linspace(-BAND_EPS, BAND_EPS, BAND_POINTS)]
-    circle, *band = lyapunov_many(
-        spec, [1.0] + [math.exp(s) for s in band_s], n, samples, seed
-    )
-    if circle.value > 3.0 * circle.total_error:
-        return RegimeResult(
-            verdict="Supercritical", circle_estimate=circle, band_estimates=()
-        )
-    subcritical = all(est.value <= 3.0 * est.total_error for est in band)
-    return RegimeResult(
-        verdict="SubcriticalLike" if subcritical else "Unresolved",
-        circle_estimate=circle,
-        band_estimates=tuple(zip(band_s, band)),
-    )

@@ -3,8 +3,8 @@ seeding, CSV/JSON output for plotting and verification.
 
 Every output embeds the resolved run configuration and the library
 version, so rerunning an embedded configuration reproduces the file
-byte-for-byte.  Exit codes: 0 success, 2 invalid configuration, 3
-numeric/domain failure.
+byte-for-byte.  Exit codes: 0 success (also when the reader of stdout
+closes it early), 2 invalid configuration, 3 numeric/domain failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -40,7 +41,14 @@ def _config(args) -> dict:
 
 def _emit(path: str | None, text: str) -> None:
     if path in (None, "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early, which is no failure of the
+            # run; what is still buffered goes to devnull, so the flush at
+            # interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -233,9 +241,8 @@ def _cmd_linearize(args) -> str:
     coeffs = linearize.solve_coefficients(
         params, args.order, divisor_floor=args.divisor_floor
     )
-    r1, r2, r3 = linearize.residual_norms(coeffs)
     payload = linearize.coeffs_to_json(coeffs)
-    payload["residuals"] = [r1, r2, r3]
+    payload["residuals"] = list(coeffs.residuals)
     payload["radius_estimate"] = (
         linearize.estimate_radius(coeffs) if args.order >= 8 else None
     )

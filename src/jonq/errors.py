@@ -54,12 +54,6 @@ class SideCrossing(JonqError):
     exit_code = 2
 
 
-class NotUnimodular(JonqError):
-    """Operation restricted to det = 1 generator families."""
-
-    exit_code = 2
-
-
 class SmallDivisor(JonqError):
     """Siegel-type resonance: a linearization divisor fell below the floor."""
 

@@ -29,7 +29,7 @@ import cmath
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, repeat
 
@@ -67,13 +67,15 @@ def scale_argument(u, c: complex) -> tuple:
 @dataclass(frozen=True)
 class ConjugacyCoeffs:
     """Solved truncated series of the conjugacy, plus the smallest divisor
-    modulus met during the recursion."""
+    modulus met during the recursion and, from :func:`solve_coefficients`,
+    the series' :func:`residual_norms`."""
 
     a: tuple
     b: tuple
     c: tuple
     params: MapParams
     small_divisor_floor: float
+    residuals: tuple | None = None
 
     @property
     def order(self) -> int:
@@ -207,17 +209,16 @@ def solve_coefficients(
     coeffs = ConjugacyCoeffs(
         a=tuple(a), b=tuple(b), c=tuple(c), params=p, small_divisor_floor=floor_seen
     )
+    residuals = residual_norms(coeffs)
     # The vanishing-residual post-condition is enforceable only while no
     # divisor got small: once one does, round-off is amplified by 1/|div|
     # at every later order and the raw residuals quantify exactly that
-    # sensitivity (callers read them via residual_norms).
-    if floor_seen >= 1e-4:
-        r1, r2, r3 = residual_norms(coeffs)
-        if max(r1, r2, r3) > 1e-10 * scale:
-            raise ArithmeticError(
-                f"solved series leave residuals ({r1:.2e}, {r2:.2e}, {r3:.2e})"
-            )
-    return coeffs
+    # sensitivity (callers read them as the ``residuals`` field).
+    if floor_seen >= 1e-4 and max(residuals) > 1e-10 * scale:
+        raise ArithmeticError(
+            "solved series leave residuals ({:.2e}, {:.2e}, {:.2e})".format(*residuals)
+        )
+    return replace(coeffs, residuals=residuals)
 
 
 def residual_norms(coeffs: ConjugacyCoeffs) -> tuple[float, float, float]:

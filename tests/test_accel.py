@@ -12,12 +12,10 @@ from jonq.accel import (
     lyapunov_profile,
     piecewise_affine_fit,
     quantization_check,
-    regime_classify,
     regularity_check,
-    uh_classify,
 )
 from jonq.cocycle import CocycleSpec, LyapunovEstimate, lyapunov, lyapunov_phase_values
-from jonq.errors import NotUnimodular, SideCrossing
+from jonq.errors import SideCrossing
 
 FAST = dict(n=4000, samples=16, seed=0)
 
@@ -308,77 +306,3 @@ class TestRegularity:
         assert not res.regular
         assert res.left_slope == pytest.approx(0.0, abs=0.05)
         assert res.right_slope == pytest.approx(1.0, abs=0.05)
-
-
-class TestUHClassify:
-    def test_constant_hyperbolic(self):
-        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
-        assert uh_classify(spec, 1.0, **FAST).verdict == "UH"
-
-    def test_normalized_family_not_uh(self):
-        spec = CocycleSpec(kind="btilde", rho=2.0)
-        assert uh_classify(spec, 2.0, **FAST).verdict == "NotUH"
-
-    def test_rotation_not_uh(self):
-        c, s = math.cos(1.0), math.sin(1.0)
-        spec = CocycleSpec(kind="constant", matrix=[[c, -s], [s, c]])
-        assert uh_classify(spec, 1.0, **FAST).verdict == "NotUH"
-
-    def test_rejects_non_unimodular(self):
-        spec = CocycleSpec(kind="jonquieres_b", rho=2.0)
-        with pytest.raises(NotUnimodular):
-            uh_classify(spec, 2.0, **FAST)
-
-    def test_one_window_with_rho_at_its_centre(self, kernel_calls):
-        # NotUH: the estimate is read at the centre of the one window call;
-        # exp(ln 3.0) != 3.0, so the centre is the given radius itself
-        spec = CocycleSpec(kind="btilde", rho=3.0)
-        res = uh_classify(spec, 3.0, n=300, samples=4, seed=1)
-        (call,) = kernel_calls
-        radii = call[2].reshape(3, 4)
-        assert len(set(call[2].tolist())) == 3 and np.all(radii[1] == 3.0)
-        assert res.verdict == "NotUH" and res.regularity is None
-        assert res.estimate == lyapunov(replace(spec, rho=3.0), 300, 4, 1)
-
-    def test_uh_path_makes_one_kernel_call(self, kernel_calls):
-        spec = CocycleSpec(kind="constant", matrix=[[2, 0], [0, 0.5]])
-        res = uh_classify(spec, 1.0, n=300, samples=4, seed=1)
-        assert len(kernel_calls) == 1
-        assert res.verdict == "UH"
-        assert res.estimate == lyapunov(spec, 300, 4, 1)
-        assert res.regularity == regularity_check(spec, 1.0, n=300, samples=4, seed=1)
-
-
-class TestRegimeClassify:
-    def test_large_coupling_supercritical(self):
-        # v = 2 lambda cos(2 pi theta), lambda = 3, E = 0; the estimator at
-        # two n values is its own oracle for positivity
-        spec = CocycleSpec(kind="schrodinger", energy=0.0, potential=(0.0, 6.0))
-        res = regime_classify(spec, **FAST)
-        assert res.verdict == "Supercritical"
-        est = res.circle_estimate
-        assert abs(est.value - est.half_n_value) < 0.1 * est.value
-
-    def test_free_cocycle_inside_band(self):
-        spec = CocycleSpec(kind="schrodinger", energy=1.0, potential=())
-        assert regime_classify(spec, **FAST).verdict == "SubcriticalLike"
-
-    def test_free_cocycle_outside_band(self):
-        spec = CocycleSpec(kind="schrodinger", energy=3.0, potential=())
-        res = regime_classify(spec, **FAST)
-        assert res.verdict == "Supercritical"
-        # eigenvalue of [[3, -1], [1, 0]]: (3 + sqrt(5)) / 2
-        want = math.log((3.0 + math.sqrt(5.0)) / 2.0)
-        assert res.circle_estimate.value == pytest.approx(want, abs=1e-3)
-
-    def test_circle_and_band_in_one_kernel_call(self, kernel_calls):
-        spec = CocycleSpec(kind="schrodinger", energy=1.0, potential=())
-        res = regime_classify(spec, n=300, samples=4, seed=0)
-        assert len(kernel_calls) == 1
-        assert res.circle_estimate == lyapunov(replace(spec, rho=1.0), 300, 4, 0)
-        assert [s for s, _ in res.band_estimates] == list(np.linspace(-0.05, 0.05, 5))
-
-    def test_requires_schrodinger(self):
-        spec = CocycleSpec(kind="diagonal_power")
-        with pytest.raises(ValueError):
-            regime_classify(spec, **FAST)

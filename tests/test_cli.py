@@ -260,6 +260,21 @@ class TestOrbitCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: Overflow: ")
 
+    def test_closed_stdout_exits_zero(self):
+        # the CSV of 1e5 steps is larger than a pipe buffer, so the write
+        # meets the read end closed
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jonq.cli", "orbit", "--n", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == b""
+
 
 class TestClassifyCommand:
     def test_circle_domain_json(self, tmp_path):
@@ -312,6 +327,16 @@ class TestLinearizeCommand:
             ["linearize", "--order", "8", "--freq", str(1.0 / 7.0 + 1e-11)],
         )
         assert rc == 3
+
+    def test_residuals_computed_once(self, monkeypatch, capsys):
+        # the solver's post-condition norms are the ones printed
+        returned = []
+        original = linearize_mod.residual_norms
+        monkeypatch.setattr(linearize_mod, "residual_norms",
+                            lambda coeffs: returned.append(original(coeffs)) or returned[-1])
+        assert main(["linearize", "--order", "12"]) == 0
+        assert len(returned) == 1
+        assert strict_json(capsys.readouterr().out)["residuals"] == list(returned[0])
 
     def test_nan_in_json_is_numeric_error(self, monkeypatch, capsys):
         # no JSON document carries a NaN or Infinity token under exit 0

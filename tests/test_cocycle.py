@@ -323,6 +323,21 @@ class TestLyapunov:
         assert abs(est.value) < 0.02
         assert est.value >= -1e-9  # det-1 family: Frobenius norm >= sqrt(2)
 
+    def test_free_schrodinger_closed_form(self):
+        # no potential: the constant [[3, -1], [1, 0]], whose larger
+        # eigenvalue is (3 + sqrt(5)) / 2
+        spec = CocycleSpec(kind="schrodinger", energy=3.0, potential=())
+        est = lyapunov(spec, 4000, 16, 0)
+        want = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+        assert est.value == pytest.approx(want, abs=1e-3)
+
+    def test_almost_mathieu_herman_bound(self):
+        # v = 2 lambda cos(2 pi theta) with lambda = 3: Herman's bound
+        # L >= ln lambda holds at every energy, here E = 0
+        spec = CocycleSpec(kind="schrodinger", energy=0.0, potential=(0.0, 6.0))
+        est = lyapunov(spec, 4000, 16, 0)
+        assert est.value >= math.log(3.0) - 0.01
+
     def test_unit_eigenvalue_constants_have_zero_exponent(self):
         # almost-constant test vectors: elliptic and unipotent constant
         # cocycles (both eigenvalues on the unit circle) have L = 0
