@@ -439,11 +439,10 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
             terms *= scale
             terms += offset
             np.log(terms, out=terms)
-            terms[0] += logb[:live]
-            # a one-step block is its own running sum
-            if steps > 1:
-                np.add.accumulate(terms, axis=0, out=terms)
-            logb[:live] = terms[-1]
+            # one row at a time: np.add.accumulate over a short axis runs
+            # one inner loop per column
+            for row in terms:
+                logb[:live] += row
         pv, tv = p[:, :, :live], t[..., :live, :]
         row0, row1 = pv
         for j in range(steps):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -261,7 +262,7 @@ def _cmd_degree(args) -> str:
     if args.format == "csv":
         return _csv_document(args, ["n", "degree"], [range(1, len(degs) + 1), degs])
     report = degree_mod.growth_classify(degs)
-    payload = degree_mod.growth_report_json(report)
+    payload = dataclasses.asdict(report)
     # the (alpha, beta) pairs that certified the sequence, as exact strings
     payload["specializations"] = [[str(Fraction(a)), str(Fraction(b))] for a, b in pairs]
     return _json_document(args, payload)

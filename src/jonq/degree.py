@@ -198,13 +198,6 @@ def _sympy():
     return sympy, sympy.symbols("x y z")
 
 
-def __getattr__(name):
-    # GENS stays a module attribute without importing sympy with the module
-    if name == "GENS":
-        return _sympy()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class HomogeneousMap:
     """Three coprime homogeneous polynomials of equal degree."""
@@ -424,15 +417,3 @@ def family_base_points(f: HomogeneousMap) -> tuple:
     own specialization."""
     alpha = f.specialization[0]
     return ((1, 0, 0), (0, 1, 0), (-1, alpha, 1))
-
-
-def growth_report_json(report: GrowthReport) -> dict:
-    return {
-        "degrees": list(report.degrees),
-        "growth_class": report.growth_class,
-        "lambda_estimate": report.lambda_estimate,
-        "lambda_estimate_half": report.lambda_estimate_half,
-        "linear_slope": report.linear_slope,
-        "entropy_bound": report.entropy_bound,
-        "low_confidence": report.low_confidence,
-    }

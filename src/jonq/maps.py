@@ -161,46 +161,13 @@ class InvertedSquareMap:
         G(x, y) = ((x(1 + y) + (alpha + 1) y) /
                    (beta + (alpha + beta) x + alpha^2 y),  y / beta^2)
 
-    The constructor checks the composition identity against a direct
-    sigma f f sigma evaluation at 100 deterministic sample points and the
-    Jacobian structure at the origin (triangular, diagonal (1/beta,
-    1/beta^2))."""
+    Nothing is checked at construction.  Tier-1 checks the closed form
+    against sigma f f sigma (``TestInvertedSquareMap::
+    test_composition_identity``) and the triangular Jacobian at the origin,
+    with diagonal (1/beta, 1/beta^2), against a finite-difference oracle
+    (``test_jacobian_eigenvalues_against_fd_oracle``)."""
 
     params: MapParams
-
-    def __post_init__(self):
-        p = self.params
-        worst = 0.0
-        for i in range(100):
-            x = 0.5 * cmath.exp(2j * math.pi * ((i * 0.6180339887498949) % 1.0)) + 0.1
-            y = 0.4 * cmath.exp(2j * math.pi * ((i * 0.4142135623730951) % 1.0)) + 0.05
-            gx, gy = self.apply(x, y)
-            ref = self._via_composition(x, y)
-            if ref is None:
-                continue
-            worst = max(worst, abs(gx - ref[0]) + abs(gy - ref[1]))
-        if worst > 1e-12:
-            raise ArithmeticError(
-                f"inverted square map fails composition identity ({worst:.3e})"
-            )
-        jac = self.jacobian_origin()
-        lead = abs(jac[0][0] - 1.0 / p.beta) + abs(jac[1][1] - 1.0 / p.beta**2)
-        if lead > 1e-10 or abs(jac[1][0]) > 1e-10:
-            raise ArithmeticError(
-                "origin Jacobian is not upper triangular with diagonal "
-                "(1/beta, 1/beta^2)"
-            )
-
-    def _via_composition(self, x: complex, y: complex):
-        p = self.params
-        try:
-            q = PointP1xC(x=1.0 / x, y=1.0 / y)
-            q = apply_f(p, apply_f(p, q))
-        except (ZeroDivisionError, ValueError, IndeterminatePoint):
-            return None
-        if is_infinity(q.x) or q.x == 0:
-            return None
-        return 1.0 / q.x, 1.0 / q.y
 
     def apply(self, x: complex, y: complex):
         p = self.params
@@ -238,21 +205,19 @@ class FixedPoint:
 
 
 def fixed_points(p: MapParams) -> tuple:
-    """The three verified fixed points: (0,0) and (alpha-1, 0) of f, and the
-    origin of G (the image under inversion of f^2's fixed point at
-    infinity).  Residuals are checked to 1e-12."""
+    """The three fixed points: (0,0) and (alpha-1, 0) of f, and the origin
+    of G (the image under inversion of f^2's fixed point at infinity).
+    Each residual is reported, not re-verified: all three come from closed
+    forms, and ``TestFixedPoints::test_all_verified`` bounds them by
+    1e-12."""
     out = []
     mat = cocycle_matrix(p, 0j)
     for x0 in (0j, p.alpha - 1.0):
         x1 = projective_action(mat, x0)
         res = chordal(x1, x0)  # y = 0 fiber is preserved exactly
         out.append(FixedPoint(x=x0, y=0j, which_map="f", residual=res))
-    g = InvertedSquareMap(params=p)
-    gx, gy = g.apply(0j, 0j)
+    gx, gy = InvertedSquareMap(params=p).apply(0j, 0j)
     out.append(FixedPoint(x=0j, y=0j, which_map="G", residual=abs(gx) + abs(gy)))
-    for fp in out:
-        if fp.residual > 1e-12:
-            raise ArithmeticError(f"fixed point {fp} failed verification")
     return tuple(out)
 
 
@@ -350,11 +315,7 @@ def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> Closure
 
 
 def classify_orbit_closure(
-    p: MapParams,
-    q: PointP1xC,
-    n: int,
-    which: str = "f",
-    max_octave: int = 16,
+    p: MapParams, q: PointP1xC, n: int, which: str = "f"
 ) -> ClosureClassification:
     """Box-counting rank of the orbit closure (see :func:`boxcount_rank`).
 
@@ -366,4 +327,4 @@ def classify_orbit_closure(
         raise ValueError("closure classification needs a long orbit")
     u, v, y = orbit_coordinates(p, q, n, which)
     finite = v != 0
-    return boxcount_rank(u[finite], y[finite], max_octave=max_octave)
+    return boxcount_rank(u[finite], y[finite])

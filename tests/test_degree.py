@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import jonq.degree as degree_mod
 from jonq.degree import (
-    GENS,
     HomogeneousMap,
     base_point_check,
     certified_degrees,
@@ -24,7 +23,7 @@ from jonq.degree import (
 )
 from jonq.errors import SpecializationMismatch, ZeroComponent
 
-X, Y, Z = GENS
+GENS = X, Y, Z = sp.symbols("x y z")
 
 
 class TestSpecialize:
