@@ -7,14 +7,15 @@ families (at given points y), with ``sqrt_branch_values`` for the
 square-root normalization and ``moving_entry`` for the one entry of the
 jonquieres generators that depends on y; ``generators`` evaluates them at
 phases.  The kernel and ``cocycle`` evaluate every generator through them,
-so this module imports nothing from the package.
+so this module imports nothing from the package but its lazy NumPy
+binding, ``_lazy.np``.
 """
 
 import cmath
 import math
 from itertools import chain
 
-import numpy as np
+from ._lazy import np
 
 
 def sqrt_branch_values(alpha, rho, y):

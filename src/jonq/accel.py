@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import DEFAULT_H
+from ._lazy import np
+from .algebra import DEFAULT_H, max_abs
 from .cocycle import (
     CocycleSpec,
     lyapunov_many,
@@ -213,18 +212,40 @@ def quantization_check(estimates, tol: float) -> QuantizationReport:
     return QuantizationReport(passed=not failures, tol=tol, failures=failures)
 
 
+def _pairwise_sum(xs: list) -> float:
+    """Sum of the floats ``xs`` in NumPy's float64 order: left to right
+    below 8 terms, 8 interleaved partial sums up to 128 terms, and split in
+    halves (at a multiple of 8) above.  So the fit's floats are those of a
+    NumPy fit to the bit, and do not depend on the Python version (``sum``
+    compensates from Python 3.12 on)."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
+        tail = n - n % 8
+        r = xs[:8]
+        for i in range(8, tail, 8):
+            r = [a + b for a, b in zip(r, xs[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[tail:]:
+        total += x
+    return total
+
+
 def _segment_cost(s, v):
-    """(SSE, slope, intercept) of the least-squares line through the points."""
+    """(SSE, slope, intercept) of the least-squares line through the points
+    (s[i], v[i]), two or more Python floats each."""
     m = len(s)
-    if m == 1:
-        return 0.0, 0.0, v[0]
-    sm = s.mean()
-    vm = v.mean()
-    den = ((s - sm) ** 2).sum()
-    slope = ((s - sm) * (v - vm)).sum() / den if den > 0 else 0.0
+    sm = _pairwise_sum(s) / m
+    vm = _pairwise_sum(v) / m
+    ds = [x - sm for x in s]
+    den = _pairwise_sum([d * d for d in ds])
+    slope = _pairwise_sum([d * (y - vm) for d, y in zip(ds, v)]) / den if den > 0 else 0.0
     inter = vm - slope * sm
-    resid = v - (slope * s + inter)
-    return float((resid**2).sum()), float(slope), float(inter)
+    resid = [y - (slope * x + inter) for x, y in zip(s, v)]
+    return _pairwise_sum([r * r for r in resid]), slope, inter
 
 
 def piecewise_affine_fit(profile: LyapunovProfile, penalty: float | None = None) -> AffineFit:
@@ -234,16 +255,18 @@ def piecewise_affine_fit(profile: LyapunovProfile, penalty: float | None = None)
     MAX_SEGMENTS segments, minimizing total SSE + penalty * (segment
     count); the default penalty is the BIC-style
     2 * mean(stderr^2) * ln(#points).  Adjacent segments share the
-    junction grid point, whose s-value is the reported breakpoint.
+    junction grid point, whose s-value is the reported breakpoint.  It runs
+    on Python floats read from ``profile.points``, without NumPy; a NaN
+    profile value gives a NaN ``max_residual``.
     """
-    s = profile.s_values
-    v = profile.values
+    s = [float(x) for x, _ in profile.points]
+    v = [float(e.value) for _, e in profile.points]
     p = len(s)
     if p < 5:
         raise ValueError("need at least 5 profile points")
     if penalty is None:
-        se = profile.stderrs
-        penalty = 2.0 * float(np.mean(se**2)) * math.log(p)
+        se = [float(e.stderr) for _, e in profile.points]
+        penalty = 2.0 * (_pairwise_sum([x * x for x in se]) / p) * math.log(p)
         penalty = max(penalty, 1e-12)
 
     cost = {}
@@ -280,17 +303,17 @@ def piecewise_affine_fit(profile: LyapunovProfile, penalty: float | None = None)
     junctions = junctions[::-1]  # 0 = j0 < j1 < ... < jK = p-1
 
     slopes, inters = [], []
-    fit = np.empty(p)
+    fit = [0.0] * p
     for a, b in zip(junctions, junctions[1:]):
         _, slope, inter = cost[(a, b)]
         slopes.append(slope)
         inters.append(inter)
-        fit[a : b + 1] = slope * s[a : b + 1] + inter
+        fit[a : b + 1] = [slope * x + inter for x in s[a : b + 1]]
     return AffineFit(
-        breakpoints=tuple(float(s[j]) for j in junctions[1:-1]),
+        breakpoints=tuple(s[j] for j in junctions[1:-1]),
         slopes=tuple(slopes),
         intercepts=tuple(inters),
-        max_residual=float(np.max(np.abs(fit - v))),
+        max_residual=max_abs(f - y for f, y in zip(fit, v)),
     )
 
 

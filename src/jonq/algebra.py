@@ -122,6 +122,13 @@ def tree_mean(values) -> float:
     return tree_sum(vals) / len(vals)
 
 
+def max_abs(values) -> float:
+    """The largest modulus, or NaN if any value is NaN: ``max`` alone
+    drops a NaN that is not first, and would let a NaN residual pass."""
+    mags = [abs(z) for z in values]
+    return math.nan if any(m != m for m in mags) else max(mags)
+
+
 @dataclass(frozen=True)
 class MapParams:
     """Unit-modulus parameter pair; ``freq`` is the angle of beta in (0, 1)

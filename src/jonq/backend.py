@@ -7,6 +7,12 @@ linearize`` load only the pure-Python half (``algebra``, ``errors``,
 loads the whole NumPy half at once.  It loads ``linearize`` too, so that a
 tracer which imports this module before wrapping finds every module a
 command runs.
+
+``_kernels_py``, ``cocycle`` and ``accel`` bind NumPy lazily
+(``_lazy.np``), so they load it when a kernel first runs: ``import
+jonq.accel`` and the segmented fit, which runs on Python floats, run
+without NumPy.  ``maps`` imports NumPy itself, so importing this module
+loads it.
 """
 
 from . import _kernels_py as kernels

@@ -27,9 +27,11 @@ from . import degree as degree_mod
 # half of the package (the kernels, ``accel``, ``cocycle`` and ``maps``, and
 # the pure-Python ``linearize``) at once, and a tracer that imports
 # ``backend`` before wrapping finds every module a command runs already
-# loaded.  ``jonq degree`` and ``jonq linearize`` are pure Python: they import
-# ``degree`` and ``linearize`` themselves, so they and the parser start
-# without NumPy.
+# loaded.  The kernels, ``cocycle`` and ``accel`` load NumPy when a kernel
+# first runs, so ``import jonq.accel`` and the segmented fit run without it;
+# ``maps``, and so ``backend``, imports it.  ``jonq degree`` and ``jonq
+# linearize`` are pure Python: they import ``degree`` and ``linearize``
+# themselves, so they and the parser start without NumPy.
 
 CSV_EOL = "\n"
 

@@ -30,9 +30,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels_py as kernels
+from ._lazy import np
 from .algebra import (
     GOLDEN_FREQ,
     KINDS,

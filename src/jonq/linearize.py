@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, repeat
 
-from .algebra import MapParams
+from .algebra import MapParams, max_abs
 from .errors import SmallDivisor
 
 
@@ -227,14 +227,7 @@ def residual_norms(coeffs: ConjugacyCoeffs) -> tuple[float, float, float]:
     e1, e2, e3 = conjugacy_equations(
         coeffs.a, coeffs.b, coeffs.c, coeffs.params.alpha, coeffs.params.beta
     )
-    return tuple(_max_abs(e) for e in (e1, e2, e3))
-
-
-def _max_abs(values) -> float:
-    """The largest modulus, or NaN if any value is NaN: ``max`` alone
-    drops a NaN that is not first, and would let a NaN residual pass."""
-    mags = [abs(z) for z in values]
-    return math.nan if any(m != m for m in mags) else max(mags)
+    return tuple(max_abs(e) for e in (e1, e2, e3))
 
 
 def evaluate_conjugacy(coeffs: ConjugacyCoeffs, x: complex, y: complex) -> complex:
@@ -279,7 +272,7 @@ def estimate_radius(coeffs: ConjugacyCoeffs) -> float:
     n = coeffs.order
     if n < 8:
         raise ValueError("radius estimation needs order >= 8")
-    mags = [_max_abs(z) for z in zip(coeffs.a, coeffs.b, coeffs.c)]
+    mags = [max_abs(z) for z in zip(coeffs.a, coeffs.b, coeffs.c)]
     ks = [k for k in range(n // 2, n + 1) if mags[k] > 0]
     logs = [math.log(mags[k]) for k in ks]
     k_mean, log_mean = math.fsum(ks) / len(ks), math.fsum(logs) / len(logs)

@@ -183,18 +183,6 @@ class InvertedSquareMap:
             (0j, 1.0 / p.beta**2),
         )
 
-    def jacobian_origin_fd(self):
-        """Finite-difference Jacobian at the origin, with step 1e-6
-        (cross-check oracle)."""
-        step = 1e-6
-        g0 = self.apply(0j, 0j)
-        gx = self.apply(step + 0j, 0j)
-        gy = self.apply(0j, step + 0j)
-        return (
-            ((gx[0] - g0[0]) / step, (gy[0] - g0[0]) / step),
-            ((gx[1] - g0[1]) / step, (gy[1] - g0[1]) / step),
-        )
-
 
 @dataclass(frozen=True)
 class FixedPoint:

@@ -1,11 +1,18 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jonq.accel import (
+    MAX_SEGMENTS,
     AccelerationEstimate,
+    AffineFit,
+    LyapunovProfile,
     RegularityResult,
     acceleration_at,
     acceleration_windows,
@@ -21,9 +28,96 @@ FAST = dict(n=4000, samples=16, seed=0)
 
 
 def _wrap(points, template):
-    from jonq.accel import LyapunovProfile
-
     return LyapunovProfile(points=points, spec_template=template)
+
+
+def _profile(s, v, stderr=0.01):
+    return _wrap(
+        tuple((x, LyapunovEstimate(y, 1000, 8, y, stderr)) for x, y in zip(s, v)),
+        CocycleSpec(kind="jonquieres_b"),
+    )
+
+
+# The NumPy segmented fit, frozen as it stood before the fit moved to
+# Python floats, as the oracle the fit must match to the bit.
+def np_segment_cost(s, v):
+    m = len(s)
+    if m == 1:
+        return 0.0, 0.0, v[0]
+    sm = s.mean()
+    vm = v.mean()
+    den = ((s - sm) ** 2).sum()
+    slope = ((s - sm) * (v - vm)).sum() / den if den > 0 else 0.0
+    inter = vm - slope * sm
+    resid = v - (slope * s + inter)
+    return float((resid**2).sum()), float(slope), float(inter)
+
+
+# an overflowing profile leaves inf and nan, as the frozen fit did
+@np.errstate(over="ignore", invalid="ignore")
+def np_piecewise_affine_fit(profile, penalty=None):
+    s = profile.s_values
+    v = profile.values
+    p = len(s)
+    if p < 5:
+        raise ValueError("need at least 5 profile points")
+    if penalty is None:
+        se = profile.stderrs
+        penalty = 2.0 * float(np.mean(se**2)) * math.log(p)
+        penalty = max(penalty, 1e-12)
+
+    cost = {}
+    for i in range(p):
+        for j in range(i + 1, p):
+            cost[(i, j)] = np_segment_cost(s[i : j + 1], v[i : j + 1])
+
+    kmax = min(MAX_SEGMENTS, p - 1)
+    inf = float("inf")
+    best = [[inf] * (kmax + 1) for _ in range(p)]
+    back = [[-1] * (kmax + 1) for _ in range(p)]
+    for j in range(1, p):
+        best[j][1] = cost[(0, j)][0]
+        back[j][1] = 0
+    for k in range(2, kmax + 1):
+        for j in range(k, p):
+            for i in range(k - 1, j):
+                c = best[i][k - 1] + cost[(i, j)][0]
+                if c < best[j][k]:
+                    best[j][k] = c
+                    back[j][k] = i
+    k_best, total_best = 1, best[p - 1][1] + penalty
+    for k in range(2, kmax + 1):
+        total = best[p - 1][k] + penalty * k
+        if total < total_best:
+            k_best, total_best = k, total
+
+    junctions = [p - 1]
+    k = k_best
+    while k > 0:
+        junctions.append(back[junctions[-1]][k])
+        k -= 1
+    junctions = junctions[::-1]
+
+    slopes, inters = [], []
+    fit = np.empty(p)
+    for a, b in zip(junctions, junctions[1:]):
+        _, slope, inter = cost[(a, b)]
+        slopes.append(slope)
+        inters.append(inter)
+        fit[a : b + 1] = slope * s[a : b + 1] + inter
+    return AffineFit(
+        breakpoints=tuple(float(s[j]) for j in junctions[1:-1]),
+        slopes=tuple(slopes),
+        intercepts=tuple(inters),
+        max_residual=float(np.max(np.abs(fit - v))),
+    )
+
+
+def _fit_bits(fit):
+    return [
+        [x.hex() for x in field]
+        for field in (fit.breakpoints, fit.slopes, fit.intercepts, (fit.max_residual,))
+    ]
 
 
 class TestProfile:
@@ -284,6 +378,90 @@ class TestSegmentedFit:
         )
         with pytest.raises(ValueError):
             piecewise_affine_fit(prof)
+
+
+class TestFitMatchesNumpyOracle:
+    """The Python-float fit sums in NumPy's order, so every float of it is
+    the frozen NumPy fit's to the bit, on any profile and penalty."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        p=st.integers(5, 41),
+        start=st.floats(-3.0, 0.0),
+        penalty=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_drawn_profiles(self, data, p, start, penalty):
+        steps = data.draw(st.lists(st.floats(1e-3, 0.5), min_size=p - 1, max_size=p - 1))
+        s = [start]
+        for step in steps:
+            s.append(s[-1] + step)
+        v = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
+        se = data.draw(st.lists(st.floats(0.0, 0.1), min_size=p, max_size=p))
+        prof = _wrap(
+            tuple((x, LyapunovEstimate(y, 1000, 8, y, e)) for x, y, e in zip(s, v, se)),
+            CocycleSpec(kind="jonquieres_b"),
+        )
+        got = piecewise_affine_fit(prof, penalty)
+        want = np_piecewise_affine_fit(prof, penalty)
+        assert len(got.slopes) == len(want.slopes)
+        assert got.breakpoints == want.breakpoints
+        assert _fit_bits(got) == _fit_bits(want)
+
+    def test_noisy_hinges(self):
+        # profile-shaped data: max(0, s - c) plus noise on a linspace grid,
+        # 8 or more points per segment, where the sum order matters
+        rng = np.random.default_rng(3)
+        for p in (9, 17, 41):
+            s = np.linspace(-2.0, 2.0, p)
+            for c, noise in ((0.0, 0.0), (0.3, 1e-3), (-0.7, 0.02)):
+                v = np.maximum(0.0, s - c) + noise * rng.standard_normal(p)
+                prof = _profile(s.tolist(), v.tolist(), 0.005)
+                for penalty in (None, 1e-6):
+                    got = piecewise_affine_fit(prof, penalty)
+                    assert _fit_bits(got) == _fit_bits(np_piecewise_affine_fit(prof, penalty))
+
+    @pytest.mark.parametrize("v", [
+        # a NaN value makes the one segment through it NaN everywhere
+        [0.0, 0.0, math.nan, 0.5, 1.0],
+        # 1e308 overflows the fit to slope -inf and intercept +inf: the
+        # first residual is inf and the rest are NaN, which a plain max
+        # would drop
+        [1e308, -0.5, 0.5, -0.5, 0.5],
+    ])
+    def test_nan_residual_gives_nan_max_residual(self, v):
+        prof = _profile([-1.0, 1.0, 2.0, 3.0, 4.0], v)
+        assert math.isnan(np_piecewise_affine_fit(prof, 1e-6).max_residual)
+        assert math.isnan(piecewise_affine_fit(prof, 1e-6).max_residual)
+
+
+class TestNumpyFreeFit:
+    def test_fit_runs_without_numpy(self):
+        # the lazy binding leaves a "numpy" stub in sys.modules; numpy._core
+        # is there only once NumPy has run
+        code = (
+            "import sys; "
+            "from jonq import accel, cocycle; "
+            "pts = tuple((s, cocycle.LyapunovEstimate(max(0.0, s), 100, 4, max(0.0, s), 0.01))"
+            " for s in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)); "
+            "fit = accel.piecewise_affine_fit(accel.LyapunovProfile(pts, None), 1e-6); "
+            "print(fit.breakpoints, 'numpy._core' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(0.0,) False\n"
+
+    def test_lyapunov_command_loads_numpy(self, tmp_path):
+        code = (
+            "import sys, jonq.cli; "
+            "rc = jonq.cli.main(['lyapunov', '--s-steps', '3', '--n', '400', '--out', sys.argv[1]]); "
+            "print(rc, 'numpy._core' in sys.modules)"
+        )
+        out = tmp_path / "l.csv"
+        proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 True\n", proc.stderr
+        assert len(out.read_text().splitlines()) == 2 + 3
 
 
 class TestRegularity:
