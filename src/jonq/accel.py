@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .algebra import DEFAULT_H, max_abs
-from .cocycle import (
-    CocycleSpec,
-    lyapunov_many,
-    phase_values_many,
-)
+from .cocycle import CocycleSpec, lyapunov_many, phase_mean, phase_values_many
 from .errors import SideCrossing
 
 # most segments piecewise_affine_fit tries
@@ -103,19 +99,6 @@ def lyapunov_profile(
     return LyapunovProfile(points=tuple(zip(s_grid, estimates)), spec_template=spec)
 
 
-def _paired_slope(lo, hi, s_lo, s_hi):
-    """Per-phase paired finite-difference slope between the phase values
-    ``lo`` at s_lo and ``hi`` at s_hi.
-
-    Pairing the same phase set at both radii makes per-trajectory noise
-    cancel in the difference, which is what gives usable error bars.
-    """
-    d = (hi - lo) / (s_hi - s_lo)
-    mean = float(np.mean(d))
-    stderr = float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
-    return mean, stderr
-
-
 def _guard_sides(spec, s, h):
     # btilde is undefined at rho = 1 and its profile may be non-smooth
     # there; both evaluation radii must sit on one side
@@ -156,7 +139,9 @@ def acceleration_windows(
     is convex and piecewise affine in s with integer slopes (Avila's global
     theory), so away from a kink the quotient is exact up to estimator
     noise.  A window whose centre sits on a kink (L = |ln rho| at rho = 1)
-    reports the left slope there.
+    reports the left slope there.  A centre where s - h < s < s + h or
+    exp(s - h) < rho < exp(s + h) fails in floating point (h below float
+    resolution there) raises ValueError before the kernel runs.
 
     Regularity: the one-sided s-slopes agree within twice the estimator
     error, which adds the two paired-sample standard errors and an O(h)
@@ -168,15 +153,24 @@ def acceleration_windows(
     for rho in rhos:
         s = math.log(rho)
         _guard_sides(spec, s, h)
+        rho_lo, rho_hi = radius_at(s - h, f"h = {h!r}"), radius_at(s + h, f"h = {h!r}")
+        if not (s - h < s < s + h and rho_lo < rho < rho_hi):
+            raise ValueError(
+                f"h = {h!r} is below float resolution at ln rho = {s!r}:"
+                " the window's s values or radii are not distinct"
+            )
         centres.append(s)
-        radii += [radius_at(s - h, f"h = {h!r}"), rho, radius_at(s + h, f"h = {h!r}")]
+        radii += [rho_lo, rho, rho_hi]
     # rows 3i to 3i + 2 belong to window i
     _, values = phase_values_many(spec, radii, n, samples, seed)
     windows = []
     for i, s in enumerate(centres):
         lo, mid, hi = values[3 * i : 3 * i + 3]
-        left, le = _paired_slope(lo, mid, s - h, s)
-        right, re_ = _paired_slope(mid, hi, s, s + h)
+        # paired slopes: the same phases at all three radii make
+        # per-trajectory noise cancel in each difference, which is what
+        # gives usable error bars
+        left, le = phase_mean((mid - lo) / (s - (s - h)))
+        right, re_ = phase_mean((hi - mid) / ((s + h) - s))
         nearest = int(round(-left))
         slope_err = le + re_ + h / 2
         windows.append((

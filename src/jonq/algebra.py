@@ -101,27 +101,6 @@ def check_nonresonant(freq: float) -> None:
         raise ResonantParameter(f"freq {freq!r} is within 1e-12 of {near} (denominator <= 64)")
 
 
-def tree_sum(values) -> float:
-    """Pairwise-tree summation: a fixed reduction order independent of how
-    the terms were produced, so reductions are bit-stable."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def tree_mean(values) -> float:
-    vals = list(values)
-    if not vals:
-        raise ValueError("mean of empty sequence")
-    return tree_sum(vals) / len(vals)
-
-
 def max_abs(values) -> float:
     """The largest modulus, or NaN if any value is NaN: ``max`` alone
     drops a NaN that is not first, and would let a NaN residual pass."""

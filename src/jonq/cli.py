@@ -2,9 +2,10 @@
 seeding, CSV/JSON output for plotting and verification.
 
 Every output embeds the resolved run configuration and the library
-version, so rerunning an embedded configuration reproduces the file
-byte-for-byte.  Exit codes: 0 success (also when the reader of stdout
-closes it early), 2 invalid configuration, 3 numeric/domain failure.
+version, so rerunning an embedded configuration on the same machine and
+NumPy build reproduces the file byte-for-byte.  Exit codes: 0 success
+(also when the reader of stdout closes it early), 2 invalid
+configuration, 3 numeric/domain failure.
 """
 
 from __future__ import annotations
@@ -253,7 +254,10 @@ def _cmd_linearize(args) -> str:
 
 
 def _cmd_degree(args) -> str:
-    vals = [Fraction(t) for t in args.specialize.split(",")] if args.specialize else []
+    try:
+        vals = [Fraction(t) for t in args.specialize.split(",")] if args.specialize else []
+    except ZeroDivisionError:  # 1/0 is a configuration error, not a numeric one
+        raise ValueError(f"--specialize {args.specialize!r} has a zero denominator") from None
     if len(vals) % 2:
         raise ValueError("--specialize needs pairs a1,b1[,a2,b2]")
     # a single pair is cross-checked against a random one
@@ -347,15 +351,18 @@ _COMMANDS = {
 }
 
 
-def _join_complex_values(argv: list[str]) -> list[str]:
-    """Write ``--x0 VALUE`` and ``--y0 VALUE`` as ``--x0=VALUE``: argparse
-    reads a separate value that starts with "-" (-1+0j) as an option."""
+def _join_option_values(argv: list[str]) -> list[str]:
+    """Write ``--name VALUE`` as ``--name=VALUE`` for every option but
+    --help and --version (every other option takes a value): argparse reads
+    a separate value that starts with "-" (-1e-3, -1+0j, -3,2) as an
+    option."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         value = argv[i + 1] if i + 1 < len(argv) else "--"
-        if tok in ("--x0", "--y0") and not value.startswith("--"):
+        if (tok.startswith("--") and "=" not in tok and tok not in ("--help", "--version")
+                and not value.startswith("--")):
             tok = f"{tok}={value}"
             i += 1
         out.append(tok)
@@ -365,7 +372,7 @@ def _join_complex_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
     try:
         text = _COMMANDS[args.command](args)
     except JonqError as exc:

@@ -32,14 +32,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels_py as kernels
 from ._lazy import np
-from .algebra import (
-    GOLDEN_FREQ,
-    KINDS,
-    check_nonresonant,
-    default_alpha,
-    tree_mean,
-    tree_sum,
-)
+from .algebra import GOLDEN_FREQ, KINDS, check_nonresonant, default_alpha
 from ._kernels_py import generators, sqrt_branch_values
 from .errors import Overflow, RadiusOne, SingularFactor
 
@@ -291,8 +284,7 @@ def lyapunov_many(
     ``rhos``, from one kernel call (:func:`phase_values_many`).
 
     Each estimate is the mean over ``samples`` low-discrepancy phases of
-    (1/n) ln ||A_n(y)||; reductions use pairwise-tree summation so results
-    are reproducible bit-for-bit.
+    (1/n) ln ||A_n(y)||, taken by :func:`phase_mean`.
     """
     half_rows, rows = phase_values_many(spec, rhos, n, samples, seed)
     return [
@@ -301,26 +293,29 @@ def lyapunov_many(
     ]
 
 
+def phase_mean(values) -> tuple[float, float]:
+    """The mean of per-phase values and its standard error, (mean,
+    stderr), with stderr 0.0 for a single value: the one phase statistic
+    of the package, so every phase average it prints is NumPy's pairwise
+    float64 sum."""
+    mean = float(np.mean(values))
+    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return mean, stderr
+
+
 def estimate_from_phase_values(
     half_vals: np.ndarray, vals: np.ndarray, n: int
 ) -> LyapunovEstimate:
     """The estimate at one radius from its per-phase values at n // 2 and
-    n (one row of :func:`phase_values_many`): pairwise-tree means, and the
-    standard error of the mean over the phases."""
-    samples = len(vals)
-    value = tree_mean(vals)
-    half_value = tree_mean(half_vals)
-    if samples > 1:
-        var = tree_sum((vals - value) ** 2) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
+    n (one row of :func:`phase_values_many`): the :func:`phase_mean` of
+    the values at n, and the mean of those at n // 2."""
+    value, stderr = phase_mean(vals)
     return LyapunovEstimate(
-        value=float(value),
+        value=value,
         n=n,
-        samples=samples,
-        half_n_value=float(half_value),
-        stderr=float(stderr),
+        samples=len(vals),
+        half_n_value=float(np.mean(half_vals)),
+        stderr=stderr,
     )
 
 

@@ -21,7 +21,15 @@ from jonq.accel import (
     quantization_check,
     regularity_check,
 )
-from jonq.cocycle import CocycleSpec, LyapunovEstimate, lyapunov, lyapunov_phase_values
+from jonq.algebra import DEFAULT_H
+from jonq.cocycle import (
+    CocycleSpec,
+    LyapunovEstimate,
+    lyapunov,
+    lyapunov_phase_values,
+    phase_mean,
+    phase_values_many,
+)
 from jonq.errors import SideCrossing
 
 FAST = dict(n=4000, samples=16, seed=0)
@@ -244,6 +252,33 @@ class TestWindow:
         with pytest.raises(SideCrossing):
             acceleration_windows(spec, [0.5, 1.01], n=200, samples=4)
         assert kernel_calls == []
+
+    @pytest.mark.parametrize("rhos,h", [
+        ([1.0], 1e-300),  # exp(-+h) rounds to 1.0: the radii are equal
+        ([2.0, math.exp(40.0)], 1e-15),  # 40 -+ h rounds to 40
+    ], ids=["radii", "s-values"])
+    def test_many_centres_reject_a_window_below_float_resolution(self, kernel_calls, rhos, h):
+        spec = CocycleSpec(kind="jonquieres_b")
+        with pytest.raises(ValueError, match=f"^h = {h!r} is below float resolution"):
+            acceleration_windows(spec, rhos, h, n=200, samples=4)
+        assert kernel_calls == []
+
+    def test_slopes_are_phase_means_of_paired_differences(self):
+        # omega, the one-sided slopes and their stderrs are phase_mean of
+        # the same-phase differences between the window's three rows
+        spec = CocycleSpec(kind="jonquieres_b")
+        rhos, h = [0.5, 1.0, 2.0], DEFAULT_H
+        windows = acceleration_windows(spec, rhos, h, n=400, samples=64, seed=1)
+        radii = [r for rho in rhos
+                 for r in (math.exp(math.log(rho) - h), rho, math.exp(math.log(rho) + h))]
+        _, values = phase_values_many(spec, radii, 400, 64, 1)
+        for i, (rho, (est, reg)) in enumerate(zip(rhos, windows)):
+            s = math.log(rho)
+            lo, mid, hi = values[3 * i : 3 * i + 3]
+            left, left_err = phase_mean((mid - lo) / (s - (s - h)))
+            right, _ = phase_mean((hi - mid) / ((s + h) - s))
+            assert (est.omega.hex(), est.stderr.hex()) == ((-left).hex(), left_err.hex())
+            assert (reg.left_slope.hex(), reg.right_slope.hex()) == (left.hex(), right.hex())
 
 
 class TestAcceleration:

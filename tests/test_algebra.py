@@ -10,7 +10,6 @@ from jonq.algebra import (
     check_nonresonant,
     chordal,
     projective_action,
-    tree_sum,
 )
 from jonq.errors import IndeterminateAction, ResonantParameter
 
@@ -85,9 +84,3 @@ class TestGuardsAndSums:
             check_nonresonant(21.0 / 64.0)
         check_nonresonant((math.sqrt(5) - 1) / 2)
         check_nonresonant(1.0 / 7.0 + 1e-7)  # near-resonant but resolvable
-
-    def test_tree_sum_matches_sum(self):
-        rng = random.Random(6)
-        vals = [rng.uniform(-1, 1) for _ in range(37)]
-        assert tree_sum(vals) == pytest.approx(sum(vals), abs=1e-12)
-        assert tree_sum([]) == 0.0

@@ -205,6 +205,20 @@ class TestAccelCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: SideCrossing: ")
 
+    @pytest.mark.parametrize("rho,h", [("1", "1e-300"), ("3", "1e-17")])
+    def test_window_below_float_resolution_is_config_error(self, rho, h):
+        # exp(+-1e-300) rounds to 1.0 and ln 3 -+ 1e-17 to ln 3, so the
+        # window would compare a radius with itself
+        proc = subprocess.run(
+            [sys.executable, "-m", "jonq.cli", "accel", "--kind", "jonquieres_b",
+             "--rho", rho, "--h", h, "--n", "200", "--samples", "4"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: invalid configuration: h = {float(h)!r} ")
+        assert proc.stderr.count("\n") == 1
+
     def test_reproducible(self, tmp_path):
         argv = ["accel", "--kind", "btilde", "--rho", "2.0",
                 "--n", "1000", "--samples", "8", "--seed", "5"]
@@ -294,14 +308,21 @@ class TestClassifyCommand:
     ["orbit", "--x0", "-1+0j", "--n", "4"],
     ["orbit", "--x0", "-0.3-0.2j", "--y0", "-0.5+0j", "--n", "6", "--format", "json"],
     ["classify", "--map", "g", "--x0", "-0.001+0j", "--y0", "-0.001+0j", "--n", "50000"],
+    ["lyapunov", "--s-min", "-1e-3", "--s-max", "1e-3", "--s-steps", "3"],
+    ["accel", "--alpha-angle", "-1e-1", "--rho", "2"],
+    ["lyapunov", "--kind", "constant", "--const", "-1,0,0,-1", "--rho", "1"],
+    ["degree", "--specialize", "-3,2"],
+    ["degree", "--out", "-"],
 ])
 def test_separate_and_joined_start_points_agree(argv, capsys):
-    # a value that starts with "-" may follow --x0 / --y0 as its own token
+    # a value that starts with "-" may follow any option but --help and
+    # --version as its own token
     assert main(argv) == 0
     separate = capsys.readouterr().out
     joined = []
     for tok in argv:
-        if joined and joined[-1] in ("--x0", "--y0"):
+        last = joined[-1] if joined else ""
+        if last.startswith("--") and "=" not in last and last not in ("--help", "--version"):
             tok = f"{joined.pop()}={tok}"
         joined.append(tok)
     assert main(joined) == 0
@@ -418,6 +439,12 @@ class TestDegreeCommand:
         rc, _ = run(tmp_path, "o.json",
                     ["degree", "--max-n", "4", "--specialize", "3,0"])
         assert rc == 3
+
+    def test_zero_denominator_is_config_error(self, capsys):
+        assert main(["degree", "--specialize", "1/0,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid configuration: ")
 
     def test_documented_maximum(self, tmp_path):
         # the documented maximum, --max-n 12, must finish with exit 0

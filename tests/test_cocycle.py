@@ -19,7 +19,9 @@ from jonq.cocycle import (
     lyapunov,
     lyapunov_many,
     lyapunov_phase_values,
+    phase_mean,
     phase_samples,
+    phase_values_many,
     two_step_limit_check,
 )
 from jonq.errors import (
@@ -311,6 +313,20 @@ class TestLyapunov:
         for rho, est in zip(rhos, batch):
             single = lyapunov(CocycleSpec(kind="btilde", rho=rho), 300, 4, 1)
             assert repr(est) == repr(single)  # repr round-trips every float
+
+    def test_estimates_are_phase_means_of_the_rows(self):
+        # one rule for every phase average: value and stderr are phase_mean
+        # of the per-phase row, and half_n_value the np.mean of its half row
+        spec = CocycleSpec(kind="jonquieres_b")
+        rhos = np.exp(np.linspace(-2.0, 2.0, 41))
+        half_rows, rows = phase_values_many(spec, rhos, 400, 64, 0)
+        for est, half_vals, vals in zip(lyapunov_many(spec, rhos, 400, 64, 0), half_rows, rows):
+            value, stderr = phase_mean(vals)
+            assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+            assert est.half_n_value.hex() == float(np.mean(half_vals)).hex()
+
+    def test_phase_mean_of_one_value(self):
+        assert phase_mean(np.array([0.25])) == (0.25, 0.0)
 
     def test_squared_family_positive_regime(self):
         spec = CocycleSpec(kind="jonquieres_b", rho=4.0)
