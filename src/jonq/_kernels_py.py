@@ -8,7 +8,9 @@ square-root normalization and ``moving_entry`` for the one entry of the
 jonquieres generators that depends on y; ``generators`` evaluates them at
 phases.  The kernel and ``cocycle`` evaluate every generator through them,
 so this module imports nothing from the package but its lazy NumPy
-binding, ``_lazy.np``.
+binding, ``_lazy.np``.  ``generator_bounds`` is the one closed-form bound
+on the matrices the kernel multiplies: it sets both the renormalization
+interval and ``cocycle``'s ``Overflow`` check.
 """
 
 import cmath
@@ -109,14 +111,11 @@ BLOCK_ENTRIES = 4096
 LOG_NORM_RANGE = 150.0 * math.log(10.0) - math.log(2.0)
 
 
-def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
-    """Steps between renormalizations of a trajectory at each radius in
-    ``rho``: the largest k in (1, 2, 4, 8) with k * b <= LOG_NORM_RANGE.
-
-    b is a closed-form bound, over every phase, on how far one step can
-    move the log Frobenius norm of a product: a step multiplies it by at
-    most |A|_F and at least sigma_min(A) >= |det A| / |A|_F, so
-    b = max(ln G, ln(G / D)) with G >= |A|_F and D <= |det A| (|alpha| = 1):
+def generator_bounds(kind, alpha, rho, energy, potential, cmat):
+    """Closed-form bounds, over every phase, on the matrices the kernel
+    multiplies at each radius in ``rho``: ``(log_g, det)``, two arrays
+    shaped like ``rho``, with G = exp(log_g) >= |A|_F and
+    0 <= det <= |det A| (|alpha| = 1):
 
     * jonquieres_a: G^2 = 3 + rho^2, D = |1 - rho|;
     * jonquieres_b and btilde (whose kernel products are jonquieres_b
@@ -126,14 +125,7 @@ def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
     * diagonal_power: G^2 = rho^2 + rho^-2, D = 1;
     * constant: the matrix's own norm and determinant.
 
-    k = 1, so every step renormalizes, where D = 0 (jonquieres at
-    rho = 1, a singular constant), where the bound is not finite, and
-    where two steps could leave the range (jonquieres_b at rho = 1e75,
-    where G = 1e150).
-
-    This is the closed-form bound, one k per radius.  ``cocycle_sums``
-    tightens the D = 0 of jonquieres at rho = 1 per trajectory, over the
-    steps it runs (``unit_circle_intervals``).
+    A bound past the float range is inf, without a warning.
     """
     rho = np.asarray(rho, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -158,14 +150,36 @@ def renormalization_intervals(kind, alpha, rho, energy, potential, cmat):
             det = np.ones(rho.shape)
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        log_g = 0.5 * np.log(frob2)
+        return 0.5 * np.log(frob2), det
+
+
+def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
+                              thetas, n):
+    """Steps between renormalizations of each trajectory (a radius in
+    ``rho`` and a starting phase in ``thetas``, run for n steps): the
+    largest k in (1, 2, 4, 8) with k * b <= LOG_NORM_RANGE.
+
+    b bounds how far one step can move the log Frobenius norm of a
+    product: a step multiplies it by at most |A|_F and at least
+    sigma_min(A) >= |det A| / |A|_F, so b = max(ln G, ln(G / D)) with G
+    and D from ``generator_bounds``.  At rho = 1, where det A = alpha - y^w
+    vanishes somewhere on the circle and the closed form's D is 0, a
+    jonquieres trajectory takes D from its own steps:
+    ``unit_circle_det_bounds``, clamped at 0.
+
+    k = 1 (every step renormalizes) where D = 0, where b is not finite,
+    and where two steps could leave the range (jonquieres_b at
+    rho = 1e75, G = 1e150).  A trajectory's k depends only on its phase,
+    radius, freq and n.
+    """
+    log_g, det = generator_bounds(kind, alpha, rho, energy, potential, cmat)
+    on_circle = rho == 1.0
+    if kind in ("jonquieres_a", "jonquieres_b", "btilde") and on_circle.any():
+        det[on_circle] = np.maximum(
+            unit_circle_det_bounds(kind, alpha, thetas[on_circle], freq, n), 0.0
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
         per_step = np.maximum(log_g, log_g - np.log(det))
-    return _largest_intervals(per_step)
-
-
-def _largest_intervals(per_step):
-    """The largest k in (1, 2, 4, 8) with k * per_step <= LOG_NORM_RANGE;
-    1 where per_step is not finite."""
     k = np.ones(per_step.shape, dtype=np.int64)
     for interval in (2, 4, 8):
         k[interval * per_step <= LOG_NORM_RANGE] = interval
@@ -204,30 +218,6 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
         x -= np.rint(x)
         np.minimum(nearest, np.abs(x).min(axis=0), out=nearest)
     return 2.0 * math.sqrt(abs(alpha)) * np.sin(np.pi * nearest) - UNIT_CIRCLE_MARGIN
-
-
-def unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals):
-    """``intervals`` with each jonquieres trajectory at rho = 1 given the
-    largest k its own steps allow.
-
-    The closed form's D = min |det A| over the whole unit circle is 0 there,
-    so ``renormalization_intervals`` gives k = 1.  This puts
-    ``unit_circle_det_bounds`` in place of D, the same bound
-    b = max(ln G, ln(G / D)) with G = 2, and keeps k = 1 where that D <= 0.
-    It depends only on each trajectory's phase, radius, freq and n.
-    """
-    on_circle = rho == 1.0
-    if kind not in ("jonquieres_a", "jonquieres_b", "btilde") or not on_circle.any():
-        return intervals
-    det = unit_circle_det_bounds(kind, alpha, thetas[on_circle], freq, n)
-    # G^2 = 3 + rho^2 (jonquieres_a) or 3 + rho^4 = 4 at rho = 1
-    log_g = math.log(2.0)
-    per_step = np.full(det.shape, np.inf)
-    certified = det > 0.0
-    per_step[certified] = np.maximum(log_g, log_g - np.log(det[certified]))
-    intervals = intervals.copy()
-    intervals[on_circle] = _largest_intervals(per_step)
-    return intervals
 
 
 def _renormalize(p, a, s):
@@ -306,16 +296,15 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       step alone.
     * A chunk renormalizes every k of its own steps, counted from its
       start, k from ``renormalization_intervals``: a closed-form bound on
-      the generators keeps every unnormalized stretch inside
-      [1e-150, 1e150].  At rho = 1, where det A = alpha - y^w vanishes
-      somewhere on the circle, a jonquieres trajectory takes its k from
-      the smallest |det A| over its own n steps
-      (``unit_circle_intervals``).  k is 1 where the shrinkage cannot be
-      bounded (a singular constant, or y_j^w = alpha up to rounding at
-      some step j < n at rho = 1) or the growth is too large
-      (jonquieres_b at rho = 1e75).  Every chunk also renormalizes at its
-      end.  Trajectories are grouped by k, so a k = 1 group renormalizes
-      alone.
+      the generators (``generator_bounds``) keeps every unnormalized
+      stretch inside [1e-150, 1e150].  At rho = 1, where det A =
+      alpha - y^w vanishes somewhere on the circle, a jonquieres
+      trajectory takes its k from the smallest |det A| over its own n
+      steps.  k is 1 where the shrinkage cannot be bounded (a singular
+      constant, or y_j^w = alpha up to rounding at some step j < n at
+      rho = 1) or the growth is too large (jonquieres_b at rho = 1e75).
+      Every chunk also renormalizes at its end.  Trajectories are grouped
+      by k, so a k = 1 group renormalizes alone.
     * btilde runs on the jonquieres_b matrices: B~ = B / b with
       |b| = |alpha - y^2|^(1/2) on either branch, so a chunk's s is the
       jonquieres_b s minus 1/4 of the running sum, in step order, of
@@ -333,8 +322,8 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         rho = np.full(m, float(rho))
     elif rho.shape != (m,):
         raise ValueError(f"rho has shape {rho.shape}, want a scalar or ({m},)")
-    intervals = renormalization_intervals(kind, alpha, rho, energy, potential, cmat)
-    intervals = unit_circle_intervals(kind, alpha, rho, freq, thetas, n, intervals)
+    intervals = renormalization_intervals(kind, alpha, rho, freq, energy,
+                                          potential, cmat, thetas, n)
     order = np.argsort(intervals, kind="stable")
     thetas, rho, intervals = thetas[order], rho[order], intervals[order]
     half = n // 2
@@ -426,7 +415,8 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
             # y becomes w, in a new array: NumPy rounds an in-place complex
             # product of one element without the fused multiply-add it uses
             # for longer arrays, so squaring y in place would give a lone
-            # trajectory other bits
+            # trajectory other bits.  Which loops fuse is fixed by NumPy's
+            # CPU dispatch level, so this, like the bits, holds per level
             y = moving_entry(family, y)
         else:
             gb = g[:, :, :steps, :live]
@@ -450,7 +440,8 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
             if row_step:
                 # [[alpha, w], [1, 1]] p: row 0 <- alpha row 0 + w row 1 and
                 # row 1 <- row 0 + row 1, each product rounded as the 2x2
-                # product rounds it (generator entry first)
+                # product rounds it (generator entry first) at the same
+                # NumPy dispatch level
                 np.multiply(y[j], row1, out=tv)
                 row1 += row0
                 np.multiply(alpha, row0, out=row0)

@@ -24,8 +24,11 @@ class RadiusOne(JonqError):
 
 
 class Overflow(JonqError):
-    """A single generator value has Frobenius norm outside [1e-150, 1e150],
-    or an orbit left the floating-point range."""
+    """A closed-form bound G, over every phase, on the Frobenius norm of
+    the matrices the kernel multiplies (``_kernels_py.generator_bounds``;
+    the jonquieres_b matrices for btilde, so its largest radius is theirs,
+    about 1.4e75) lies outside [1e-150, 2e150], or an orbit left the
+    floating-point range."""
 
 
 class SingularFactor(JonqError):

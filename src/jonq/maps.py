@@ -86,6 +86,8 @@ def orbit(p: MapParams, q: PointP1xC, n: int, dist_tol: float = 1e-8) -> OrbitRe
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not dist_tol >= 0.0:  # NaN fails too
+        raise ValueError(f"dist_tol must be nonnegative, got {dist_tol!r}")
     u, v, y = orbit_coordinates(p, q, n)
     # the distance is at least |y - alpha|; the scalar distance decides
     near = np.flatnonzero(np.abs(y[: min(len(u), n)] - p.alpha) < 2.0 * dist_tol)

@@ -132,6 +132,24 @@ class TestLyapunovCommand:
         assert f"rho={math.exp(400.0)!r}" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind,rho", [
+        ("btilde", "1e100"), ("btilde", "1e160"), ("jonquieres_b", "1e80"),
+    ])
+    def test_generator_overflow_is_one_line(self, kind, rho):
+        # btilde's kernel multiplies the jonquieres_b matrices, of norm
+        # about rho^2, so it stops where jonquieres_b does (about 1.4e75),
+        # before any kernel step or NumPy warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "jonq.cli", "lyapunov", "--kind", kind,
+             "--rho", rho, "--n", "100", "--samples", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Overflow: ")
+        assert f"rho={float(rho)!r}" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_one_kernel_call_for_the_grid(self, tmp_path, kernel_calls):
         rc, out = run(tmp_path, "grid.csv",
                       ["lyapunov", "--kind", "jonquieres_b", "--s-steps", "7"] + FAST)
@@ -266,6 +284,13 @@ class TestOrbitCommand:
                 assert row["x_re"] is None and row["x_im"] is None
             else:
                 assert math.isfinite(row["x_re"]) and math.isfinite(row["x_im"])
+
+    def test_negative_dist_tol_is_config_error(self, capsys):
+        rc = main(["orbit", "--n", "3", "--dist-tol=-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid configuration: dist_tol ")
 
     def test_overflow_is_numeric_error(self, capsys):
         rc = main(["orbit", "--x0=1.7e308+1.7e308j", "--y0", "0.5+0j", "--n", "3"])

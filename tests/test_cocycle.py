@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ class TestIterate:
         spec = CocycleSpec(kind="jonquieres_b", rho=1e80)
         with pytest.raises(Overflow):
             iterate(spec, 0.0, 4)
+
+    @pytest.mark.parametrize("kind", ["jonquieres_b", "btilde"])
+    def test_overflow_bound_is_that_of_the_kernel_matrices(self, kind):
+        # btilde's kernel products multiply jonquieres_b matrices, of norm
+        # about rho^2: both run at rho = 1.4e75 (G = 1.96e150) and stop at
+        # 1.5e75 (G = 2.25e150), before the kernel runs
+        assert math.isfinite(lyapunov(CocycleSpec(kind=kind, rho=1.4e75), 100, 2, 0).value)
+        with pytest.raises(Overflow, match=r"rho=1\.5e\+75$"):
+            lyapunov(CocycleSpec(kind=kind, rho=1.5e75), 100, 2, 0)
 
     def test_overflow_guard_checks_every_phase(self):
         # E - v(y) vanishes at the first sampled phase only; every other
@@ -556,13 +566,13 @@ def kernel_dets(kind, thetas, n):
     return np.abs(ALPHA - (y if det_power(kind) == 1 else y * y))
 
 
+def kernel_bounds(kind, rho):
+    return kernels.generator_bounds(kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT)
+
+
 def unit_circle_intervals(kind, thetas, n):
-    rho = np.ones(len(thetas))
-    closed = kernels.renormalization_intervals(
-        kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
-    )
-    return kernels.unit_circle_intervals(kind, ALPHA, rho, GOLDEN_FREQ,
-                                         np.asarray(thetas), n, closed)
+    return kernel_call(kind, np.ones(len(thetas)), np.asarray(thetas), n,
+                       call=kernels.renormalization_intervals)
 
 
 @st.composite
@@ -641,9 +651,8 @@ class TestKernel:
     def test_chunk_products_are_normalized_chunk_products(self, kind, rhos):
         n, thetas = 2001, phase_samples(3, 5)
         rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
-        intervals = kernels.renormalization_intervals(
-            kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
-        )
+        intervals = kernel_call(kind, rho, phases, n,
+                                call=kernels.renormalization_intervals)
         assert np.all(np.diff(intervals) >= 0)
         bounds = kernels.chunk_bounds(n)
         chunks = sorted(zip(bounds[:-1], bounds[1:]), key=lambda c: c[0] - c[1])
@@ -688,11 +697,13 @@ class TestKernel:
     ])
     @pytest.mark.parametrize("n", [1, 37, 64])
     def test_mixed_intervals_batch_equals_per_radius_calls(self, kind, rhos, intervals, n):
-        got = kernels.renormalization_intervals(
-            kind, ALPHA, np.array(rhos), 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
-        )
-        assert got.tolist() == intervals
+        # ``intervals`` are those of the first phase, which puts y^w on
+        # alpha at step 0, so at rho = 1 it renormalizes every step
         thetas = phase_samples(3, 5)
+        thetas[0] = hit_phase(kind, 0)
+        got = kernel_call(kind, np.repeat(rhos, 3), np.tile(thetas, len(rhos)), n,
+                          call=kernels.renormalization_intervals)
+        assert got[::3].tolist() == intervals
         batch = kernel_call(kind, np.repeat(rhos, 3), np.tile(thetas, len(rhos)), n)
         singles = [kernel_call(kind, rho, thetas, n) for rho in rhos]
         for i, part in enumerate(batch):
@@ -732,11 +743,8 @@ class TestKernel:
             rhos = [0.5, 1.0, 2.0]
             thetas[0] = hit_phase(kind, 1500)
         rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
-        intervals = kernels.unit_circle_intervals(
-            kind, ALPHA, rho, GOLDEN_FREQ, phases, n,
-            kernels.renormalization_intervals(kind, ALPHA, rho, 0.4,
-                                              KERNEL_POTENTIAL, KERNEL_CMAT),
-        )
+        intervals = kernel_call(kind, rho, phases, n,
+                                call=kernels.renormalization_intervals)
         assert intervals.min() == (8 if kind == "btilde" else 1)
         want = kernel_call(kind, rho, phases, n)
         for entries in (64, 65536):
@@ -746,6 +754,7 @@ class TestKernel:
                 assert part.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("kind,rho,interval", [
+        # at rho = 1 the phase puts y^w on alpha at step 0
         ("jonquieres_a", 1.0, 1),  # det = alpha - y can vanish
         ("jonquieres_a", 1.5, 8),
         ("jonquieres_b", 1.0, 1),
@@ -756,9 +765,8 @@ class TestKernel:
         ("constant", 1.0, 8),
     ])
     def test_interval_from_the_generator_bound(self, kind, rho, interval):
-        k = kernels.renormalization_intervals(
-            kind, ALPHA, np.array([rho]), 0.4, KERNEL_POTENTIAL, KERNEL_CMAT
-        )
+        k = kernel_call(kind, np.array([rho]), np.array([hit_phase(kind, 0)]), 1,
+                        call=kernels.renormalization_intervals)
         assert k.tolist() == [interval]
 
     @pytest.mark.parametrize("x", [1e10, 1e20, 1e40, 1e70, 1e140])
@@ -863,10 +871,48 @@ class TestKernel:
 
     def test_singular_constant_renormalizes_every_step(self):
         k = kernels.renormalization_intervals(
-            "constant", ALPHA, np.ones(2), 0.0, np.array([]),
-            np.array([[0, 1], [0, 0]], dtype=complex),
+            "constant", ALPHA, np.ones(2), GOLDEN_FREQ, 0.0, np.array([]),
+            np.array([[0, 1], [0, 0]], dtype=complex), np.array([0.1, 0.2]), 8,
         )
         assert k.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("kind,rhos", REFERENCE_CASES + [
+        ("jonquieres_a", [1e-3, 1e3]),
+        ("jonquieres_b", [0.99, 1e30]),
+        ("schrodinger", [1e-3, 1e3]),
+        ("diagonal_power", [1e-20, 1e20]),
+    ])
+    def test_generator_bounds_hold_at_every_phase(self, kind, rhos):
+        # G >= |A|_F and D <= |det A| on 4096 phases of each circle, for
+        # the matrices the kernel multiplies: btilde's are jonquieres_b's
+        family = "jonquieres_b" if kind == "btilde" else kind
+        thetas = np.arange(4096) / 4096
+        log_g, det = kernel_bounds(kind, np.array(rhos))
+        for i, rho in enumerate(rhos):
+            g = kernels.generators(family, ALPHA, rho, 0.4, KERNEL_POTENTIAL,
+                                   KERNEL_CMAT, thetas)
+            frob = np.sqrt((np.abs(g) ** 2).sum(axis=(1, 2)))
+            assert frob.max() <= math.exp(log_g[i]) * (1 + 1e-12)
+            assert det[i] <= np.abs(np.linalg.det(g)).min() * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "btilde"])
+    def test_generator_bounds_on_the_unit_circle(self, kind):
+        # det A = alpha - y^w vanishes somewhere on |y| = 1, where
+        # G^2 = 3 + 1 = 4
+        log_g, det = kernel_bounds(kind, np.ones(1))
+        assert det.tolist() == [0.0]
+        assert log_g.tolist() == [math.log(2.0)]
+
+    def test_generator_bounds_do_not_warn(self):
+        # past the float range the bound is inf, without a warning
+        rho = np.array([1e-320, 1e-160, 1e160, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in KINDS:
+                log_g, det = kernel_bounds(kind, rho)
+                if kind != "constant":
+                    assert np.isinf(log_g[2:]).all()
+                assert not np.isnan(log_g).any() and not np.isnan(det).any()
 
     @pytest.mark.parametrize("rho", [0.5, 2.0])
     def test_btilde_iterate_is_the_direct_product(self, rho):
