@@ -4,10 +4,11 @@ map orbits in projective x-coordinates.
 
 ``generator_entries`` is the one definition of the cocycle generator
 families (at given points y), with ``sqrt_branch_values`` for the
-square-root normalization and ``moving_entry`` for the one entry of the
-jonquieres generators that depends on y; ``generators`` evaluates them at
-phases.  The kernel and ``cocycle`` evaluate every generator through them,
-so this module imports nothing from the package but its lazy NumPy
+square-root normalization; ``generators`` evaluates them at phases.
+``cocycle`` evaluates every generator through them, and so does the
+kernel, but for the jonquieres row update, which holds only the one entry
+that depends on y, y or y^2, as a per-trajectory constant times a per-step
+factor.  This module imports nothing from the package but its lazy NumPy
 binding, ``_lazy.np``.  ``generator_bounds`` is the one closed-form bound
 on the matrices the kernel multiplies: it sets both the renormalization
 interval and ``cocycle``'s ``Overflow`` check.
@@ -49,13 +50,6 @@ def generators(kind, alpha, rho, energy, potential, cmat, phases):
     return g.transpose(2, 0, 1)
 
 
-def moving_entry(kind, y):
-    """w in the jonquieres generator [[alpha, w], [1, 1]] at the points
-    ``y``: y for jonquieres_a and y^2 for jonquieres_b.  The other three
-    entries are the same at every y."""
-    return y if kind == "jonquieres_a" else y * y
-
-
 def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
     """Write entry (i, j) of the ``kind`` generator at the points ``y``
     into out[i, j]; ``out`` has shape (2, 2) + y.shape.
@@ -68,13 +62,13 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
         out[:] = np.reshape(cmat, (2, 2) + (1,) * y.ndim)
     elif kind in ("jonquieres_a", "jonquieres_b"):
         out[0, 0] = alpha
-        out[0, 1] = moving_entry(kind, y)
+        out[0, 1] = y if kind == "jonquieres_a" else y * y
         out[1] = 1.0
     elif kind == "btilde":
         # the jonquieres_b generator divided by the branch
         b = sqrt_branch_values(alpha, rho, y)
         np.divide(alpha, b, out=out[0, 0])
-        np.divide(moving_entry("jonquieres_b", y), b, out=out[0, 1])
+        np.divide(y * y, b, out=out[0, 1])
         np.divide(1.0, b, out=out[1, 0])
         out[1, 1] = out[1, 0]
     elif kind == "schrodinger":
@@ -103,11 +97,15 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
 # a pass of cocycle_sums runs up to this many columns (trajectories times
 # chunks, and at least one chunk), and a block of generators holds this
 # many 2x2 generators, 256 KB: BLOCK_ENTRIES column-steps of four entries,
-# or four times as many of the jonquieres row update's one moving entry
+# or four times as many of the jonquieres row update's one moving entry,
+# each one complex multiply of a per-trajectory constant and a per-step
+# factor
 BLOCK_ENTRIES = 4096
 # between two renormalizations a product's Frobenius norm stays inside
 # [1e-150, 1e150], so the squared entries that make up the norm stay
-# normal floats; ln 2 is room for the identity's norm, sqrt 2, and rounding
+# normal floats; ln 2 is room for the identity's norm, sqrt 2, and
+# rounding.  k steps of growth at most b each fit when k b <= this, so a
+# chunk renormalizes every 128 steps where b <= 2.69
 LOG_NORM_RANGE = 150.0 * math.log(10.0) - math.log(2.0)
 
 
@@ -125,7 +123,10 @@ def generator_bounds(kind, alpha, rho, energy, potential, cmat):
     * diagonal_power: G^2 = rho^2 + rho^-2, D = 1;
     * constant: the matrix's own norm and determinant.
 
-    A bound past the float range is inf, without a warning.
+    log_g is 0.5 ln G^2 wherever G^2 is a float, and ``_log_bound`` where
+    it overflows, so it is finite at every positive radius and the
+    ``Overflow`` decision and the intervals keep the bits of 0.5 ln G^2.
+    D may pass the float range, as inf.  No case warns.
     """
     rho = np.asarray(rho, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -143,21 +144,50 @@ def generator_bounds(kind, alpha, rho, energy, potential, cmat):
             bound = abs(energy) + (abs(potential[0]) if len(potential) else 0.0)
             for k, c in enumerate(potential[1:], start=1):
                 bound = bound + abs(c) * 0.5 * (rho**k + rho**-k)
-            frob2 = bound * bound + 2.0
+            # a scalar when no term depends on rho
+            frob2 = np.broadcast_to(bound * bound + 2.0, rho.shape)
             det = np.ones(rho.shape)
         elif kind == "diagonal_power":
             frob2 = rho**2 + rho**-2
             det = np.ones(rho.shape)
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        return 0.5 * np.log(frob2), det
+        log_g = 0.5 * np.log(frob2)
+        over = frob2 == np.inf
+        if over.any():
+            log_g[over] = _log_bound(kind, rho[over], energy, potential, cmat)
+        return log_g, det
+
+
+def _log_bound(kind, rho, energy, potential, cmat):
+    """ln G of ``generator_bounds`` in a form that cannot overflow, for the
+    radii where G^2 does.  With r = min(rho, 1 / rho),
+    rho^k + rho^-k = exp(k |ln rho|) (1 + r^2k); G^2 overflows for the
+    jonquieres kinds only at rho > 1, where r = 1 / rho."""
+    abs_log = np.abs(np.log(rho))
+    r = np.minimum(rho, 1.0 / rho)
+    if kind == "constant":
+        c = np.abs(np.asarray(cmat, dtype=np.complex128))
+        top = c.max()
+        return np.log(top) + 0.5 * np.log(np.sum((c / top) ** 2)) + np.zeros(rho.shape)
+    if kind == "jonquieres_a":
+        return abs_log + 0.5 * np.log1p(3.0 * r**2)
+    if kind in ("jonquieres_b", "btilde"):
+        return 2.0 * abs_log + 0.5 * np.log1p(3.0 * r**4)
+    if kind == "diagonal_power":
+        return abs_log + 0.5 * np.log1p(r**4)
+    # schrodinger: ln V term by term, then G^2 = V^2 + 2
+    log_v = np.log(abs(energy) + abs(potential[0])) + np.zeros(rho.shape)
+    for k, c in enumerate(potential[1:], start=1):
+        log_v = np.logaddexp(log_v, np.log(0.5 * abs(c)) + k * abs_log + np.log1p(r ** (2 * k)))
+    return 0.5 * np.logaddexp(2.0 * log_v, math.log(2.0))
 
 
 def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
                               thetas, n):
     """Steps between renormalizations of each trajectory (a radius in
     ``rho`` and a starting phase in ``thetas``, run for n steps): the
-    largest k in (1, 2, 4, 8) with k * b <= LOG_NORM_RANGE.
+    largest k in (1, 2, 4, ..., 128) with k * b <= LOG_NORM_RANGE.
 
     b bounds how far one step can move the log Frobenius norm of a
     product: a step multiplies it by at most |A|_F and at least
@@ -169,8 +199,9 @@ def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
 
     k = 1 (every step renormalizes) where D = 0, where b is not finite,
     and where two steps could leave the range (jonquieres_b at
-    rho = 1e75, G = 1e150).  A trajectory's k depends only on its phase,
-    radius, freq and n.
+    rho = 1e75, G = 1e150); k = 128 where b <= 2.69 (jonquieres_b at
+    rho < 0.93 and at 1.07 < rho < 3.8).  A trajectory's k depends only on
+    its phase, radius, freq and n.
     """
     log_g, det = generator_bounds(kind, alpha, rho, energy, potential, cmat)
     on_circle = rho == 1.0
@@ -181,7 +212,7 @@ def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
     with np.errstate(divide="ignore", invalid="ignore"):
         per_step = np.maximum(log_g, log_g - np.log(det))
     k = np.ones(per_step.shape, dtype=np.int64)
-    for interval in (2, 4, 8):
+    for interval in (2, 4, 8, 16, 32, 64, 128):
         k[interval * per_step <= LOG_NORM_RANGE] = interval
     return k
 
@@ -210,9 +241,11 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     nearest = np.full(len(thetas), 0.5)
     block = max(1, 4 * BLOCK_ENTRIES // max(1, len(thetas)))
     for start in range(0, n, block):
-        # the kernel's phases, computed as it computes them
-        x = thetas + (np.arange(start, min(n, start + block)) * freq)[:, None]
+        # the kernel's phases, theta + (j freq mod 1), computed as it
+        # computes them
+        x = np.arange(start, min(n, start + block)) * freq
         x -= np.floor(x)
+        x = thetas + x[:, None]
         x *= w
         x -= a
         x -= np.rint(x)
@@ -280,13 +313,15 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       elementwise over the columns (btilde's log terms are summed by
       running sums, never by a reduction whose grouping depends on the
       block length).
-    * exp(2 pi i phase) is computed once per distinct starting phase and
-      step, and scaled by each trajectory's radius.  Step j's phase is
-      thetas + j * freq reduced mod 1, with j the step's index in the whole
-      run, whichever chunk runs it.
+    * Step j's point is y_j = rho e^(2 pi i theta) e^(2 pi i x_j), with
+      x_j = j * freq reduced mod 1 and j the step's index in the whole
+      run, whichever chunk runs it.  So y_j^p (p = 2 for jonquieres_b and
+      btilde, else 1) is one complex multiply of a per-trajectory constant,
+      (rho e^(2 pi i theta))^p, and one exp per chunk and step,
+      e^(2 pi i p x_j), into a preallocated buffer.
     * jonquieres_a, jonquieres_b and btilde (whose products are
       jonquieres_b products) step as a row update: the generator is
-      [[alpha, w], [1, 1]] with w from ``moving_entry``, so row 0 <-
+      [[alpha, w], [1, 1]] with w = y^p, so row 0 <-
       alpha row 0 + w row 1 and row 1 <- row 0 + row 1, with the 2x2
       product's roundings, and a block holds the one moving entry for up
       to 4 * BLOCK_ENTRIES column-steps.  The other kinds fill all four
@@ -294,24 +329,27 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       BLOCK_ENTRIES column-steps and step by the 2x2 product.  A block is
       one step when a pass has more columns, so the per-step loop runs the
       step alone.
-    * A chunk renormalizes every k of its own steps, counted from its
-      start, k from ``renormalization_intervals``: a closed-form bound on
-      the generators (``generator_bounds``) keeps every unnormalized
-      stretch inside [1e-150, 1e150].  At rho = 1, where det A =
-      alpha - y^w vanishes somewhere on the circle, a jonquieres
-      trajectory takes its k from the smallest |det A| over its own n
-      steps.  k is 1 where the shrinkage cannot be bounded (a singular
-      constant, or y_j^w = alpha up to rounding at some step j < n at
-      rho = 1) or the growth is too large (jonquieres_b at rho = 1e75).
-      Every chunk also renormalizes at its end.  Trajectories are grouped
-      by k, so a k = 1 group renormalizes alone.
+    * A chunk renormalizes every k of its own steps (k = 1, 2, 4, ...,
+      128), counted from its start, k from ``renormalization_intervals``:
+      a closed-form bound on the generators (``generator_bounds``) keeps
+      every unnormalized stretch inside [1e-150, 1e150].  At rho = 1,
+      where det A = alpha - y^w vanishes somewhere on the circle, a
+      jonquieres trajectory takes its k from the smallest |det A| over its
+      own n steps.  k is 1 where the shrinkage cannot be bounded (a
+      singular constant, or y_j^w = alpha up to rounding at some step
+      j < n at rho = 1) or the growth is too large (jonquieres_b at
+      rho = 1e75).  Every chunk also renormalizes at its end.  Trajectories
+      are grouped by k, so after step c of a chunk the ones that
+      renormalize (k divides c) are a prefix.
     * btilde runs on the jonquieres_b matrices: B~ = B / b with
       |b| = |alpha - y^2|^(1/2) on either branch, so a chunk's s is the
       jonquieres_b s minus 1/4 of the running sum, in step order, of
       ln|alpha - y_k^2|^2 over its steps.  With a = arg(alpha) / 2 pi,
       |alpha - y^2|^2 = (|alpha| - rho^2)^2 + 4 |alpha| rho^2 sin^2(pi (2 phase - a)),
-      which has no cancellation near y^2 = alpha and needs one sine per
-      distinct phase and step.  Its p is the jonquieres_b direction, which
+      which has no cancellation near y^2 = alpha.  The sine comes by angle
+      addition from sin and cos of pi (2 theta - a), once per trajectory,
+      and of 2 pi x_j, once per chunk and step; then one log per
+      trajectory-step.  Its p is the jonquieres_b direction, which
       is the btilde p times the unit phase prod_k b_k / |b_k|;
       ``cocycle.iterate`` divides that phase out.
     """
@@ -371,18 +409,26 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     family = "jonquieres_b" if btilde else kind
     # the jonquieres products run as a row update, the others as a 2x2 product
     row_step = family in ("jonquieres_a", "jonquieres_b")
-    starts, inverse = np.unique(thetas, return_inverse=True)
+    # a block holds y^power: y^2 for jonquieres_b (and btilde), else y
+    power = 2 if family == "jonquieres_b" else 1
     # sorted by interval, the trajectories renormalized after c steps are a
-    # prefix: those whose k divides c, that is k <= the power of 2 in c.
-    # ends[c % 8] is that prefix's length: k <= 8 when 8 divides c, k <= 4
-    # when c = 4 mod 8, k <= 2 when c = 2 or 6 mod 8, and k = 1 otherwise
-    ends = np.searchsorted(intervals, [8, 1, 2, 1, 4, 1, 2, 1], side="right").tolist()
+    # prefix: those whose k divides c, that is k <= the largest power of 2
+    # that divides c.  ends[i] is that prefix's length when that power is
+    # 2^i (i <= 7)
+    ends = np.searchsorted(intervals, [1 << i for i in range(8)], side="right").tolist()
+    # y^power at step j: the trajectory's (rho e^(2 pi i theta))^power times
+    # the step's e^(2 pi i power x), x = j freq mod 1
+    start = rho * np.exp(2j * np.pi * thetas)
+    if power == 2:
+        start = start * start
     if btilde:
         r = abs(alpha)
         offset, scale = (r - rho * rho) ** 2, 4.0 * r * rho * rho
-        shift = cmath.phase(alpha) / (2.0 * math.pi)
+        # sin(pi (2 phase - a)) = sin(u + 2 pi x), u = pi (2 theta - a)
+        u = np.pi * (2.0 * thetas - cmath.phase(alpha) / (2.0 * math.pi))
+        sin_u, cos_u = np.sin(u), np.cos(u)
     lo = np.array([chunk[0] for chunk in chunks])
-    lengths = [hi - start for start, hi in chunks]
+    lengths = [hi - first for first, hi in chunks]
     c, m = len(lengths), len(rho)
     # p[i, j, h] is entry (i, j) of every trajectory's chunk h; since the
     # chunks come longest first, those still running are a prefix of h
@@ -398,6 +444,9 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     # a block holds BLOCK_ENTRIES generators: four entries per column-step,
     # or one, the moving entry, in the row update
     block = max(1, BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
+    ybuf = np.empty((block, c, m), dtype=np.complex128)
+    if btilde:
+        terms = np.empty((2, block, c, m))
     if not row_step:
         g = np.empty((2, 2, block, c, m), dtype=np.complex128)
         q = np.empty_like(p)
@@ -406,33 +455,36 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
         # a block ends at every chunk end
         stop = min(done + block, lengths[live - 1])
         steps = stop - done
-        # x - floor(x) is np.mod(x, 1.0) to the bit, at a fifth of the cost
-        phases = starts + ((lo[:live] + np.arange(done, stop)[:, None]) * freq)[..., None]
-        phases -= np.floor(phases)
-        y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
-        y *= rho
-        if row_step:
-            # y becomes w, in a new array: NumPy rounds an in-place complex
-            # product of one element without the fused multiply-add it uses
-            # for longer arrays, so squaring y in place would give a lone
-            # trajectory other bits.  Which loops fuse is fixed by NumPy's
-            # CPU dispatch level, so this, like the bits, holds per level
-            y = moving_entry(family, y)
-        else:
+        # x = j freq mod 1 for every chunk and step of a full block; x -
+        # floor(x) is np.mod(x, 1.0) to the bit, at a fifth of the cost
+        x = (lo + np.arange(done, done + block)[:, None]) * freq
+        x -= np.floor(x)
+        # one complex multiply per column-step, over the whole buffer: NumPy
+        # rounds a one-element complex product without the fused
+        # multiply-add of its array loop, and the buffer (block * c * m
+        # entries) never holds just one, so a lone trajectory or any block
+        # gets a batch's bits.  Which loops fuse is fixed by NumPy's CPU
+        # dispatch level, so this, like the bits, holds per level
+        np.multiply(np.exp(2j * np.pi * (power * x))[..., None], start, out=ybuf)
+        y = ybuf[:steps, :live]
+        if not row_step:
             gb = g[:, :, :steps, :live]
             generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
             # column j of every generator, as (2, steps, live, m)
             col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
         if btilde:
-            sine = np.sin(np.pi * (2.0 * phases - shift))
+            x *= 2.0 * np.pi
+            sine, tmp = terms[:, :steps, :live]
+            np.multiply(np.sin(x)[:steps, :live, None], cos_u, out=sine)
+            np.multiply(np.cos(x)[:steps, :live, None], sin_u, out=tmp)
+            sine += tmp
             sine *= sine
-            terms = sine.take(inverse, axis=-1)
-            terms *= scale
-            terms += offset
-            np.log(terms, out=terms)
+            sine *= scale
+            sine += offset
+            np.log(sine, out=sine)
             # one row at a time: np.add.accumulate over a short axis runs
             # one inner loop per column
-            for row in terms:
+            for row in sine:
                 logb[:live] += row
         pv, tv = p[:, :, :live], t[..., :live, :]
         row0, row1 = pv
@@ -462,7 +514,7 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
                 _renormalize(pv[:, :, running:], a[:, :, running:live], s[running:live])
                 if not row_step:
                     q[:, :, running:live] = p[:, :, running:live]
-            e = ends[count % 8]
+            e = ends[min(7, (count & -count).bit_length() - 1)]
             if e and running:
                 _renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
                              s[:running, :e])

@@ -1,12 +1,10 @@
-"""The NumPy half of the package: the kernels and every module that runs
-on them.
+"""Every NumPy module of the package, loaded at once: the kernels and every
+module that runs on them.
 
-``import jonq``, the ``jonq.cli`` parser, ``jonq degree`` and ``jonq
-linearize`` load only the pure-Python half (``algebra``, ``errors``,
-``degree``, ``linearize``).  The NumPy commands import this module, which
-loads the whole NumPy half at once.  It loads ``linearize`` too, so that a
-tracer which imports this module before wrapping finds every module a
-command runs.
+The CLI does not import this module: each command imports only the
+modules it runs (see ``jonq.cli``).  A tracer imports it before wrapping,
+so that it finds loaded every module a command can run; it loads
+``linearize`` too for that reason.
 
 ``_kernels_py``, ``cocycle`` and ``accel`` bind NumPy lazily
 (``_lazy.np``), so they load it when a kernel first runs: ``import

@@ -22,17 +22,15 @@ from fractions import Fraction
 from . import BACKEND, __version__
 from .algebra import DEFAULT_ALPHA_ANGLE, DEFAULT_H, GOLDEN_FREQ, KINDS, MapParams
 from .errors import JonqError
-from . import degree as degree_mod
 
-# The NumPy commands import ``backend`` when they run: it loads the NumPy
-# half of the package (the kernels, ``accel``, ``cocycle`` and ``maps``, and
-# the pure-Python ``linearize``) at once, and a tracer that imports
-# ``backend`` before wrapping finds every module a command runs already
-# loaded.  The kernels, ``cocycle`` and ``accel`` load NumPy when a kernel
-# first runs, so ``import jonq.accel`` and the segmented fit run without it;
-# ``maps``, and so ``backend``, imports it.  ``jonq degree`` and ``jonq
-# linearize`` are pure Python: they import ``degree`` and ``linearize``
-# themselves, so they and the parser start without NumPy.
+# Each command imports only the modules it runs, when it runs: ``cocycle``
+# and ``accel`` for ``lyapunov`` and ``accel``, ``maps`` for ``orbit`` and
+# ``classify``, ``linearize`` and ``degree`` for their own commands.  So the
+# parser starts on ``algebra`` and ``errors`` alone.  The kernels,
+# ``cocycle`` and ``accel`` load NumPy when a kernel first runs; ``maps``
+# imports it.  ``jonq degree`` and ``jonq linearize`` are pure Python, so
+# they start without NumPy.  A tracer imports ``backend``, which loads every
+# module a command can run, before it wraps them.
 
 CSV_EOL = "\n"
 
@@ -112,7 +110,7 @@ def _parse_matrix(text: str) -> list[list[complex]]:
 
 def _build_spec(args, rho: float):
     """The spec template, validated at ``rho``: the first radius that runs."""
-    from .backend import cocycle
+    from . import cocycle
 
     kw = dict(
         kind=args.kind,
@@ -135,7 +133,7 @@ def _build_spec(args, rho: float):
 def _s_grid(args) -> list[tuple[float, float]]:
     """(ln rho, rho) pairs: a given --rho is used as it is, grid points
     take rho = exp(s)."""
-    from .backend import accel
+    from . import accel
 
     if args.rho is not None:
         if not args.rho > 0.0:
@@ -152,7 +150,7 @@ def _s_grid(args) -> list[tuple[float, float]]:
 
 
 def _cmd_lyapunov(args) -> str:
-    from .backend import cocycle
+    from . import cocycle
 
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
@@ -171,7 +169,7 @@ def _cmd_lyapunov(args) -> str:
 
 
 def _cmd_accel(args) -> str:
-    from .backend import accel
+    from . import accel
 
     grid = _s_grid(args)
     spec = _build_spec(args, grid[0][1])
@@ -192,7 +190,7 @@ def _cmd_accel(args) -> str:
 
 def _orbit_start(args):
     """The map parameters and the start point of ``orbit`` and ``classify``."""
-    from .backend import maps
+    from . import maps
 
     params = maps.MapParams.from_angles(args.alpha_angle, args.freq)
     q = maps.PointP1xC(x=_parse_complex(args.x0), y=_parse_complex(args.y0))
@@ -202,7 +200,7 @@ def _orbit_start(args):
 def _cmd_orbit(args) -> str:
     import numpy as np
 
-    from .backend import maps
+    from . import maps
 
     rec = maps.orbit(*_orbit_start(args), args.n, dist_tol=args.dist_tol)
     finite_x = rec.v != 0
@@ -225,7 +223,7 @@ def _cmd_orbit(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    from .backend import maps
+    from . import maps
 
     cls = maps.classify_orbit_closure(*_orbit_start(args), args.n, which=args.map)
     payload = {
@@ -254,6 +252,8 @@ def _cmd_linearize(args) -> str:
 
 
 def _cmd_degree(args) -> str:
+    from . import degree as degree_mod
+
     try:
         vals = [Fraction(t) for t in args.specialize.split(",")] if args.specialize else []
     except ZeroDivisionError:  # 1/0 is a configuration error, not a numeric one

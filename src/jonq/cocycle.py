@@ -15,10 +15,8 @@ exp(2*pi*i*freq)):
 * ``constant``:       a fixed matrix
 
 The formulas are defined once, in ``_kernels_py.generator_entries``
-(vectorized over points y; the jonquieres entry y or y^2 comes from
-``_kernels_py.moving_entry``, which the kernel's row update also reads);
-every evaluation here goes through it, by way of
-``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
+(vectorized over points y); every evaluation here goes through it, by way
+of ``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
 at several radii (``lyapunov_many``, ``phase_values_many``) come from one
 kernel call that runs every radius on the same phases.
 """
@@ -29,6 +27,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from . import _kernels_py as kernels
 from ._lazy import np
@@ -143,15 +142,17 @@ def _check_generator_scale(spec: CocycleSpec, rho: np.ndarray) -> None:
     # the largest generator entry must lie in [1e-150, 1e150], so the squared
     # entries of a norm stay normal floats: checked as 1e-150 <= G <= 2e150
     # on the closed-form bound G >= |A|_F over every phase of each radius
-    # (for btilde, of the jonquieres_b matrices its kernel multiplies)
+    # (for btilde, of the jonquieres_b matrices its kernel multiplies),
+    # whose log is finite at every radius
     kind, alpha, _, _, energy, potential, cmat = _kernel_args(spec)
     log_g, _ = kernels.generator_bounds(kind, alpha, rho, energy, potential, cmat)
     # written so that NaN fails
     bad = ~((log_g >= math.log(1e-150)) & (log_g <= math.log(2e150)))
     if bad.any():
         i = int(np.argmax(bad))
-        with np.errstate(over="ignore"):
-            bound = float(np.exp(log_g[i]))
+        log_bound = float(log_g[i])
+        # printed from its logarithm: past e^709 the float exp overflows
+        bound = Decimal(log_bound).exp() if log_bound > 709.0 else math.exp(log_bound)
         raise Overflow(
             f"generator norm bound {bound:.3e} outside [1e-150, 2e150]"
             f" at rho={float(rho[i])!r}"

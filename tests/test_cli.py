@@ -134,11 +134,15 @@ class TestLyapunovCommand:
 
     @pytest.mark.parametrize("kind,rho", [
         ("btilde", "1e100"), ("btilde", "1e160"), ("jonquieres_b", "1e80"),
+        ("jonquieres_a", "1e200"), ("diagonal_power", "1e-200"),
     ])
     def test_generator_overflow_is_one_line(self, kind, rho):
         # btilde's kernel multiplies the jonquieres_b matrices, of norm
         # about rho^2, so it stops where jonquieres_b does (about 1.4e75),
-        # before any kernel step or NumPy warning
+        # before any kernel step or NumPy warning.  The line prints the
+        # norm bound, finite past the float range too
+        bound = {"1e100": "1.000e+200", "1e160": "1.000e+320", "1e80": "1.000e+160",
+                 "1e200": "1.000e+200", "1e-200": "1.000e+200"}[rho]
         proc = subprocess.run(
             [sys.executable, "-m", "jonq.cli", "lyapunov", "--kind", kind,
              "--rho", rho, "--n", "100", "--samples", "2"],
@@ -148,6 +152,7 @@ class TestLyapunovCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: Overflow: ")
         assert f"rho={float(rho)!r}" in proc.stderr
+        assert f"generator norm bound {bound} outside" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
     def test_one_kernel_call_for_the_grid(self, tmp_path, kernel_calls):
@@ -579,6 +584,29 @@ class TestParser:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "False False\n"
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["accel", "--rho", "2", "--n", "200", "--samples", "4"],
+         ["degree", "maps", "linearize", "backend"]),
+        (["lyapunov", "--s-steps", "3", "--n", "200", "--samples", "4"],
+         ["degree", "maps", "linearize", "backend"]),
+        (["orbit", "--n", "50"], ["accel", "linearize", "degree"]),
+        (["classify", "--n", "20000"], ["accel", "linearize", "degree"]),
+        ([], ["degree"]),
+    ])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        # each command imports its own modules when it runs; with no
+        # command, only ``import jonq.cli`` runs
+        code = (
+            "import sys, jonq.cli; argv = sys.argv[2:]; "
+            "rc = jonq.cli.main(argv + ['--out', sys.argv[1]]) if argv else 0; "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('jonq.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *argv],
+                              capture_output=True, text=True)
+        rc, modules = proc.stdout.split(" ", 1)
+        assert rc == "0", proc.stderr
+        assert not {f"jonq.{name}" for name in absent} & set(eval(modules))
 
     def test_package_import_leaves_numpy_out(self):
         code = "import sys, jonq; print(jonq.BACKEND, 'numpy' in sys.modules)"

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jonq._kernels_py import sqrt_branch_values
-from jonq.algebra import GOLDEN_FREQ, default_alpha
+from jonq.algebra import DEFAULT_H, GOLDEN_FREQ, default_alpha
 from jonq.backend import kernels
 from jonq.cocycle import (
     KINDS,
@@ -516,19 +516,23 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     """The reference kernel: the true generator of ``kind`` (btilde with
     its square-root branch) multiplied in at every step, and the product
     renormalized after every step.  It runs the steps first, ..., first +
-    n - 1, with the phases thetas + step * freq."""
+    n - 1, at the points y = rho exp(2 pi i theta) exp(2 pi i x), with
+    x = step * freq mod 1, built as the kernel builds them."""
     m = len(thetas)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (m,))
+    start = rho * np.exp(2j * np.pi * np.asarray(thetas))
     p = np.zeros((2, 2, m), dtype=np.complex128)
     p[0, 0] = p[1, 1] = 1.0
+    g = np.empty_like(p)
     s = np.zeros(m)
     half = n // 2
     # at n = 1 the half-way product is the identity, as in the kernel
     s_half = s + 0.5 * np.log(2.0)
     for k in range(n):
-        phases = np.mod(thetas + (first + k) * freq, 1.0)
-        g = kernels.generators(kind, alpha, rho, energy, potential, cmat, phases)
-        p = np.einsum("mij,jkm->ikm", g, p)
+        x = (first + k) * freq
+        y = start * np.exp(2j * np.pi * (x - math.floor(x)))
+        kernels.generator_entries(kind, alpha, rho, energy, potential, cmat, y, g)
+        p = np.einsum("ijm,jkm->ikm", g, p)
         nrm = np.sqrt((np.abs(p) ** 2).sum(axis=(0, 1)))
         s += np.log(nrm)
         p /= nrm
@@ -558,12 +562,16 @@ def hit_phase(kind, j):
 
 
 def kernel_dets(kind, thetas, n):
-    """|alpha - y_j^w| over the steps j < n, with the kernel's phases and y
-    as the kernel computes them: an (n, len(thetas)) array."""
-    phases = np.asarray(thetas) + (np.arange(n) * GOLDEN_FREQ)[:, None]
-    phases -= np.floor(phases)
-    y = 1.0 * np.exp(2j * np.pi * phases)
-    return np.abs(ALPHA - (y if det_power(kind) == 1 else y * y))
+    """|alpha - y_j^w| over the steps j < n, with y_j^w as the kernel
+    computes it at rho = 1: (e^(2 pi i theta))^w e^(2 pi i w x_j), with
+    x_j = j freq mod 1.  An (n, len(thetas)) array."""
+    w = det_power(kind)
+    start = 1.0 * np.exp(2j * np.pi * np.asarray(thetas))
+    if w == 2:
+        start = start * start
+    x = np.arange(n) * GOLDEN_FREQ
+    x -= np.floor(x)
+    return np.abs(ALPHA - np.exp(2j * np.pi * (w * x))[:, None] * start)
 
 
 def kernel_bounds(kind, rho):
@@ -590,8 +598,8 @@ def unit_circle_batches(draw):
 
 REFERENCE_CASES = [
     ("jonquieres_a", [0.5, 1.0, 2.0]),
-    # rho = 1e75 renormalizes every step, 1e20 every 2, the others every 8
-    # (rho = 1 too, at phases that stay off det A = 0)
+    # rho = 1e75 renormalizes every step, 1e20 every 2, 2.0 and 0.5 every
+    # 128 and rho = 1 every 16 to 32 (at phases that stay off det A = 0)
     ("jonquieres_b", [0.5, 1.0, 2.0, 1e20, 1e75]),
     ("btilde", [0.5, 0.9, 1.1, 2.0]),
     ("schrodinger", [0.5, 1.0, 2.0]),
@@ -643,7 +651,7 @@ class TestKernel:
             assert bounds == list(range(0, 20001, 1250))
 
     @pytest.mark.parametrize("kind,rhos", [
-        # renormalized every step, every 2 and every 8 steps, so a chunk
+        # renormalized every step, every 2 and every 128 steps, so a chunk
         # of 143 steps ends between two renormalizations
         ("jonquieres_b", [1e75, 1e20, 2.0]),
         ("btilde", [0.5, 2.0]),
@@ -692,13 +700,18 @@ class TestKernel:
                 assert whole.shape == want.shape and whole.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind,rhos,intervals", [
-        ("jonquieres_b", [2.0, 1e20, 1.0, 1e10, 1e75], [8, 2, 1, 4, 1]),
-        ("btilde", [2.0, 0.5], [8, 8]),
+        ("jonquieres_b", [2.0, 1e20, 1.0, 1e10, 1e75], [128, 2, 1, 4, 1]),
+        ("btilde", [2.0, 0.5], [128, 128]),
+        # every k of the ladder in one batch
+        ("jonquieres_b", [2.0, 10.0, 100.0, 1e3, 1e5, 1e10, 1e20, 1e75, 1.0],
+         [128, 64, 32, 16, 8, 4, 2, 1, 1]),
+        ("btilde", [0.5, 10.0, 100.0, 1e3], [128, 64, 32, 16]),
     ])
-    @pytest.mark.parametrize("n", [1, 37, 64])
+    @pytest.mark.parametrize("n", [1, 37, 64, 600])
     def test_mixed_intervals_batch_equals_per_radius_calls(self, kind, rhos, intervals, n):
         # ``intervals`` are those of the first phase, which puts y^w on
-        # alpha at step 0, so at rho = 1 it renormalizes every step
+        # alpha at step 0, so at rho = 1 it renormalizes every step; at
+        # n = 600 two chunks of 150 steps renormalize at step 128 too
         thetas = phase_samples(3, 5)
         thetas[0] = hit_phase(kind, 0)
         got = kernel_call(kind, np.repeat(rhos, 3), np.tile(thetas, len(rhos)), n,
@@ -745,7 +758,7 @@ class TestKernel:
         rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
         intervals = kernel_call(kind, rho, phases, n,
                                 call=kernels.renormalization_intervals)
-        assert intervals.min() == (8 if kind == "btilde" else 1)
+        assert intervals.min() == (16 if kind == "btilde" else 1)
         want = kernel_call(kind, rho, phases, n)
         for entries in (64, 65536):
             monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
@@ -756,13 +769,15 @@ class TestKernel:
     @pytest.mark.parametrize("kind,rho,interval", [
         # at rho = 1 the phase puts y^w on alpha at step 0
         ("jonquieres_a", 1.0, 1),  # det = alpha - y can vanish
-        ("jonquieres_a", 1.5, 8),
+        ("jonquieres_a", 1.5, 128),
         ("jonquieres_b", 1.0, 1),
         ("jonquieres_b", 1e75, 1),  # two steps could pass 1e260
-        ("btilde", 1e-5, 8),
-        ("schrodinger", 2.0, 8),
+        ("btilde", 1e-5, 128),
+        ("btilde", 1e5, 8),  # ln |A|_F = 23.0
+        ("jonquieres_b", 100.0, 32),  # ln |A|_F = 9.2
+        ("schrodinger", 2.0, 128),
         ("diagonal_power", 1e20, 4),  # ln |A|_F = 46.1
-        ("constant", 1.0, 8),
+        ("constant", 1.0, 128),
     ])
     def test_interval_from_the_generator_bound(self, kind, rho, interval):
         k = kernel_call(kind, np.array([rho]), np.array([hit_phase(kind, 0)]), 1,
@@ -782,13 +797,15 @@ class TestKernel:
         assert s_full[0] / 64 == pytest.approx(math.log(x), rel=1e-12)
         assert s_half[0] / 32 == pytest.approx(math.log(x), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_unit_circle_phase_samples_renormalize_every_8_steps(self, kind, seed):
+    @pytest.mark.parametrize("kind,seed,interval", [
+        ("jonquieres_a", 0, 32), ("jonquieres_a", 7, 16),
+        ("jonquieres_b", 0, 32), ("jonquieres_b", 7, 32),
+    ])
+    def test_unit_circle_phase_samples_renormalize_sparsely(self, kind, seed, interval):
         # the closed form's D is 0 on the unit circle; the phases the
-        # estimators run stay far enough from det = 0 for k = 8
+        # estimators run stay far enough from det = 0 for k = 16 or 32
         k = unit_circle_intervals(kind, phase_samples(64, seed), 20000)
-        assert k.tolist() == [8] * 64
+        assert k.tolist() == [interval] * 64
 
     @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
     def test_unit_circle_hit_renormalizes_every_step(self, kind):
@@ -797,7 +814,8 @@ class TestKernel:
         # the hit is at step j, not at the start
         assert kernels.unit_circle_det_bounds(kind, ALPHA, thetas[:1], GOLDEN_FREQ, j)[0] > 1e-3
         assert kernel_dets(kind, thetas[:1], n).min() < kernels.UNIT_CIRCLE_MARGIN
-        assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 8]
+        assert unit_circle_intervals(kind, thetas, n).tolist() == [
+            1, 64 if kind == "jonquieres_a" else 32]
         got = kernel_call(kind, 1.0, thetas, n)
         want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
         assert np.all(np.isfinite(got[1]))
@@ -812,7 +830,7 @@ class TestKernel:
         lo = max(b for b in bounds if b < j)
         assert n // 2 < lo < j < bounds[bounds.index(lo) + 1]
         thetas = np.array([hit_phase(kind, j), 0.3, 0.71])
-        assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 8, 8]
+        assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 32, 32]
         got = kernel_call(kind, 1.0, thetas, n)
         want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
         assert np.all(np.isfinite(got[1]))
@@ -904,15 +922,15 @@ class TestKernel:
         assert log_g.tolist() == [math.log(2.0)]
 
     def test_generator_bounds_do_not_warn(self):
-        # past the float range the bound is inf, without a warning
+        # past the float range ln G stays finite, and D may be inf, without
+        # a warning
         rho = np.array([1e-320, 1e-160, 1e160, 1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in KINDS:
                 log_g, det = kernel_bounds(kind, rho)
-                if kind != "constant":
-                    assert np.isinf(log_g[2:]).all()
-                assert not np.isnan(log_g).any() and not np.isnan(det).any()
+                assert np.isfinite(log_g).all()
+                assert not np.isnan(det).any()
 
     @pytest.mark.parametrize("rho", [0.5, 2.0])
     def test_btilde_iterate_is_the_direct_product(self, rho):
@@ -925,3 +943,200 @@ class TestKernel:
         p, s = iterate(spec, theta, 20)
         rec = p * math.exp(s)
         assert np.all(np.abs(rec - prod) <= 1e-9 * np.maximum(1.0, np.abs(prod)))
+
+
+# --- frozen block set-up -----------------------------------------------------
+# A frozen copy of the pass that the per-trajectory constant and per-step
+# factor replaced: exp(2 pi i phase) for every distinct starting phase and
+# step, a take to the trajectories and a radius scale, btilde's sine per
+# distinct phase and step, and renormalization every 1 to 8 steps.  It is
+# the oracle for the kernel's numbers, run through ``cocycle_sums`` with
+# the intervals capped at 8, as the kernel capped them.
+
+def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
+                          intervals, chunks):
+    btilde = kind == "btilde"
+    family = "jonquieres_b" if btilde else kind
+    row_step = family in ("jonquieres_a", "jonquieres_b")
+    starts, inverse = np.unique(thetas, return_inverse=True)
+    ends = np.searchsorted(intervals, [8, 1, 2, 1, 4, 1, 2, 1], side="right").tolist()
+    if btilde:
+        r = abs(alpha)
+        offset, scale = (r - rho * rho) ** 2, 4.0 * r * rho * rho
+        shift = cmath.phase(alpha) / (2.0 * math.pi)
+    lo = np.array([chunk[0] for chunk in chunks])
+    lengths = [hi - start for start, hi in chunks]
+    c, m = len(lengths), len(rho)
+    p = np.zeros((2, 2, c, m), dtype=np.complex128)
+    p[0, 0] = p[1, 1] = 1.0
+    t = np.empty_like(p[0] if row_step else p)
+    a = np.empty(p.shape)
+    s = np.zeros((c, m))
+    logb = np.zeros((c, m))
+    block = max(1, kernels.BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
+    if not row_step:
+        g = np.empty((2, 2, block, c, m), dtype=np.complex128)
+        q = np.empty_like(p)
+    done, live = 0, c
+    while live:
+        stop = min(done + block, lengths[live - 1])
+        steps = stop - done
+        phases = starts + ((lo[:live] + np.arange(done, stop)[:, None]) * freq)[..., None]
+        phases -= np.floor(phases)
+        y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
+        y *= rho
+        if row_step:
+            y = y if family == "jonquieres_a" else y * y
+        else:
+            gb = g[:, :, :steps, :live]
+            kernels.generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
+            col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
+        if btilde:
+            sine = np.sin(np.pi * (2.0 * phases - shift))
+            sine *= sine
+            terms = sine.take(inverse, axis=-1)
+            terms *= scale
+            terms += offset
+            np.log(terms, out=terms)
+            for row in terms:
+                logb[:live] += row
+        pv, tv = p[:, :, :live], t[..., :live, :]
+        row0, row1 = pv
+        for j in range(steps):
+            if row_step:
+                np.multiply(y[j], row1, out=tv)
+                row1 += row0
+                np.multiply(alpha, row0, out=row0)
+                row0 += tv
+            else:
+                np.multiply(col0[:, j, None], pv[0], out=qv)
+                np.multiply(col1[:, j, None], pv[1], out=tv)
+                qv += tv
+                p, q, pv, qv = q, p, qv, pv
+            count = done + j + 1
+            running = live
+            if count == lengths[live - 1]:
+                running = lengths.index(count)
+                kernels._renormalize(pv[:, :, running:], a[:, :, running:live],
+                                     s[running:live])
+                if not row_step:
+                    q[:, :, running:live] = p[:, :, running:live]
+            e = ends[count % 8]
+            if e and running:
+                kernels._renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
+                                     s[:running, :e])
+        done, live = stop, running
+    if btilde:
+        s -= 0.25 * logb
+    return p, s
+
+
+def frozen_generator_bounds(kind, alpha, rho, energy, potential, cmat):
+    """ln G as 0.5 ln G^2, which overflows to inf past the float range, and
+    D: the bound before its overflow-free form, frozen."""
+    rho = np.asarray(rho, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kind == "constant":
+            c = np.asarray(cmat, dtype=np.complex128)
+            frob2 = np.full(rho.shape, float(np.sum(np.abs(c) ** 2)))
+            det = np.full(rho.shape, abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
+        elif kind == "jonquieres_a":
+            frob2, det = 3.0 + rho**2, np.abs(1.0 - rho)
+        elif kind in ("jonquieres_b", "btilde"):
+            frob2, det = 3.0 + rho**4, np.abs(1.0 - rho**2)
+        elif kind == "schrodinger":
+            bound = abs(energy) + abs(potential[0])
+            for k, c in enumerate(potential[1:], start=1):
+                bound = bound + abs(c) * 0.5 * (rho**k + rho**-k)
+            frob2, det = bound * bound + 2.0, np.ones(rho.shape)
+        else:
+            frob2, det = rho**2 + rho**-2, np.ones(rho.shape)
+        return 0.5 * np.log(frob2), det
+
+
+OP_RADII = (
+    # the sweep op's ln rho grid, and the accel op's centres with their
+    # +-h windows
+    [math.exp(-1.5 + 0.5 * i) for i in range(7)]
+    + [c * math.exp(d * DEFAULT_H) for c in (0.5, 2.0) for d in (-1, 0, 1)]
+)
+ORACLE_CASES = [(kind, OP_RADII) for kind in KINDS if kind not in ("btilde", "constant")]
+ORACLE_CASES += [
+    # btilde is undefined at rho = 1
+    ("btilde", [r for r in OP_RADII if r != 1.0] + [1 - 1e-6, 1 + 1e-6, 1e-5, 1e5]),
+    ("jonquieres_b", [1.0, 1.4e75]),
+    ("constant", [1.0]),
+]
+
+
+class TestFrozenSetupOracle:
+    @pytest.mark.parametrize("kind,rhos", ORACLE_CASES)
+    def test_kernel_matches_the_frozen_setup(self, kind, rhos, monkeypatch):
+        # n = 2001 runs chunks of 142 and 143 steps, so every k of the
+        # ladder renormalizes inside a chunk
+        n, thetas = 2001, phase_samples(16, 3)
+        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+        got = kernel_call(kind, rho, phases, n)
+        intervals = kernels.renormalization_intervals
+        monkeypatch.setattr(kernels, "renormalization_intervals",
+                            lambda *args: np.minimum(intervals(*args), 8))
+        monkeypatch.setattr(kernels, "chunk_products", frozen_chunk_products)
+        want = kernel_call(kind, rho, phases, n)
+        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
+        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
+        assert np.max(np.abs(np.abs(got[2]) - np.abs(want[2]))) < 1e-9
+
+
+class TestOverflowFreeBound:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_squared_form_wherever_it_is_a_float(self, kind):
+        # ln G keeps the bits of 0.5 ln G^2 wherever G^2 is a float, so the
+        # Overflow decision (1e-150 <= G <= 2e150) and the interval k do
+        # not move at any radius; where G^2 overflows, ln G is finite and
+        # past 2e150, as the overflow was
+        rho = np.concatenate([np.geomspace(5e-324, 1.7e308, 200001),
+                              [1e-160, 1e-154, 1e75, 1.4e75, 1.5e75, 1e77, 1e155]])
+        cmat = KERNEL_CMAT * (1e160 if kind == "constant" else 1.0)
+        for matrix in (KERNEL_CMAT, cmat):
+            log_g, det = kernels.generator_bounds(kind, ALPHA, rho, 0.4,
+                                                  KERNEL_POTENTIAL, matrix)
+            want_g, want_det = frozen_generator_bounds(kind, ALPHA, rho, 0.4,
+                                                       KERNEL_POTENTIAL, matrix)
+            assert det.tobytes() == want_det.tobytes()
+            finite = np.isfinite(want_g)
+            assert log_g[finite].tobytes() == want_g[finite].tobytes()
+            assert np.all(np.isfinite(log_g[~finite]))
+            assert np.all(log_g[~finite] > math.log(2e150))
+        if kind not in ("constant", "btilde"):
+            assert not finite.all()
+
+    @pytest.mark.parametrize("kind,rho", [
+        ("jonquieres_a", 1e200), ("jonquieres_a", 1e308),
+        ("jonquieres_b", 1e80), ("jonquieres_b", 1e160), ("btilde", 1e160),
+        ("schrodinger", 1e160), ("schrodinger", 1e-160), ("schrodinger", 1e-320),
+        ("diagonal_power", 1e-200), ("diagonal_power", 1e-320), ("diagonal_power", 1e300),
+    ])
+    def test_log_bound_past_the_float_range(self, kind, rho):
+        # ln G against the closed form in 50-digit arithmetic
+        import mpmath
+
+        with mpmath.workdps(50):
+            r = mpmath.mpf(rho)
+            if kind == "jonquieres_a":
+                g2 = 3 + r**2
+            elif kind in ("jonquieres_b", "btilde"):
+                g2 = 3 + r**4
+            elif kind == "schrodinger":
+                v = 0.4 + KERNEL_POTENTIAL[0] + KERNEL_POTENTIAL[1] * (r + 1 / r) / 2
+                g2 = v**2 + 2
+            else:
+                g2 = r**2 + r**-2
+            want = float(mpmath.log(g2) / 2)
+        log_g, _ = kernel_bounds(kind, np.array([rho]))
+        assert abs(log_g[0] - want) <= 4e-16 * abs(want)
+
+    def test_log_bound_of_a_large_constant(self):
+        cmat = np.array([[1e200, 3e199j], [0, 1e-200]])
+        log_g, _ = kernels.generator_bounds("constant", ALPHA, np.ones(1), 0.0,
+                                            np.array([]), cmat)
+        assert log_g[0] == pytest.approx(math.log(math.hypot(1e200, 3e199)), rel=1e-15)
