@@ -113,7 +113,29 @@ def generator_bounds(kind, alpha, rho, energy, potential, cmat):
     """Closed-form bounds, over every phase, on the matrices the kernel
     multiplies at each radius in ``rho``: ``(log_g, det)``, two arrays
     shaped like ``rho``, with G = exp(log_g) >= |A|_F and
-    0 <= det <= |det A| (|alpha| = 1):
+    0 <= det <= |det A| (|alpha| = 1).  ``_bounds`` holds the forms.
+
+    log_g is 0.5 ln G^2 with G^2 a float wherever that is finite, so the
+    ``Overflow`` decision and the intervals keep its bits, and G^2 in
+    ``_LogArithmetic`` where it overflows, so log_g is finite at every
+    positive radius.  D may pass the float range, as inf.  No case warns.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        frob2, det = _bounds(kind, _FloatArithmetic(rho), energy, potential, cmat)
+        frob2 = np.broadcast_to(frob2, rho.shape)
+        log_g = 0.5 * np.log(frob2)
+        over = frob2 == np.inf
+        if over.any():
+            log_frob2, _ = _bounds(kind, _LogArithmetic(rho[over]), energy,
+                                   potential, cmat)
+            log_g[over] = 0.5 * log_frob2
+        return log_g, np.broadcast_to(det, rho.shape).copy()
+
+
+def _bounds(kind, ar, energy, potential, cmat):
+    """G^2 and D of ``generator_bounds``, with G^2 written in the
+    arithmetic ``ar`` and D as a float of ``ar.rho``:
 
     * jonquieres_a: G^2 = 3 + rho^2, D = |1 - rho|;
     * jonquieres_b and btilde (whose kernel products are jonquieres_b
@@ -121,66 +143,71 @@ def generator_bounds(kind, alpha, rho, energy, potential, cmat):
     * schrodinger: G^2 = V^2 + 2 with V = |E| + |a0|
       + sum_k |a_k| (rho^k + rho^-k) / 2, D = 1;
     * diagonal_power: G^2 = rho^2 + rho^-2, D = 1;
-    * constant: the matrix's own norm and determinant.
-
-    log_g is 0.5 ln G^2 wherever G^2 is a float, and ``_log_bound`` where
-    it overflows, so it is finite at every positive radius and the
-    ``Overflow`` decision and the intervals keep the bits of 0.5 ln G^2.
-    D may pass the float range, as inf.  No case warns.
+    * constant: the matrix's own squared norm and determinant.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if kind == "constant":
-            c = np.asarray(cmat, dtype=np.complex128)
-            frob2 = np.full(rho.shape, float(np.sum(np.abs(c) ** 2)))
-            det = np.full(rho.shape, abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
-        elif kind == "jonquieres_a":
-            frob2 = 3.0 + rho**2
-            det = np.abs(1.0 - rho)
-        elif kind in ("jonquieres_b", "btilde"):
-            frob2 = 3.0 + rho**4
-            det = np.abs(1.0 - rho**2)
-        elif kind == "schrodinger":
-            bound = abs(energy) + (abs(potential[0]) if len(potential) else 0.0)
-            for k, c in enumerate(potential[1:], start=1):
-                bound = bound + abs(c) * 0.5 * (rho**k + rho**-k)
-            # a scalar when no term depends on rho
-            frob2 = np.broadcast_to(bound * bound + 2.0, rho.shape)
-            det = np.ones(rho.shape)
-        elif kind == "diagonal_power":
-            frob2 = rho**2 + rho**-2
-            det = np.ones(rho.shape)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        log_g = 0.5 * np.log(frob2)
-        over = frob2 == np.inf
-        if over.any():
-            log_g[over] = _log_bound(kind, rho[over], energy, potential, cmat)
-        return log_g, det
-
-
-def _log_bound(kind, rho, energy, potential, cmat):
-    """ln G of ``generator_bounds`` in a form that cannot overflow, for the
-    radii where G^2 does.  With r = min(rho, 1 / rho),
-    rho^k + rho^-k = exp(k |ln rho|) (1 + r^2k); G^2 overflows for the
-    jonquieres kinds only at rho > 1, where r = 1 / rho."""
-    abs_log = np.abs(np.log(rho))
-    r = np.minimum(rho, 1.0 / rho)
+    rho = ar.rho
     if kind == "constant":
-        c = np.abs(np.asarray(cmat, dtype=np.complex128))
-        top = c.max()
-        return np.log(top) + 0.5 * np.log(np.sum((c / top) ** 2)) + np.zeros(rho.shape)
+        c = np.asarray(cmat, dtype=np.complex128)
+        size = ar.value(np.abs(c))
+        det = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+        return ar.total(ar.mul(size, size)), det
     if kind == "jonquieres_a":
-        return abs_log + 0.5 * np.log1p(3.0 * r**2)
+        return ar.add(ar.value(3.0), ar.power(2)), np.abs(1.0 - rho)
     if kind in ("jonquieres_b", "btilde"):
-        return 2.0 * abs_log + 0.5 * np.log1p(3.0 * r**4)
+        return ar.add(ar.value(3.0), ar.power(4)), np.abs(1.0 - rho**2)
+    if kind == "schrodinger":
+        bound = ar.add(ar.value(abs(energy)),
+                       ar.value(abs(potential[0]) if len(potential) else 0.0))
+        for k, c in enumerate(potential[1:], start=1):
+            bound = ar.add(bound, ar.mul(ar.value(abs(c) * 0.5),
+                                         ar.add(ar.power(k), ar.power(-k))))
+        return ar.add(ar.mul(bound, bound), ar.value(2.0)), 1.0
     if kind == "diagonal_power":
-        return abs_log + 0.5 * np.log1p(r**4)
-    # schrodinger: ln V term by term, then G^2 = V^2 + 2
-    log_v = np.log(abs(energy) + abs(potential[0])) + np.zeros(rho.shape)
-    for k, c in enumerate(potential[1:], start=1):
-        log_v = np.logaddexp(log_v, np.log(0.5 * abs(c)) + k * abs_log + np.log1p(r ** (2 * k)))
-    return 0.5 * np.logaddexp(2.0 * log_v, math.log(2.0))
+        return ar.add(ar.power(2), ar.power(-2)), 1.0
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+class _FloatArithmetic:
+    """Floats on the radii ``rho``: past the float range a sum or product
+    is inf."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def power(self, k):
+        return self.rho**k
+
+    def value(self, c):
+        return c
+
+    def add(self, a, b):
+        return np.add(a, b)
+
+    def mul(self, a, b):
+        return np.multiply(a, b)
+
+    def total(self, values):
+        return np.sum(values)
+
+
+class _LogArithmetic(_FloatArithmetic):
+    """The same operations on the logs of the values, finite wherever the
+    values are positive: ln 0 is -inf, which adds nothing to a sum."""
+
+    def power(self, k):
+        return k * np.log(self.rho)
+
+    def value(self, c):
+        return np.log(c)
+
+    def add(self, a, b):
+        return np.logaddexp(a, b)
+
+    def mul(self, a, b):
+        return np.add(a, b)
+
+    def total(self, values):
+        return np.logaddexp.reduce(values, axis=None)
 
 
 def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,

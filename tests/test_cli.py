@@ -155,6 +155,23 @@ class TestLyapunovCommand:
         assert f"generator norm bound {bound} outside" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("extra,bound", [
+        # no --potential: V = |E|, past the float range when squared
+        (["--energy", "1e200"], "1.000e+200"),
+        # |E| + |a0| itself passes the float range
+        (["--energy", "1.5e308", "--potential", "1.5e308"], "3.000e+308"),
+    ], ids=["no-potential", "sum-past-range"])
+    def test_schrodinger_overflow_is_one_line(self, extra, bound):
+        proc = subprocess.run(
+            [sys.executable, "-m", "jonq.cli", "lyapunov", "--kind", "schrodinger",
+             "--rho", "2", "--n", "100", "--samples", "2"] + extra,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: Overflow: generator norm bound {bound}"
+                               " outside [1e-150, 2e150] at rho=2.0\n")
+
     def test_one_kernel_call_for_the_grid(self, tmp_path, kernel_calls):
         rc, out = run(tmp_path, "grid.csv",
                       ["lyapunov", "--kind", "jonquieres_b", "--s-steps", "7"] + FAST)

@@ -1135,6 +1135,20 @@ class TestOverflowFreeBound:
         log_g, _ = kernel_bounds(kind, np.array([rho]))
         assert abs(log_g[0] - want) <= 4e-16 * abs(want)
 
+    @pytest.mark.parametrize("energy,potential,want", [
+        # no potential: V = |E|
+        (1e200, (), math.log(1e200)),
+        # |E| + |a0| is itself past the float range
+        (1.5e308, (1.5e308,), math.log(1.5e308) + math.log(2.0)),
+        (1.5e308, (1.5e308, 0.0), math.log(1.5e308) + math.log(2.0)),
+    ])
+    def test_log_bound_of_a_large_schrodinger_constant(self, energy, potential, want):
+        rho = np.array([0.5, 2.0, 1e300])
+        log_g, det = kernels.generator_bounds("schrodinger", ALPHA, rho, energy,
+                                              np.array(potential), KERNEL_CMAT)
+        assert log_g == pytest.approx(np.full(3, want), rel=1e-15)
+        assert det.tolist() == [1.0, 1.0, 1.0]
+
     def test_log_bound_of_a_large_constant(self):
         cmat = np.array([[1e200, 3e199j], [0, 1e-200]])
         log_g, _ = kernels.generator_bounds("constant", ALPHA, np.ones(1), 0.0,
