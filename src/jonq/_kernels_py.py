@@ -109,105 +109,54 @@ BLOCK_ENTRIES = 4096
 LOG_NORM_RANGE = 150.0 * math.log(10.0) - math.log(2.0)
 
 
+# the kinds whose products run as the row update, by the power w in their
+# moving entry y^w (btilde's products are jonquieres_b products): det A =
+# alpha - y^w
+ROW_POWER = {"jonquieres_a": 1, "jonquieres_b": 2, "btilde": 2}
+
+
 def generator_bounds(kind, alpha, rho, energy, potential, cmat):
     """Closed-form bounds, over every phase, on the matrices the kernel
     multiplies at each radius in ``rho``: ``(log_g, det)``, two arrays
     shaped like ``rho``, with G = exp(log_g) >= |A|_F and
-    0 <= det <= |det A| (|alpha| = 1).  ``_bounds`` holds the forms.
+    0 <= det <= |det A| (|alpha| = 1).  Per kind:
 
-    log_g is 0.5 ln G^2 with G^2 a float wherever that is finite, so the
-    ``Overflow`` decision and the intervals keep its bits, and G^2 in
-    ``_LogArithmetic`` where it overflows, so log_g is finite at every
-    positive radius.  D may pass the float range, as inf.  No case warns.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        frob2, det = _bounds(kind, _FloatArithmetic(rho), energy, potential, cmat)
-        frob2 = np.broadcast_to(frob2, rho.shape)
-        log_g = 0.5 * np.log(frob2)
-        over = frob2 == np.inf
-        if over.any():
-            log_frob2, _ = _bounds(kind, _LogArithmetic(rho[over]), energy,
-                                   potential, cmat)
-            log_g[over] = 0.5 * log_frob2
-        return log_g, np.broadcast_to(det, rho.shape).copy()
-
-
-def _bounds(kind, ar, energy, potential, cmat):
-    """G^2 and D of ``generator_bounds``, with G^2 written in the
-    arithmetic ``ar`` and D as a float of ``ar.rho``:
-
-    * jonquieres_a: G^2 = 3 + rho^2, D = |1 - rho|;
-    * jonquieres_b and btilde (whose kernel products are jonquieres_b
-      products): G^2 = 3 + rho^4, D = |1 - rho^2|;
+    * jonquieres_a, jonquieres_b and btilde (whose kernel products are
+      jonquieres_b products), with w from ``ROW_POWER``:
+      G^2 = 3 + rho^(2w), D = |1 - rho^w|;
     * schrodinger: G^2 = V^2 + 2 with V = |E| + |a0|
       + sum_k |a_k| (rho^k + rho^-k) / 2, D = 1;
     * diagonal_power: G^2 = rho^2 + rho^-2, D = 1;
     * constant: the matrix's own squared norm and determinant.
+
+    log_g is 0.5 ln G^2 with ln G^2 summed in logs (``np.logaddexp``; ln 0
+    is -inf, which adds nothing), so it is finite at every positive radius.
+    D is a float, and may pass the float range, as inf.  No case warns.
     """
-    rho = ar.rho
-    if kind == "constant":
-        c = np.asarray(cmat, dtype=np.complex128)
-        size = ar.value(np.abs(c))
-        det = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
-        return ar.total(ar.mul(size, size)), det
-    if kind == "jonquieres_a":
-        return ar.add(ar.value(3.0), ar.power(2)), np.abs(1.0 - rho)
-    if kind in ("jonquieres_b", "btilde"):
-        return ar.add(ar.value(3.0), ar.power(4)), np.abs(1.0 - rho**2)
-    if kind == "schrodinger":
-        bound = ar.add(ar.value(abs(energy)),
-                       ar.value(abs(potential[0]) if len(potential) else 0.0))
-        for k, c in enumerate(potential[1:], start=1):
-            bound = ar.add(bound, ar.mul(ar.value(abs(c) * 0.5),
-                                         ar.add(ar.power(k), ar.power(-k))))
-        return ar.add(ar.mul(bound, bound), ar.value(2.0)), 1.0
-    if kind == "diagonal_power":
-        return ar.add(ar.power(2), ar.power(-2)), 1.0
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-class _FloatArithmetic:
-    """Floats on the radii ``rho``: past the float range a sum or product
-    is inf."""
-
-    def __init__(self, rho):
-        self.rho = rho
-
-    def power(self, k):
-        return self.rho**k
-
-    def value(self, c):
-        return c
-
-    def add(self, a, b):
-        return np.add(a, b)
-
-    def mul(self, a, b):
-        return np.multiply(a, b)
-
-    def total(self, values):
-        return np.sum(values)
-
-
-class _LogArithmetic(_FloatArithmetic):
-    """The same operations on the logs of the values, finite wherever the
-    values are positive: ln 0 is -inf, which adds nothing to a sum."""
-
-    def power(self, k):
-        return k * np.log(self.rho)
-
-    def value(self, c):
-        return np.log(c)
-
-    def add(self, a, b):
-        return np.logaddexp(a, b)
-
-    def mul(self, a, b):
-        return np.add(a, b)
-
-    def total(self, values):
-        return np.logaddexp.reduce(values, axis=None)
+    rho = np.asarray(rho, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_rho = np.log(rho)
+        det = 1.0
+        if kind == "constant":
+            c = np.asarray(cmat, dtype=np.complex128)
+            log_g2 = np.logaddexp.reduce(2.0 * np.log(np.abs(c)), axis=None)
+            det = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+        elif kind in ROW_POWER:
+            w = ROW_POWER[kind]
+            log_g2 = np.logaddexp(math.log(3.0), 2 * w * log_rho)
+            det = np.abs(1.0 - rho**w)
+        elif kind == "schrodinger":
+            log_v = np.logaddexp.reduce(np.log(np.abs([energy, *potential[:1]])))
+            for k, c in enumerate(potential[1:], start=1):
+                log_v = np.logaddexp(log_v, np.log(abs(c) * 0.5)
+                                     + np.logaddexp(k * log_rho, -k * log_rho))
+            log_g2 = np.logaddexp(2.0 * log_v, math.log(2.0))
+        elif kind == "diagonal_power":
+            log_g2 = np.logaddexp(2.0 * log_rho, -2.0 * log_rho)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        return (np.broadcast_to(0.5 * log_g2, rho.shape).copy(),
+                np.broadcast_to(det, rho.shape).copy())
 
 
 def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
@@ -232,7 +181,7 @@ def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
     """
     log_g, det = generator_bounds(kind, alpha, rho, energy, potential, cmat)
     on_circle = rho == 1.0
-    if kind in ("jonquieres_a", "jonquieres_b", "btilde") and on_circle.any():
+    if kind in ROW_POWER and on_circle.any():
         det[on_circle] = np.maximum(
             unit_circle_det_bounds(kind, alpha, thetas[on_circle], freq, n), 0.0
         )
@@ -253,9 +202,9 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     """Lower bound, for each starting phase in ``thetas``, on |det A_j| over
     the steps j < n of a jonquieres trajectory at rho = 1.
 
-    There det A_j = alpha - y_j^w, with w = 1 for jonquieres_a and w = 2 for
-    jonquieres_b and btilde, y_j = exp(2 pi i phi_j) and phi_j the kernel's
-    own phase.  With a = arg(alpha) / 2 pi,
+    There det A_j = alpha - y_j^w, with w from ``ROW_POWER``,
+    y_j = exp(2 pi i phi_j) and phi_j the kernel's own phase.  With
+    a = arg(alpha) / 2 pi,
     |alpha - y_j^w| >= 2 sqrt|alpha| |sin pi (w phi_j - a)|, which grows
     with the distance of w phi_j - a to the nearest integer; one pass over
     the steps, in blocks of the row update's 4 * BLOCK_ENTRIES phase-steps,
@@ -263,7 +212,7 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     same bits).  UNIT_CIRCLE_MARGIN is subtracted, so a bound <= 0 means
     that y_j^w may equal alpha up to rounding.
     """
-    w = 1 if kind == "jonquieres_a" else 2
+    w = ROW_POWER[kind]
     a = cmath.phase(alpha) / (2.0 * math.pi)
     nearest = np.full(len(thetas), 0.5)
     block = max(1, 4 * BLOCK_ENTRIES // max(1, len(thetas)))
@@ -342,10 +291,10 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       block length).
     * Step j's point is y_j = rho e^(2 pi i theta) e^(2 pi i x_j), with
       x_j = j * freq reduced mod 1 and j the step's index in the whole
-      run, whichever chunk runs it.  So y_j^p (p = 2 for jonquieres_b and
-      btilde, else 1) is one complex multiply of a per-trajectory constant,
-      (rho e^(2 pi i theta))^p, and one exp per chunk and step,
-      e^(2 pi i p x_j), into a preallocated buffer.
+      run, whichever chunk runs it.  So y_j^p (p = w from ``ROW_POWER``
+      for the row-update kinds, else 1) is one complex multiply of a
+      per-trajectory constant, (rho e^(2 pi i theta))^p, and one exp per
+      chunk and step, e^(2 pi i p x_j), into a preallocated buffer.
     * jonquieres_a, jonquieres_b and btilde (whose products are
       jonquieres_b products) step as a row update: the generator is
       [[alpha, w], [1, 1]] with w = y^p, so row 0 <-
@@ -433,11 +382,11 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     in ``cocycle_sums``.
     """
     btilde = kind == "btilde"
-    family = "jonquieres_b" if btilde else kind
-    # the jonquieres products run as a row update, the others as a 2x2 product
-    row_step = family in ("jonquieres_a", "jonquieres_b")
-    # a block holds y^power: y^2 for jonquieres_b (and btilde), else y
-    power = 2 if family == "jonquieres_b" else 1
+    # the jonquieres products run as a row update, whose block holds
+    # y^power, the others as a 2x2 product, whose block holds every entry
+    # and reads y alone
+    row_step = kind in ROW_POWER
+    power = ROW_POWER.get(kind, 1)
     # sorted by interval, the trajectories renormalized after c steps are a
     # prefix: those whose k divides c, that is k <= the largest power of 2
     # that divides c.  ends[i] is that prefix's length when that power is
@@ -496,7 +445,7 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
         y = ybuf[:steps, :live]
         if not row_step:
             gb = g[:, :, :steps, :live]
-            generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
+            generator_entries(kind, alpha, rho, energy, potential, cmat, y, gb)
             # column j of every generator, as (2, steps, live, m)
             col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
         if btilde:

@@ -112,6 +112,13 @@ def _build_spec(args, rho: float):
     """The spec template, validated at ``rho``: the first radius that runs."""
     from . import cocycle
 
+    for option, value, reader in (("--energy", args.energy, "schrodinger"),
+                                  ("--potential", args.potential, "schrodinger"),
+                                  ("--const", args.const, "constant")):
+        # the config line records every option, so one that the kind does
+        # not read keeps its default
+        if value and args.kind != reader:
+            raise ValueError(f"{option} is not read by kind {args.kind}")
     kw = dict(
         kind=args.kind,
         rho=rho,

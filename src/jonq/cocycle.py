@@ -35,8 +35,6 @@ from .algebra import GOLDEN_FREQ, KINDS, check_nonresonant, default_alpha
 from ._kernels_py import generators, sqrt_branch_values
 from .errors import Overflow, RadiusOne, SingularFactor
 
-_ALPHA_KINDS = {"jonquieres_a", "jonquieres_b", "btilde"}
-
 
 def check_radii(kind: str, rhos) -> np.ndarray:
     """The radii ``rhos`` of a ``kind`` cocycle as a float64 array, checked
@@ -94,7 +92,7 @@ class CocycleSpec:
         check_radii(self.kind, [self.rho])
         check_nonresonant(self.freq)
         # written so that NaN fails
-        if self.kind in _ALPHA_KINDS and not abs(abs(self.alpha) - 1.0) <= 1e-12:
+        if self.kind in kernels.ROW_POWER and not abs(abs(self.alpha) - 1.0) <= 1e-12:
             raise ValueError("|alpha| must equal 1 to 1e-12")
         if self.kind == "constant" and self.matrix is None:
             raise ValueError("constant kind requires a matrix")
@@ -143,7 +141,7 @@ def _check_generator_scale(spec: CocycleSpec, rho: np.ndarray) -> None:
     # entries of a norm stay normal floats: checked as 1e-150 <= G <= 2e150
     # on the closed-form bound G >= |A|_F over every phase of each radius
     # (for btilde, of the jonquieres_b matrices its kernel multiplies),
-    # whose log is finite at every radius
+    # read as ln G, which is summed in logs and so finite at every radius
     kind, alpha, _, _, energy, potential, cmat = _kernel_args(spec)
     log_g, _ = kernels.generator_bounds(kind, alpha, rho, energy, potential, cmat)
     # written so that NaN fails

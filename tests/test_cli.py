@@ -556,6 +556,28 @@ class TestParser:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command,kind,extra", [
+        ("lyapunov", "jonquieres_b", ["--potential", "nonsense"]),
+        ("lyapunov", "jonquieres_b", ["--const", "garbage"]),
+        # not finite, and not read either
+        ("lyapunov", "jonquieres_b", ["--potential", "0,inf"]),
+        ("lyapunov", "jonquieres_a", ["--energy", "1.5"]),
+        ("accel", "btilde", ["--energy", "-2"]),
+        ("lyapunov", "diagonal_power", ["--potential", "0,1"]),
+        ("lyapunov", "schrodinger", ["--const", "1,0,0,1"]),
+        ("lyapunov", "constant", ["--const", "2,1,1,1", "--energy", "3"]),
+    ])
+    def test_option_the_kind_does_not_read_is_config_error(self, command, kind, extra,
+                                                          capsys):
+        # the config line would record the option as if the run had used it
+        rc = main([command, "--kind", kind, "--rho", "2", "--n", "200", "--samples", "4",
+                   *extra])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        option = extra[-2]
+        assert out == ""
+        assert err == f"error: invalid configuration: {option} is not read by kind {kind}\n"
+
     @pytest.mark.parametrize("argv,setting", [
         (["accel", "--kind", "diagonal_power", "--rho", "2", "--h", "1000", "--n", "200",
           "--samples", "4"], "h = 1000.0"),

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -725,13 +726,25 @@ class TestKernel:
             assert np.all(np.isfinite(part))
 
     def test_one_step_blocks_equal_per_radius_calls(self):
-        # 65 radii x 64 phases is more than BLOCK_ENTRIES trajectories, so
-        # the batch runs one chunk per pass, fills one step per block and
-        # adds btilde's running log sum step by step; one radius alone (64
+        # 129 radii x 64 phases = 8,256 trajectories
+        self.check_short_blocks(129, 1)
+
+    def test_three_step_blocks_equal_per_radius_calls(self):
+        # 65 radii x 64 phases = 4,160 trajectories
+        self.check_short_blocks(65, 3)
+
+    @staticmethod
+    def check_short_blocks(radii, steps):
+        # more than BLOCK_ENTRIES trajectories, so the batch runs one chunk
+        # per pass, fills ``steps``-step blocks of the row update and adds
+        # btilde's running log sum a step at a time; one radius alone (64
         # trajectories) runs both chunks in one pass, fills 20-step blocks
         # and accumulates them
-        rhos, thetas, n = np.geomspace(0.3, 3.0, 65), phase_samples(64, 3), 40
-        assert 1.0 not in rhos and len(rhos) * len(thetas) > kernels.BLOCK_ENTRIES
+        rhos, thetas, n = np.geomspace(0.3, 3.0, radii), phase_samples(64, 3), 40
+        m = len(rhos) * len(thetas)
+        assert 1.0 not in rhos and m > kernels.BLOCK_ENTRIES
+        # the kernel's row-update block at one chunk per pass
+        assert max(1, 4 * kernels.BLOCK_ENTRIES // m) == steps
         rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
         batch = kernel_call("btilde", rho, phases, n)
         singles = [kernel_call("btilde", r, thetas, n) for r in rhos]
@@ -916,10 +929,11 @@ class TestKernel:
     @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "btilde"])
     def test_generator_bounds_on_the_unit_circle(self, kind):
         # det A = alpha - y^w vanishes somewhere on |y| = 1, where
-        # G^2 = 3 + 1 = 4
+        # G^2 = 3 + 1 = 4; ln G is summed in logs, so it may round apart
+        # from math.log(2) in its last bit
         log_g, det = kernel_bounds(kind, np.ones(1))
         assert det.tolist() == [0.0]
-        assert log_g.tolist() == [math.log(2.0)]
+        assert log_g[0] == pytest.approx(math.log(2.0), rel=4e-16)
 
     def test_generator_bounds_do_not_warn(self):
         # past the float range ln G stays finite, and D may be inf, without
@@ -1087,13 +1101,28 @@ class TestFrozenSetupOracle:
         assert np.max(np.abs(np.abs(got[2]) - np.abs(want[2]))) < 1e-9
 
 
+def bound_decisions(bounds, kind, rho, cmat=KERNEL_CMAT):
+    """What the bound decides at each radius, with ``bounds`` in place of
+    ``generator_bounds``: the interval k of ``renormalization_intervals``,
+    negated where ``cocycle``'s check raises Overflow (G outside
+    [1e-150, 2e150])."""
+    log_g, _ = bounds(kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, cmat)
+    with mock.patch.object(kernels, "generator_bounds", bounds):
+        k = kernels.renormalization_intervals(kind, ALPHA, rho, GOLDEN_FREQ, 0.4,
+                                              KERNEL_POTENTIAL, cmat,
+                                              np.zeros(len(rho)), 1)
+    inside = (log_g >= math.log(1e-150)) & (log_g <= math.log(2e150))
+    return np.where(inside, k, -k)
+
+
 class TestOverflowFreeBound:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_squared_form_wherever_it_is_a_float(self, kind):
-        # ln G keeps the bits of 0.5 ln G^2 wherever G^2 is a float, so the
-        # Overflow decision (1e-150 <= G <= 2e150) and the interval k do
-        # not move at any radius; where G^2 overflows, ln G is finite and
-        # past 2e150, as the overflow was
+    def test_decisions_are_those_of_the_squared_form(self, kind):
+        # ln G, summed in logs, decides the Overflow check
+        # (1e-150 <= G <= 2e150) and the interval k as the frozen
+        # 0.5 ln G^2 decides them at every radius of the grid, and is
+        # within 4 ulps of it wherever G^2 is a float; where G^2
+        # overflows, ln G is finite and past 2e150, as the overflow was
         rho = np.concatenate([np.geomspace(5e-324, 1.7e308, 200001),
                               [1e-160, 1e-154, 1e75, 1.4e75, 1.5e75, 1e77, 1e155]])
         cmat = KERNEL_CMAT * (1e160 if kind == "constant" else 1.0)
@@ -1103,21 +1132,62 @@ class TestOverflowFreeBound:
             want_g, want_det = frozen_generator_bounds(kind, ALPHA, rho, 0.4,
                                                        KERNEL_POTENTIAL, matrix)
             assert det.tobytes() == want_det.tobytes()
+            got = bound_decisions(kernels.generator_bounds, kind, rho, matrix)
+            want = bound_decisions(frozen_generator_bounds, kind, rho, matrix)
+            assert got.tobytes() == want.tobytes()
             finite = np.isfinite(want_g)
-            assert log_g[finite].tobytes() == want_g[finite].tobytes()
+            assert np.all(np.abs(log_g[finite] - want_g[finite])
+                          <= 4 * np.spacing(want_g[finite]))
             assert np.all(np.isfinite(log_g[~finite]))
             assert np.all(log_g[~finite] > math.log(2e150))
         if kind not in ("constant", "btilde"):
             assert not finite.all()
+
+    @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "schrodinger",
+                                      "diagonal_power"])
+    def test_decision_edges_move_at_most_128_ulps(self, kind):
+        # every radius where the frozen form's k or Overflow decision
+        # changes, found by bisection on the float's bits between two grid
+        # radii that it decides apart (the grid is dense next to rho = 1,
+        # where the edges of the large k lie): 16 per kind.  btilde's
+        # bound is jonquieres_b's, and a constant's does not depend on rho.
+        # Within 4096 ulps of each edge, every radius where the two forms
+        # decide apart is at most 128 ulps past it (the largest at the time
+        # of writing: 80 for schrodinger, 5 for jonquieres_a)
+        near = np.geomspace(2.2e-16, 0.5, 20001)
+        rho = np.unique(np.concatenate([np.geomspace(5e-324, 1.7e308, 200001),
+                                        1.0 - near, 1.0 + near]))
+        bits = rho.view(np.int64)
+        before = bound_decisions(frozen_generator_bounds, kind, rho)
+        i = np.flatnonzero(before[1:] != before[:-1])
+        lo, hi = bits[i], bits[i + 1]
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            left = bound_decisions(frozen_generator_bounds, kind,
+                                   mid.view(np.float64)) == before[i]
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        # hi is the first radius past each edge
+        assert len(hi) == 16
+        window = (hi[:, None] + np.arange(-4096, 4097)).ravel()
+        radii = window.view(np.float64)
+        apart = (bound_decisions(kernels.generator_bounds, kind, radii)
+                 != bound_decisions(frozen_generator_bounds, kind, radii))
+        offset = (window - np.repeat(hi, 8193))[apart]
+        assert np.all(np.where(offset >= 0, offset + 1, -offset) <= 128)
 
     @pytest.mark.parametrize("kind,rho", [
         ("jonquieres_a", 1e200), ("jonquieres_a", 1e308),
         ("jonquieres_b", 1e80), ("jonquieres_b", 1e160), ("btilde", 1e160),
         ("schrodinger", 1e160), ("schrodinger", 1e-160), ("schrodinger", 1e-320),
         ("diagonal_power", 1e-200), ("diagonal_power", 1e-320), ("diagonal_power", 1e300),
+    ] + [
+        (kind, rho)
+        for kind in ("jonquieres_a", "jonquieres_b", "schrodinger", "diagonal_power")
+        for rho in (1e-10, 0.5, 1.0, 2.0, 1e10)
     ])
     def test_log_bound_past_the_float_range(self, kind, rho):
-        # ln G against the closed form in 50-digit arithmetic
+        # ln G against the closed form in 50-digit arithmetic, past the
+        # float range of G^2 and inside it
         import mpmath
 
         with mpmath.workdps(50):
