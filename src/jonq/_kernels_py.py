@@ -60,10 +60,6 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
     """
     if kind == "constant":
         out[:] = np.reshape(cmat, (2, 2) + (1,) * y.ndim)
-    elif kind in ("jonquieres_a", "jonquieres_b"):
-        out[0, 0] = alpha
-        out[0, 1] = y if kind == "jonquieres_a" else y * y
-        out[1] = 1.0
     elif kind == "btilde":
         # the jonquieres_b generator divided by the branch
         b = sqrt_branch_values(alpha, rho, y)
@@ -71,6 +67,10 @@ def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
         np.divide(y * y, b, out=out[0, 1])
         np.divide(1.0, b, out=out[1, 0])
         out[1, 1] = out[1, 0]
+    elif kind in ROW_POWER:
+        out[0, 0] = alpha
+        out[0, 1] = y if ROW_POWER[kind] == 1 else y * y
+        out[1] = 1.0
     elif kind == "schrodinger":
         # v(y) = a0 + sum_k a_k * (y**k + y**-k) / 2, the analytic extension
         # of the cosine polynomial off the unit circle
@@ -198,12 +198,22 @@ def renormalization_intervals(kind, alpha, rho, freq, energy, potential, cmat,
 UNIT_CIRCLE_MARGIN = 1e-12
 
 
+def step_phases(steps, freq):
+    """x_j = j freq mod 1 at the step indices ``steps`` (an integer array):
+    step j of a trajectory that starts at phase theta is at the point
+    y_j = rho e^(2 pi i theta) e^(2 pi i x_j), whichever chunk runs it."""
+    x = steps * freq
+    # x - floor(x) is np.mod(x, 1.0) to the bit, at a fifth of the cost
+    x -= np.floor(x)
+    return x
+
+
 def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     """Lower bound, for each starting phase in ``thetas``, on |det A_j| over
     the steps j < n of a jonquieres trajectory at rho = 1.
 
     There det A_j = alpha - y_j^w, with w from ``ROW_POWER``,
-    y_j = exp(2 pi i phi_j) and phi_j the kernel's own phase.  With
+    y_j = exp(2 pi i phi_j) and phi_j = theta + ``step_phases``.  With
     a = arg(alpha) / 2 pi,
     |alpha - y_j^w| >= 2 sqrt|alpha| |sin pi (w phi_j - a)|, which grows
     with the distance of w phi_j - a to the nearest integer; one pass over
@@ -217,11 +227,7 @@ def unit_circle_det_bounds(kind, alpha, thetas, freq, n):
     nearest = np.full(len(thetas), 0.5)
     block = max(1, 4 * BLOCK_ENTRIES // max(1, len(thetas)))
     for start in range(0, n, block):
-        # the kernel's phases, theta + (j freq mod 1), computed as it
-        # computes them
-        x = np.arange(start, min(n, start + block)) * freq
-        x -= np.floor(x)
-        x = thetas + x[:, None]
+        x = thetas + step_phases(np.arange(start, min(n, start + block)), freq)[:, None]
         x *= w
         x -= a
         x -= np.rint(x)
@@ -268,13 +274,12 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
 
     * Chunks.  By the cocycle property
       A_n(theta) = A_(n-t)(theta + t freq) A_t(theta), the run is cut into
-      the step ranges of ``chunk_bounds(n)`` (16 chunks of 1250 steps at
-      n = 2e4; n // 2 is always a boundary).  Every chunk of every
-      trajectory runs from the identity, side by side with the others as
-      extra columns of one per-step loop (``chunk_products``).  The
-      normalized chunk products are then multiplied into a running product
-      in step order, which renormalizes after each; s_half is its sum after
-      the first half's chunks.
+      the step ranges of ``chunk_bounds(n)`` (n // 2 is always a boundary).
+      Every chunk of every trajectory runs from the identity, side by side
+      with the others as extra columns of one per-step loop
+      (``chunk_products``), and the normalized chunk products are
+      multiplied into a running product in step order, which renormalizes
+      after each; s_half is its sum after the first half's chunks.
     * Passes.  A pass runs as many chunks as fit in BLOCK_ENTRIES = 4096
       columns (trajectories times chunks), and at least one, and is folded
       into the running product as soon as it ends.  So 192 trajectories at
@@ -283,51 +288,32 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       an unchunked loop.
     * Each trajectory's numbers depend only on its own phase, radius and
       n, so a batch of radii returns, bit for bit, what one call per radius
-      returns.  The chunks, the steps at which a chunk renormalizes and the
-      fold order are functions of n and the trajectory alone; the passes
-      only decide which columns run side by side, and every operation is
-      elementwise over the columns (btilde's log terms are summed by
-      running sums, never by a reduction whose grouping depends on the
-      block length).
+      returns: the chunks, where a chunk renormalizes and the fold order
+      depend on n and the trajectory alone, the passes only decide which
+      columns run side by side, and every operation is elementwise.
     * Step j's point is y_j = rho e^(2 pi i theta) e^(2 pi i x_j), with
-      x_j = j * freq reduced mod 1 and j the step's index in the whole
-      run, whichever chunk runs it.  So y_j^p (p = w from ``ROW_POWER``
+      x_j from ``step_phases``.  So y_j^p (p = w from ``ROW_POWER``
       for the row-update kinds, else 1) is one complex multiply of a
       per-trajectory constant, (rho e^(2 pi i theta))^p, and one exp per
       chunk and step, e^(2 pi i p x_j), into a preallocated buffer.
-    * jonquieres_a, jonquieres_b and btilde (whose products are
-      jonquieres_b products) step as a row update: the generator is
-      [[alpha, w], [1, 1]] with w = y^p, so row 0 <-
-      alpha row 0 + w row 1 and row 1 <- row 0 + row 1, with the 2x2
-      product's roundings, and a block holds the one moving entry for up
-      to 4 * BLOCK_ENTRIES column-steps.  The other kinds fill all four
-      entries (by ``generator_entries``) for blocks of at most
-      BLOCK_ENTRIES column-steps and step by the 2x2 product.  A block is
-      one step when a pass has more columns, so the per-step loop runs the
-      step alone.
+    * jonquieres_a and jonquieres_b step as a row update: the generator is
+      [[alpha, w], [1, 1]] with w = y^p, so row 0 <- alpha row 0 + w row 1
+      and row 1 <- row 0 + row 1, with the 2x2 product's roundings, and a
+      block holds the one moving entry for up to 4 * BLOCK_ENTRIES
+      column-steps.  The other kinds fill all four entries (by
+      ``generator_entries``) for blocks of at most BLOCK_ENTRIES
+      column-steps and step by the 2x2 product.  A block is one step when a
+      pass has more columns, so the per-step loop runs the step alone.
     * A chunk renormalizes every k of its own steps (k = 1, 2, 4, ...,
-      128), counted from its start, k from ``renormalization_intervals``:
-      a closed-form bound on the generators (``generator_bounds``) keeps
-      every unnormalized stretch inside [1e-150, 1e150].  At rho = 1,
-      where det A = alpha - y^w vanishes somewhere on the circle, a
-      jonquieres trajectory takes its k from the smallest |det A| over its
-      own n steps.  k is 1 where the shrinkage cannot be bounded (a
-      singular constant, or y_j^w = alpha up to rounding at some step
-      j < n at rho = 1) or the growth is too large (jonquieres_b at
-      rho = 1e75).  Every chunk also renormalizes at its end.  Trajectories
-      are grouped by k, so after step c of a chunk the ones that
-      renormalize (k divides c) are a prefix.
-    * btilde runs on the jonquieres_b matrices: B~ = B / b with
-      |b| = |alpha - y^2|^(1/2) on either branch, so a chunk's s is the
-      jonquieres_b s minus 1/4 of the running sum, in step order, of
-      ln|alpha - y_k^2|^2 over its steps.  With a = arg(alpha) / 2 pi,
-      |alpha - y^2|^2 = (|alpha| - rho^2)^2 + 4 |alpha| rho^2 sin^2(pi (2 phase - a)),
-      which has no cancellation near y^2 = alpha.  The sine comes by angle
-      addition from sin and cos of pi (2 theta - a), once per trajectory,
-      and of 2 pi x_j, once per chunk and step; then one log per
-      trajectory-step.  Its p is the jonquieres_b direction, which
-      is the btilde p times the unit phase prod_k b_k / |b_k|;
-      ``cocycle.iterate`` divides that phase out.
+      128), counted from its start, and at its end, with k from
+      ``renormalization_intervals``, which keeps every unnormalized stretch
+      inside [1e-150, 1e150].  Trajectories are grouped by k, so after step
+      c of a chunk the ones that renormalize (k divides c) are a prefix.
+    * btilde runs as jonquieres_b: B~ = B / b with |b| = |alpha - y^2|^(1/2)
+      on either branch, so its s_half and s_full are jonquieres_b's minus
+      1/4 of ``log_det_sums``.  Its p is the jonquieres_b direction, the
+      btilde p times the unit phase prod_k b_k / |b_k|, which
+      ``cocycle.iterate`` divides out.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     m = len(thetas)
@@ -341,10 +327,10 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     order = np.argsort(intervals, kind="stable")
     thetas, rho, intervals = thetas[order], rho[order], intervals[order]
     half = n // 2
+    family = "jonquieres_b" if kind == "btilde" else kind
     # the running product, over the chunks folded in so far
     p = np.zeros((2, 2, m), dtype=np.complex128)
-    p[0, 0] = 1.0
-    p[1, 1] = 1.0
+    p[0, 0] = p[1, 1] = 1.0
     s = np.zeros(m)
     s_half = np.full(m, 0.5 * np.log(2.0))
     bounds = chunk_bounds(n)
@@ -354,7 +340,7 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         # longest first, as chunk_products wants them
         group = sorted(chunks[first:first + per_pass], key=lambda c: c[0] - c[1])
         chunk_p, chunk_s = chunk_products(
-            kind, alpha, rho, freq, energy, potential, cmat, thetas, intervals, group
+            family, alpha, rho, freq, energy, potential, cmat, thetas, intervals, group
         )
         # fold the pass in, in step order, with the step loop's product
         for i in sorted(range(len(group)), key=lambda i: group[i][0]):
@@ -364,9 +350,55 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
             _renormalize(p, np.empty(p.shape), s)
             if group[i][1] == half:
                 s_half = s.copy()
+    if kind == "btilde":
+        half_logs, logs = log_det_sums(alpha, rho, freq, thetas, n)
+        s_half, s = s_half - 0.25 * half_logs, s - 0.25 * logs
     back = np.empty_like(order)
     back[order] = np.arange(m)
     return s_half[back], s[back], p[..., back].transpose(2, 0, 1)
+
+
+def log_det_sums(alpha, rho, freq, thetas, n):
+    """Sums of ln|alpha - y_j^2|^2 over the steps j < n // 2 and j < n of
+    each trajectory (``thetas``, ``rho``) at the kernel's points y_j:
+    ``(half, full)``.
+
+    With a = arg(alpha) / 2 pi, |alpha - y^2|^2 =
+    (|alpha| - rho^2)^2 + 4 |alpha| rho^2 sin^2(pi (2 phase - a)) has no
+    cancellation near y^2 = alpha; the sine comes by angle addition, from
+    pi (2 theta - a) once per trajectory and 2 pi x_j once per step.  Each
+    term is added in step order to the running sum of its 128-step segment
+    (counted from 0 and from n // 2), and the segments in step order, so
+    the grouping is fixed by the step index, whatever the batch or block.
+    """
+    offset, scale = (abs(alpha) - rho * rho) ** 2, 4.0 * abs(alpha) * rho * rho
+    u = np.pi * (2.0 * thetas - cmath.phase(alpha) / (2.0 * math.pi))
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    m, half = len(thetas), n // 2
+    block = max(1, min(128, 4 * BLOCK_ENTRIES // max(1, m)))
+    terms = np.empty((2, block, m))
+    segment, total, half_total = np.zeros((3, m))
+    ends = sorted({*range(0, half, 128), *range(half, n, 128), n})
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        segment[:] = 0.0
+        for start in range(lo, hi, block):
+            x = 2.0 * np.pi * step_phases(np.arange(start, min(hi, start + block)), freq)
+            sine, tmp = terms[:, :len(x)]
+            np.multiply(np.sin(x)[:, None], cos_u, out=sine)
+            np.multiply(np.cos(x)[:, None], sin_u, out=tmp)
+            sine += tmp
+            sine *= sine
+            sine *= scale
+            sine += offset
+            np.log(sine, out=sine)
+            # one row at a time: np.add.accumulate over a short axis runs
+            # one inner loop per column
+            for row in sine:
+                segment += row
+        total += segment
+        if hi == half:
+            half_total[:] = total
+    return half_total, total
 
 
 def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
@@ -378,13 +410,10 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     The trajectories (``thetas``, ``rho``) come sorted by their
     renormalization ``intervals``.  Returns ``(p, s)``: exp(s[h]) p[:, :, h]
     is chunk h's product, with p[:, :, h] (shape (2, 2, m))
-    Frobenius-normalized; for btilde it is the jonquieres_b direction, as
-    in ``cocycle_sums``.
+    Frobenius-normalized.
     """
-    btilde = kind == "btilde"
-    # the jonquieres products run as a row update, whose block holds
-    # y^power, the others as a 2x2 product, whose block holds every entry
-    # and reads y alone
+    # the jonquieres products run as a row update, whose block holds y^power,
+    # the others as a 2x2 product, whose block holds every entry, read from y
     row_step = kind in ROW_POWER
     power = ROW_POWER.get(kind, 1)
     # sorted by interval, the trajectories renormalized after c steps are a
@@ -397,32 +426,21 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     start = rho * np.exp(2j * np.pi * thetas)
     if power == 2:
         start = start * start
-    if btilde:
-        r = abs(alpha)
-        offset, scale = (r - rho * rho) ** 2, 4.0 * r * rho * rho
-        # sin(pi (2 phase - a)) = sin(u + 2 pi x), u = pi (2 theta - a)
-        u = np.pi * (2.0 * thetas - cmath.phase(alpha) / (2.0 * math.pi))
-        sin_u, cos_u = np.sin(u), np.cos(u)
     lo = np.array([chunk[0] for chunk in chunks])
     lengths = [hi - first for first, hi in chunks]
     c, m = len(lengths), len(rho)
     # p[i, j, h] is entry (i, j) of every trajectory's chunk h; since the
     # chunks come longest first, those still running are a prefix of h
     p = np.zeros((2, 2, c, m), dtype=np.complex128)
-    p[0, 0] = 1.0
-    p[1, 1] = 1.0
+    p[0, 0] = p[1, 1] = 1.0
     # the step's scratch: one row in the row update, else a 2x2 product
     t = np.empty_like(p[0] if row_step else p)
     a = np.empty(p.shape)
     s = np.zeros((c, m))
-    # btilde: running sums of ln|alpha - y_k^2|^2, in step order
-    logb = np.zeros((c, m))
     # a block holds BLOCK_ENTRIES generators: four entries per column-step,
     # or one, the moving entry, in the row update
     block = max(1, BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
     ybuf = np.empty((block, c, m), dtype=np.complex128)
-    if btilde:
-        terms = np.empty((2, block, c, m))
     if not row_step:
         g = np.empty((2, 2, block, c, m), dtype=np.complex128)
         q = np.empty_like(p)
@@ -431,10 +449,8 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
         # a block ends at every chunk end
         stop = min(done + block, lengths[live - 1])
         steps = stop - done
-        # x = j freq mod 1 for every chunk and step of a full block; x -
-        # floor(x) is np.mod(x, 1.0) to the bit, at a fifth of the cost
-        x = (lo + np.arange(done, done + block)[:, None]) * freq
-        x -= np.floor(x)
+        # x = j freq mod 1 for every chunk and step of a full block
+        x = step_phases(lo + np.arange(done, done + block)[:, None], freq)
         # one complex multiply per column-step, over the whole buffer: NumPy
         # rounds a one-element complex product without the fused
         # multiply-add of its array loop, and the buffer (block * c * m
@@ -448,20 +464,6 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
             generator_entries(kind, alpha, rho, energy, potential, cmat, y, gb)
             # column j of every generator, as (2, steps, live, m)
             col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
-        if btilde:
-            x *= 2.0 * np.pi
-            sine, tmp = terms[:, :steps, :live]
-            np.multiply(np.sin(x)[:steps, :live, None], cos_u, out=sine)
-            np.multiply(np.cos(x)[:steps, :live, None], sin_u, out=tmp)
-            sine += tmp
-            sine *= sine
-            sine *= scale
-            sine += offset
-            np.log(sine, out=sine)
-            # one row at a time: np.add.accumulate over a short axis runs
-            # one inner loop per column
-            for row in sine:
-                logb[:live] += row
         pv, tv = p[:, :, :live], t[..., :live, :]
         row0, row1 = pv
         for j in range(steps):
@@ -495,8 +497,6 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
                 _renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
                              s[:running, :e])
         done, live = stop, running
-    if btilde:
-        s -= 0.25 * logb
     return p, s
 
 

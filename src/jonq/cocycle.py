@@ -202,9 +202,9 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[np.ndarray, float]
     )
     p = p_full[0]
     if spec.kind == "btilde":
-        # the kernel's btilde direction is the jonquieres_b one, which is
-        # this product's times the unit phase prod_k b_k / |b_k|
-        phases = np.mod(theta + np.arange(n) * spec.freq, 1.0)
+        # the kernel's btilde direction is the jonquieres_b one: this
+        # product's times the unit phase prod_k b_k / |b_k| at its phases
+        phases = theta + kernels.step_phases(np.arange(n), spec.freq)
         y = spec.rho * np.exp(2j * np.pi * phases)
         b = sqrt_branch_values(spec.alpha, spec.rho, y)
         p = p / np.prod(b / np.abs(b))

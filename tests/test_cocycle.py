@@ -518,7 +518,7 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     its square-root branch) multiplied in at every step, and the product
     renormalized after every step.  It runs the steps first, ..., first +
     n - 1, at the points y = rho exp(2 pi i theta) exp(2 pi i x), with
-    x = step * freq mod 1, built as the kernel builds them."""
+    x from ``step_phases``, as in the kernel."""
     m = len(thetas)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (m,))
     start = rho * np.exp(2j * np.pi * np.asarray(thetas))
@@ -529,9 +529,9 @@ def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     half = n // 2
     # at n = 1 the half-way product is the identity, as in the kernel
     s_half = s + 0.5 * np.log(2.0)
+    x = kernels.step_phases(np.arange(first, first + n), freq)
     for k in range(n):
-        x = (first + k) * freq
-        y = start * np.exp(2j * np.pi * (x - math.floor(x)))
+        y = start * np.exp(2j * np.pi * x[k])
         kernels.generator_entries(kind, alpha, rho, energy, potential, cmat, y, g)
         p = np.einsum("ijm,jkm->ikm", g, p)
         nrm = np.sqrt((np.abs(p) ** 2).sum(axis=(0, 1)))
@@ -552,8 +552,9 @@ def kernel_call(kind, rho, thetas, n, call=kernels.cocycle_sums):
 
 
 def det_power(kind):
-    """w in det A = alpha - y^w."""
-    return 1 if kind == "jonquieres_a" else 2
+    """w in det A = alpha - y^w; 2 for a kind outside ``ROW_POWER``, for
+    which ``hit_phase`` is just a phase."""
+    return kernels.ROW_POWER.get(kind, 2)
 
 
 def hit_phase(kind, j):
@@ -565,13 +566,12 @@ def hit_phase(kind, j):
 def kernel_dets(kind, thetas, n):
     """|alpha - y_j^w| over the steps j < n, with y_j^w as the kernel
     computes it at rho = 1: (e^(2 pi i theta))^w e^(2 pi i w x_j), with
-    x_j = j freq mod 1.  An (n, len(thetas)) array."""
+    x_j from ``step_phases``.  An (n, len(thetas)) array."""
     w = det_power(kind)
     start = 1.0 * np.exp(2j * np.pi * np.asarray(thetas))
     if w == 2:
         start = start * start
-    x = np.arange(n) * GOLDEN_FREQ
-    x -= np.floor(x)
+    x = kernels.step_phases(np.arange(n), GOLDEN_FREQ)
     return np.abs(ALPHA - np.exp(2j * np.pi * (w * x))[:, None] * start)
 
 
@@ -655,7 +655,6 @@ class TestKernel:
         # renormalized every step, every 2 and every 128 steps, so a chunk
         # of 143 steps ends between two renormalizations
         ("jonquieres_b", [1e75, 1e20, 2.0]),
-        ("btilde", [0.5, 2.0]),
     ])
     def test_chunk_products_are_normalized_chunk_products(self, kind, rhos):
         n, thetas = 2001, phase_samples(3, 5)
@@ -946,38 +945,57 @@ class TestKernel:
                 assert np.isfinite(log_g).all()
                 assert not np.isnan(det).any()
 
-    @pytest.mark.parametrize("rho", [0.5, 2.0])
-    def test_btilde_iterate_is_the_direct_product(self, rho):
-        # iterate restores the unit phase the kernel leaves out of btilde's p
-        spec = CocycleSpec(kind="btilde", rho=rho)
-        theta = 0.37
-        prod = np.eye(2)
-        for k in range(20):
-            prod = generator_values(spec, [(theta + k * spec.freq) % 1.0])[0] @ prod
-        p, s = iterate(spec, theta, 20)
-        rec = p * math.exp(s)
-        assert np.all(np.abs(rec - prod) <= 1e-9 * np.maximum(1.0, np.abs(prod)))
+    @pytest.mark.parametrize("rho,n", [
+        pytest.param(0.5, 20, id="0.5"), pytest.param(2.0, 20, id="2.0"),
+        # with the phases theta + j freq mod 1 in place of the kernel's, p
+        # was 4.5e-11 to 2.4e-10 off at rho = 1.1 and 2
+        (0.5, 2000), (0.9, 2000), (1.1, 2000), (2.0, 2000),
+    ])
+    def test_btilde_iterate_is_the_direct_product(self, rho, n):
+        # iterate restores the unit phase the kernel leaves out of btilde's
+        # p, taken at the phases where the kernel formed the direction
+        spec, thetas = CocycleSpec(kind="btilde", rho=rho), phase_samples(3, 7)
+        _, want_s, want_p = every_step_products("btilde", ALPHA, rho, spec.freq, 0.0,
+                                                np.array([]), None, thetas, n)
+        for theta, s_ref, p_ref in zip(thetas, want_s, want_p):
+            p, s = iterate(spec, theta, n)
+            assert np.max(np.abs(p - p_ref)) <= 1e-12
+            assert abs(s - s_ref) <= 1e-12 * n
+
+
+class TestLogDetSums:
+    @pytest.mark.parametrize("rho", [0.5, 0.951, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0])
+    def test_matches_a_40_digit_sum(self, rho):
+        # the sums at the kernel's float phases theta + x_j, against the
+        # same sums in 40 digits: the worst error is 1.4e-11, at 1 +- 1e-6,
+        # from the rounding of one term next to y^2 = alpha
+        import mpmath
+
+        n, thetas = 2000, phase_samples(4, 13)
+        got = kernels.log_det_sums(ALPHA, np.full(4, rho), GOLDEN_FREQ, thetas, n)
+        x = kernels.step_phases(np.arange(n), GOLDEN_FREQ)
+        with mpmath.workdps(40):
+            alpha, r2 = mpmath.mpc(ALPHA), mpmath.mpf(rho) ** 2
+            for i, theta in enumerate(thetas):
+                terms = [2 * mpmath.log(abs(alpha - r2 * mpmath.expjpi(4 * (mpmath.mpf(theta) + xj))))
+                         for xj in x]
+                for sums, steps in zip(got, (n // 2, n)):
+                    assert abs(sums[i] - float(mpmath.fsum(terms[:steps]))) <= 1e-14 * n
 
 
 # --- frozen block set-up -----------------------------------------------------
 # A frozen copy of the pass that the per-trajectory constant and per-step
 # factor replaced: exp(2 pi i phase) for every distinct starting phase and
-# step, a take to the trajectories and a radius scale, btilde's sine per
-# distinct phase and step, and renormalization every 1 to 8 steps.  It is
-# the oracle for the kernel's numbers, run through ``cocycle_sums`` with
-# the intervals capped at 8, as the kernel capped them.
+# step, a take to the trajectories and a radius scale, and renormalization
+# every 1 to 8 steps.  It is the oracle for the kernel's numbers, run
+# through ``cocycle_sums`` with the intervals capped at 8, as the kernel
+# capped them; btilde's chunks reach it as jonquieres_b.
 
 def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
                           intervals, chunks):
-    btilde = kind == "btilde"
-    family = "jonquieres_b" if btilde else kind
-    row_step = family in ("jonquieres_a", "jonquieres_b")
+    row_step = kind in ("jonquieres_a", "jonquieres_b")
     starts, inverse = np.unique(thetas, return_inverse=True)
     ends = np.searchsorted(intervals, [8, 1, 2, 1, 4, 1, 2, 1], side="right").tolist()
-    if btilde:
-        r = abs(alpha)
-        offset, scale = (r - rho * rho) ** 2, 4.0 * r * rho * rho
-        shift = cmath.phase(alpha) / (2.0 * math.pi)
     lo = np.array([chunk[0] for chunk in chunks])
     lengths = [hi - start for start, hi in chunks]
     c, m = len(lengths), len(rho)
@@ -986,7 +1004,6 @@ def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, theta
     t = np.empty_like(p[0] if row_step else p)
     a = np.empty(p.shape)
     s = np.zeros((c, m))
-    logb = np.zeros((c, m))
     block = max(1, kernels.BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
     if not row_step:
         g = np.empty((2, 2, block, c, m), dtype=np.complex128)
@@ -1000,20 +1017,11 @@ def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, theta
         y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
         y *= rho
         if row_step:
-            y = y if family == "jonquieres_a" else y * y
+            y = y if kind == "jonquieres_a" else y * y
         else:
             gb = g[:, :, :steps, :live]
-            kernels.generator_entries(family, alpha, rho, energy, potential, cmat, y, gb)
+            kernels.generator_entries(kind, alpha, rho, energy, potential, cmat, y, gb)
             col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
-        if btilde:
-            sine = np.sin(np.pi * (2.0 * phases - shift))
-            sine *= sine
-            terms = sine.take(inverse, axis=-1)
-            terms *= scale
-            terms += offset
-            np.log(terms, out=terms)
-            for row in terms:
-                logb[:live] += row
         pv, tv = p[:, :, :live], t[..., :live, :]
         row0, row1 = pv
         for j in range(steps):
@@ -1040,8 +1048,6 @@ def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, theta
                 kernels._renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
                                      s[:running, :e])
         done, live = stop, running
-    if btilde:
-        s -= 0.25 * logb
     return p, s
 
 
