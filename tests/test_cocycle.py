@@ -963,24 +963,105 @@ class TestKernel:
             assert abs(s - s_ref) <= 1e-12 * n
 
 
-class TestLogDetSums:
-    @pytest.mark.parametrize("rho", [0.5, 0.951, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0])
-    def test_matches_a_40_digit_sum(self, rho):
-        # the sums at the kernel's float phases theta + x_j, against the
-        # same sums in 40 digits: the worst error is 1.4e-11, at 1 +- 1e-6,
-        # from the rounding of one term next to y^2 = alpha
-        import mpmath
+def forty_digit_log_det_sums(rho, freq, thetas, n, phases):
+    """The sums of ln|alpha - y_j^2|^2 over j < n // 2 and j < n, as a
+    (2, len(thetas)) array, in 40 digits: at the kernel's float phases
+    theta + x_j (``phases="kernel"``), which the direct sum takes, or at
+    the exact orbit theta + j freq of the float freq (``"exact"``), which
+    the closed form sums."""
+    import mpmath
 
+    x = kernels.step_phases(np.arange(n), freq)
+    sums = []
+    with mpmath.workdps(40):
+        alpha, r2, f = mpmath.mpc(ALPHA), mpmath.mpf(rho) ** 2, mpmath.mpf(freq)
+        shifts = x if phases == "kernel" else [j * f for j in range(n)]
+        for theta in thetas:
+            terms = [2 * mpmath.log(abs(alpha - r2 * mpmath.expjpi(4 * (mpmath.mpf(theta) + s))))
+                     for s in shifts]
+            sums.append((float(mpmath.fsum(terms[:n // 2])), float(mpmath.fsum(terms))))
+    return np.array(sums).T
+
+
+def series_radius(side, terms):
+    """The radius on ``side`` (-1 inside, +1 outside) of |y| = 1 at which
+    ``log_det_sums``' series takes ceil(terms) terms (|alpha| = 1)."""
+    return math.exp(side * math.log(kernels.LOG_DET_TAIL) / (-2.0 * terms))
+
+
+class TestLogDetSums:
+    @pytest.mark.parametrize("rho,freq", [
+        *(pytest.param(rho, GOLDEN_FREQ, id=str(rho))
+          for rho in (0.5, 0.951, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0)),
+        # near-resonant: 2 freq is 2e-11 from 1, 89/144 a golden convergent
+        *(pytest.param(rho, freq, id=f"{rho}-{freq!r}")
+          for freq in (0.5 + 1e-11, 89 / 144 + 1e-9) for rho in (0.5, 2.0)),
+    ])
+    def test_matches_a_40_digit_sum(self, rho, freq):
+        # the sums at the kernel's float phases theta + x_j, against the
+        # same sums in 40 digits.  The worst errors are 1.8e-11 at 0.951,
+        # where the closed form sums the exact orbit theta + j freq and the
+        # kernel rounds j freq, and 1.4e-11 at 1 +- 1e-6 (the direct sum),
+        # from the rounding of one term next to y^2 = alpha
         n, thetas = 2000, phase_samples(4, 13)
-        got = kernels.log_det_sums(ALPHA, np.full(4, rho), GOLDEN_FREQ, thetas, n)
-        x = kernels.step_phases(np.arange(n), GOLDEN_FREQ)
-        with mpmath.workdps(40):
-            alpha, r2 = mpmath.mpc(ALPHA), mpmath.mpf(rho) ** 2
-            for i, theta in enumerate(thetas):
-                terms = [2 * mpmath.log(abs(alpha - r2 * mpmath.expjpi(4 * (mpmath.mpf(theta) + xj))))
-                         for xj in x]
-                for sums, steps in zip(got, (n // 2, n)):
-                    assert abs(sums[i] - float(mpmath.fsum(terms[:steps]))) <= 1e-14 * n
+        got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
+        want = forty_digit_log_det_sums(rho, freq, thetas, n, "kernel")
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
+
+    @pytest.mark.parametrize("rho,freq", [
+        (0.5, GOLDEN_FREQ), (0.951, GOLDEN_FREQ), (2.0, GOLDEN_FREQ),
+        (0.5, 0.5 + 1e-11), (2.0, 0.5 + 1e-11), (0.5, 89 / 144 + 1e-9), (2.0, 89 / 144 + 1e-9),
+        # 2 k freq is an integer at k = 128, where the divisor is 0 and
+        # G_k(N) = N
+        (0.9, 1 / 256),
+    ])
+    def test_closed_form_is_the_exact_orbit_sum(self, rho, freq):
+        # the closed form is 1e-13 off the exact orbit's sum here; the
+        # kernel's rounding of j freq moves the sum by up to 2.3e-11 at
+        # n = 2000 (next to K = n / 4) and 2e-8 at n = 2e4 (rho = 0.996)
+        n, thetas = 2000, phase_samples(4, 13)
+        got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
+        want = forty_digit_log_det_sums(rho, freq, thetas, n, "exact")
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_switch_at_a_quarter_of_n(self, side):
+        # K = 500 = n / 4 terms still take the closed form, the exact
+        # orbit's sum; K = 501 takes the direct sum over the kernel's
+        # phases.  The two references differ by up to 2.3e-11 here
+        n, thetas = 2000, phase_samples(4, 13)
+        for terms, phases in ((499.5, "exact"), (500.5, "kernel")):
+            rho = series_radius(side, terms)
+            got = kernels.log_det_sums(ALPHA, np.full(4, rho), GOLDEN_FREQ, thetas, n)
+            want = forty_digit_log_det_sums(rho, GOLDEN_FREQ, thetas, n, phases)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
+
+    def test_resonant_orbits_take_the_direct_sum(self):
+        # at freq = 0.5 + 1e-11 every y_j^2 sits near one point, and the
+        # kernel's roundings of j freq add up: the closed form, the exact
+        # orbit's sum, is 7.4e-10 off the sum over the kernel's phases at
+        # n = 2e4.  sum_k |q|^k |G_k(N)| is about 4.8e5 > n there, so the
+        # guard sends both trajectories to the direct sum
+        n, freq, rho, thetas = 20000, 0.5 + 1e-11, 0.98, phase_samples(2, 13)
+        got = kernels.log_det_sums(ALPHA, np.full(2, rho), freq, thetas, n)
+        want = forty_digit_log_det_sums(rho, freq, thetas, n, "kernel")
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
+
+    @pytest.mark.parametrize("freq", [GOLDEN_FREQ, 0.5 + 1e-11])
+    def test_batched_radii_equal_scalar_calls(self, freq):
+        # a shuffled batch on both sides of rho = 1: the closed form with
+        # K = 10, 100 and 500 terms and the direct sum past K = n / 4 (and,
+        # at the resonant freq, where the guard sends K = 100 and 500)
+        n, thetas = 2000, phase_samples(3, 5)
+        rhos = [series_radius(side, terms) for side in (-1, 1)
+                for terms in (9.5, 99.5, 499.5, 500.5, 2e4)]
+        order = np.random.default_rng(0).permutation(len(rhos) * len(thetas))
+        batch = kernels.log_det_sums(ALPHA, np.repeat(rhos, len(thetas))[order], freq,
+                                     np.tile(thetas, len(rhos))[order], n)
+        singles = [kernels.log_det_sums(ALPHA, np.full(len(thetas), rho), freq, thetas, n)
+                   for rho in rhos]
+        for got, want in zip(batch, zip(*singles)):
+            assert list(map(float.hex, got)) == list(map(float.hex, np.concatenate(want)[order]))
 
 
 # --- frozen block set-up -----------------------------------------------------
