@@ -311,17 +311,10 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       c of a chunk the ones that renormalize (k divides c) are a prefix.
     * btilde runs as jonquieres_b: B~ = B / b with |b| = |alpha - y^2|^(1/2)
       on either branch, so its s_half and s_full are jonquieres_b's minus
-      1/4 of ``log_det_sums``.  That sum's leading term is Jensen's
-      formula, 2 N max(ln|alpha|, 2 ln rho) over N steps, so at
-      |alpha| = 1 the correction takes N max(0, ln rho) off jonquieres_b's
-      log-norm, the step by which Theorem A gets L(B~) = 0 from
-      L(B) = max(0, ln rho).  The rest is a Fourier series of
-      K = ceil(ln 1e-17 / ln|q|) terms, summed in closed form over the
-      orbit where K <= n / 4 and a small-divisor guard passes, and a direct
-      sum, one log per trajectory-step, elsewhere: the band
-      |ln rho| < 3.9e-3 at n = 2e4, and resonant orbits.  Its p is the
-      jonquieres_b direction, the btilde p times the unit phase
-      prod_k b_k / |b_k|, which ``cocycle.iterate`` divides out.
+      1/4 of ``log_det_sums`` (Jensen's mean plus a closed-form Fourier
+      series, with a direct-sum fallback).  Its p is the jonquieres_b
+      direction, the btilde p times the unit phase prod_k b_k / |b_k|,
+      which ``cocycle.iterate`` divides out.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     m = len(thetas)
@@ -367,8 +360,10 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
 
 
 # log_det_sums sums its Fourier series up to the first power with
-# |q|^K <= LOG_DET_TAIL, where the rest of the series is below 1e-17 n
+# |q|^K <= LOG_DET_TAIL, where the rest of the series is below 1e-17 n,
+# and takes the closed form only where K <= n / LOG_DET_STEPS_PER_TERM
 LOG_DET_TAIL = 1e-17
+LOG_DET_STEPS_PER_TERM = 8
 
 
 def log_det_sums(alpha, rho, freq, thetas, n):
@@ -385,32 +380,41 @@ def log_det_sums(alpha, rho, freq, thetas, n):
     Re sum_k (q^k / k) e^(+-4 pi i k theta) G_k(N), where
     G_k(N) = sum_(j<N) e^(+-4 pi i k j freq) is a geometric sum (the
     outside series is summed conjugated, so both sides read e^(+...)).
+    At |alpha| = 1 the mean takes N max(0, ln rho) off jonquieres_b's
+    log-norm, the step by which Theorem A gets L(B~) = 0 from
+    L(B) = max(0, ln rho).
 
     * Terms.  A trajectory sums k <= K with K the first power at which
       |q|^K <= LOG_DET_TAIL, K = ceil(ln 1e-17 / ln|q|): 29 terms at
       |q| = 1/4, about 650 at |ln rho| = 0.03 (|alpha| = 1).
     * The geometric sums, ``_geometric_sums``, come from angles reduced in
-      turns exactly, in integer arithmetic on freq's binary fraction, so a
-      small divisor |1 - e^(4 pi i k freq)| costs no accuracy in G_k.
-    * Where the closed form is used: only where K <= n / 4, and where the
-      guard passes, sum_(k<=K) |q|^k |G_k| <= n with |G_k| the larger of
-      |G_k(n // 2)| and |G_k(n)|.  Horner's rule, z's and G_k's own
-      roundings err by about 10 ulps of each term's |q|^k |G_k|, so the
-      guard keeps the closed form's rounding near 1e-15 n at most.  The sum is large
-      only where small divisors make the orbit's Birkhoff sums resonate
-      (|G_k| near N, freq near a rational of small denominator) at a |q|
-      near 1, and there the kernel's roundings of j freq add up too: at
+      integers, so a small divisor |1 - e^(4 pi i k freq)| costs no
+      accuracy in G_k.
+    * The cutoff.  The closed form is used only where
+      K <= n / LOG_DET_STEPS_PER_TERM = n / 8.  A series term costs about
+      6 us of Python per call, and a direct-sum step 1.2-2.3 us at 1 to 64
+      trajectories (n = 2000 and 2e4, timed on a 2-core x86 host), so at
+      the cutoff the closed form takes about half the direct sum's time
+      or less, however narrow the call; wider calls favour it more.
+    * The guard.  The closed form is also used only where
+      sum_(k<=K) |q|^k |G_k| <= n, with |G_k| the larger of |G_k(n // 2)|
+      and |G_k(n)|.  Horner's rule, z's and G_k's own roundings err by
+      about 10 ulps of each term's |q|^k |G_k|, so the guard keeps the
+      closed form's rounding near 1e-15 n at most.  The sum is large only
+      where small divisors make the orbit's Birkhoff sums resonate (|G_k|
+      near N, freq near a rational of small denominator) at a |q| near 1,
+      and there the kernel's roundings of j freq add up too: at
       freq = 0.5 + 1e-11, rho = 0.98 and n = 2e4 the exact orbit's sum is
       7e-10 off the sum over the kernel's phases, which the guard keeps.
     * Every other trajectory takes ``_direct_log_det_sums``, the direct sum
-      over the kernel's phases: the band K > n / 4, that is
-      |2 ln rho - ln|alpha|| < 4 ln(1e17) / n (|ln rho| < 3.9e-3 at
+      over the kernel's phases: the band K > n / 8, that is
+      |2 ln rho - ln|alpha|| < 8 ln(1e17) / n (|ln rho| < 7.8e-3 at
       n = 2e4 and |alpha| = 1), and the resonant orbits.
     * Phases.  The closed form sums the exact orbit theta + j freq, the
       direct sum the kernel's phases theta + ``step_phases``, whose
       rounding of j freq (up to ulp(n freq) / 2 a step) moves the sum by up
-      to 2.3e-11 at n = 2000 and 2e-8 at n = 2e4 next to the band, that
-      is by 2.5e-13 in btilde's exponent, a quarter of it over n.
+      to 1.2e-11 at n = 2000 and 8.7e-9 at n = 2e4 next to the band, that
+      is by 1.1e-13 in btilde's exponent, a quarter of it over n.
     * Each trajectory's numbers depend only on its own phase, radius, freq
       and n (its K and the guard too), and every operation is elementwise,
       so a batch returns, bit for bit, what one call per radius returns.
@@ -418,12 +422,13 @@ def log_det_sums(alpha, rho, freq, thetas, n):
     log_alpha, log_rho2 = math.log(abs(alpha)), 2.0 * np.log(rho)
     with np.errstate(divide="ignore"):
         log_q = -np.abs(log_rho2 - log_alpha)
-        # inf where rho^2 = |alpha|, and so never <= n / 4
+        # inf where rho^2 = |alpha|, and so never past the cutoff
         terms = np.ceil(math.log(LOG_DET_TAIL) / log_q)
     # N times Jensen's mean, doubled for the squared modulus
     sums = np.multiply.outer([2.0 * (n // 2), 2.0 * n], np.maximum(log_rho2, log_alpha))
     direct = np.ones(len(thetas), dtype=bool)
-    closed = np.flatnonzero(terms <= n / 4)
+    closed = np.flatnonzero(terms <= n / LOG_DET_STEPS_PER_TERM)
+    closed = closed[np.argsort(-terms[closed], kind="stable")]
     if len(closed):
         series, resonant = _fourier_series(alpha, freq, thetas[closed], n,
                                            log_q[closed], terms[closed])
@@ -441,19 +446,22 @@ def _geometric_sums(freq, kmax, n):
     With t = 2 k freq and s = N t, each reduced mod 1 into [-1/2, 1/2],
     G_k(N) = (1 - e^(2 pi i s)) / (1 - e^(2 pi i t))
            = sin(pi s) / sin(pi t) e^(i pi (s - t)),
-    and N where t = 0.  freq is the binary fraction a / b, so
-    t = (2 k a mod b) / b and s = (N 2 k a mod b) / b are exact, and each
-    G_k keeps a few ulps of relative accuracy however small t is.
+    and N where t = 0.  freq is the binary fraction a / b, so t and s are
+    reduced in integers, 2 k a and N 2 k a mod b into [-b/2, b/2], and
+    rounded once, by the division: a small |t| or |s| keeps its relative
+    accuracy, and so does G_k, however small its divisor.
     """
     a, b = float(freq).as_integer_ratio()
-    turns = [2 * k * a % b for k in range(1, kmax + 1)]
-    t = np.array([r / b for r in turns])
-    t -= np.rint(t)
+
+    def turns(steps):
+        reduced = (2 * k * a * steps % b for k in range(1, kmax + 1))
+        return np.array([(r - b if 2 * r > b else r) / b for r in reduced])
+
+    t = turns(1)
     sin_t = np.sin(np.pi * t)
     g = np.empty((2, kmax), dtype=np.complex128)
     for row, steps in zip(g, (n // 2, n)):
-        s = np.array([steps * r % b / b for r in turns])
-        s -= np.rint(s)
+        s = turns(steps)
         with np.errstate(divide="ignore", invalid="ignore"):
             row[:] = np.sin(np.pi * s) / sin_t * np.exp(1j * np.pi * (s - t))
         row[t == 0.0] = steps
@@ -462,13 +470,9 @@ def _geometric_sums(freq, kmax, n):
 
 def _fourier_series(alpha, freq, thetas, n, log_q, terms):
     """Re sum_(k<=K) (q e^(4 pi i theta))^k G_k(N) / k for N = n // 2 and
-    n, with ln|q| = ``log_q`` and K = ``terms`` per trajectory: a (2, m)
-    array, and a boolean array, true where the guard sends a trajectory
-    to the direct sum."""
-    # Horner's rule from k = K down: sorted by K, the trajectories with
-    # K >= k are a prefix, and each one starts at its own K
-    order = np.argsort(-terms, kind="stable")
-    thetas, log_q, terms = thetas[order], log_q[order], terms[order]
+    n, with ln|q| = ``log_q`` and K = ``terms`` per trajectory, sorted by
+    K from the largest: a (2, m) array, and a boolean array, true where
+    the guard sends a trajectory to the direct sum."""
     m, kmax = len(thetas), int(terms[0])
     # on both sides q = |q| e^(-i arg alpha), so q e^(4 pi i theta) is
     # |q| e^(2 pi i (2 theta - a)), a = arg(alpha) / 2 pi, the turn reduced
@@ -479,22 +483,20 @@ def _fourier_series(alpha, freq, thetas, n, log_q, terms):
     z = np.exp(2j * np.pi * turn)
     z *= size_q
     g = _geometric_sums(freq, kmax, n)
-    coeffs = g / np.arange(1, kmax + 1)
-    sizes = np.abs(g).max(axis=0)
+    # rows: the series for N = n // 2 and n, and the guard's
+    # sum_k |q|^k |G_k|, |G_k| the larger of its two
+    coeffs = np.vstack([g / np.arange(1, kmax + 1), np.abs(g).max(axis=0)])
+    ratios = np.array([z, z, size_q])
+    # Horner's rule from k = K down: the trajectories with K >= k are a
+    # prefix, and each one starts at its own K
     live = m - np.searchsorted(terms[::-1], np.arange(1, kmax + 1))
-    series = np.zeros((2, m), dtype=np.complex128)
-    bound = np.zeros(m)
+    acc = np.zeros((3, m), dtype=np.complex128)
     for k in range(kmax, 0, -1):
         count = live[k - 1]
-        for acc, c in zip(series[:, :count], coeffs[:, k - 1]):
-            acc += c
-            acc *= z[:count]
-        b = bound[:count]
-        b += sizes[k - 1]
-        b *= size_q[:count]
-    back = np.empty_like(order)
-    back[order] = np.arange(m)
-    return series.real[:, back], bound[back] > n
+        head = acc[:, :count]
+        head += coeffs[:, k - 1, None]
+        head *= ratios[:, :count]
+    return acc.real[:2], acc.real[2] > n
 
 
 def _direct_log_det_sums(alpha, rho, freq, thetas, n):

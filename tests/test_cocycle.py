@@ -989,48 +989,55 @@ def series_radius(side, terms):
     return math.exp(side * math.log(kernels.LOG_DET_TAIL) / (-2.0 * terms))
 
 
+NEAR_RESONANT_FREQS = (0.5 + 1e-11, 89 / 144 + 1e-9, 1 / 6 - 1e-11, 0.1 - 1e-11)
+
+
 class TestLogDetSums:
     @pytest.mark.parametrize("rho,freq", [
         *(pytest.param(rho, GOLDEN_FREQ, id=str(rho))
           for rho in (0.5, 0.951, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0)),
-        # near-resonant: 2 freq is 2e-11 from 1, 89/144 a golden convergent
+        # near-resonant: 2 freq is 2e-11 from 1, 89/144 a golden convergent,
+        # and 2 k freq sits just below 1 at k = 3 and 5, where freq < 1/2
+        # has more than 53 binary places
         *(pytest.param(rho, freq, id=f"{rho}-{freq!r}")
-          for freq in (0.5 + 1e-11, 89 / 144 + 1e-9) for rho in (0.5, 2.0)),
+          for freq in NEAR_RESONANT_FREQS for rho in (0.5, 2.0)),
     ])
     def test_matches_a_40_digit_sum(self, rho, freq):
         # the sums at the kernel's float phases theta + x_j, against the
-        # same sums in 40 digits.  The worst errors are 1.8e-11 at 0.951,
-        # where the closed form sums the exact orbit theta + j freq and the
-        # kernel rounds j freq, and 1.4e-11 at 1 +- 1e-6 (the direct sum),
-        # from the rounding of one term next to y^2 = alpha
+        # same sums in 40 digits.  The worst errors are 1.4e-11 at 1 +- 1e-6
+        # (the direct sum), from the rounding of one term next to
+        # y^2 = alpha, and 4.1e-12 at 0.5, where the closed form sums the
+        # exact orbit theta + j freq and the kernel rounds j freq
         n, thetas = 2000, phase_samples(4, 13)
         got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
         want = forty_digit_log_det_sums(rho, freq, thetas, n, "kernel")
         assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
 
     @pytest.mark.parametrize("rho,freq", [
-        (0.5, GOLDEN_FREQ), (0.951, GOLDEN_FREQ), (2.0, GOLDEN_FREQ),
-        (0.5, 0.5 + 1e-11), (2.0, 0.5 + 1e-11), (0.5, 89 / 144 + 1e-9), (2.0, 89 / 144 + 1e-9),
+        # K = 29 at 0.5 and 2, 235 at 0.92
+        (0.5, GOLDEN_FREQ), (0.92, GOLDEN_FREQ), (2.0, GOLDEN_FREQ),
+        *((rho, freq) for freq in NEAR_RESONANT_FREQS for rho in (0.5, 2.0)),
         # 2 k freq is an integer at k = 128, where the divisor is 0 and
         # G_k(N) = N
         (0.9, 1 / 256),
     ])
     def test_closed_form_is_the_exact_orbit_sum(self, rho, freq):
-        # the closed form is 1e-13 off the exact orbit's sum here; the
-        # kernel's rounding of j freq moves the sum by up to 2.3e-11 at
-        # n = 2000 (next to K = n / 4) and 2e-8 at n = 2e4 (rho = 0.996)
+        # the closed form is within 1e-12 of the exact orbit's sum here;
+        # the kernel's rounding of j freq moves the sum by up to 1.2e-11 at
+        # n = 2000 and 8.7e-9 at n = 2e4 next to the cutoff
         n, thetas = 2000, phase_samples(4, 13)
         got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
         want = forty_digit_log_det_sums(rho, freq, thetas, n, "exact")
         assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
 
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_switch_at_a_quarter_of_n(self, side):
-        # K = 500 = n / 4 terms still take the closed form, the exact
-        # orbit's sum; K = 501 takes the direct sum over the kernel's
-        # phases.  The two references differ by up to 2.3e-11 here
+    def test_switch_at_the_cutoff(self, side):
+        # K = 250 = n / 8 terms still take the closed form, the exact
+        # orbit's sum; K = 251 takes the direct sum over the kernel's
+        # phases.  The two references differ by up to 1.2e-11 here
         n, thetas = 2000, phase_samples(4, 13)
-        for terms, phases in ((499.5, "exact"), (500.5, "kernel")):
+        cut = n / kernels.LOG_DET_STEPS_PER_TERM
+        for terms, phases in ((cut - 0.5, "exact"), (cut + 0.5, "kernel")):
             rho = series_radius(side, terms)
             got = kernels.log_det_sums(ALPHA, np.full(4, rho), GOLDEN_FREQ, thetas, n)
             want = forty_digit_log_det_sums(rho, GOLDEN_FREQ, thetas, n, phases)
@@ -1050,11 +1057,11 @@ class TestLogDetSums:
     @pytest.mark.parametrize("freq", [GOLDEN_FREQ, 0.5 + 1e-11])
     def test_batched_radii_equal_scalar_calls(self, freq):
         # a shuffled batch on both sides of rho = 1: the closed form with
-        # K = 10, 100 and 500 terms and the direct sum past K = n / 4 (and,
-        # at the resonant freq, where the guard sends K = 100 and 500)
+        # K = 10, 100 and 250 terms and the direct sum past K = n / 8 (and,
+        # at the resonant freq, where the guard sends K = 100 and 250)
         n, thetas = 2000, phase_samples(3, 5)
         rhos = [series_radius(side, terms) for side in (-1, 1)
-                for terms in (9.5, 99.5, 499.5, 500.5, 2e4)]
+                for terms in (9.5, 99.5, 249.5, 250.5, 2e4)]
         order = np.random.default_rng(0).permutation(len(rhos) * len(thetas))
         batch = kernels.log_det_sums(ALPHA, np.repeat(rhos, len(thetas))[order], freq,
                                      np.tile(thetas, len(rhos))[order], n)
