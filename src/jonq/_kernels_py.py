@@ -248,6 +248,20 @@ def _renormalize(p, a, s):
     p *= 1.0 / nrm
 
 
+def _abs_det(p):
+    """|det| of each 2x2 matrix in ``p`` (2, 2, ...)."""
+    return np.abs(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+
+
+# btilde's log-norm is -1/2 ln|det p| only where |det p| >= DET_FLOOR
+# (|B~_n|_F <= 32): det p is a difference of products of entries of norm
+# at most 1, each rounded in the product, so it errs by an absolute amount
+# and -1/2 ln|det p| by that over |det p|.  Below the floor the
+# determinant of a nearly rank-1 p cancels (to 0 at freq = 0.5 + 1e-11),
+# and such trajectories sum their log-determinants directly
+DET_FLOOR = 2.0**-10
+
+
 def chunk_bounds(n):
     """Step boundaries of the chunks that ``cocycle_sums`` runs from the
     identity: [0, n // 2) and [n // 2, n) are each split evenly into
@@ -309,12 +323,16 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       ``renormalization_intervals``, which keeps every unnormalized stretch
       inside [1e-150, 1e150].  Trajectories are grouped by k, so after step
       c of a chunk the ones that renormalize (k divides c) are a prefix.
-    * btilde runs as jonquieres_b: B~ = B / b with |b| = |alpha - y^2|^(1/2)
-      on either branch, so its s_half and s_full are jonquieres_b's minus
-      1/4 of ``log_det_sums`` (Jensen's mean plus a closed-form Fourier
-      series, with a direct-sum fallback).  Its p is the jonquieres_b
-      direction, the btilde p times the unit phase prod_k b_k / |b_k|,
-      which ``cocycle.iterate`` divides out.
+    * btilde runs as jonquieres_b: B~ = B / b with b^2 = alpha - y^2 =
+      det A on either branch, so |prod_k b_k|^2 = |det B_n|.  With B_n =
+      e^s p, |det B_n| = e^(2s) |det p| and |B~_n|_F = e^s / |prod_k b_k|
+      = |det p|^(-1/2): btilde's s_half and s_full are -1/2 ln|det p| of
+      the normalized running product at n // 2 (the identity's 1/2 where
+      n // 2 = 0) and at n.  A trajectory whose |det p| falls below
+      DET_FLOOR at either one takes jonquieres_b's s minus 1/4 of
+      ``log_det_sums``, the direct sum of the log-determinants, instead.
+      Its p is the jonquieres_b direction, the btilde p times the unit
+      phase prod_k b_k / |b_k|, which ``cocycle.iterate`` divides out.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     m = len(thetas)
@@ -334,6 +352,8 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     p[0, 0] = p[1, 1] = 1.0
     s = np.zeros(m)
     s_half = np.full(m, 0.5 * np.log(2.0))
+    # |det p| of the running product at n // 2, for btilde
+    det_half = np.full(m, 0.5)
     bounds = chunk_bounds(n)
     chunks = list(zip(bounds[:-1], bounds[1:]))
     per_pass = max(1, BLOCK_ENTRIES // max(1, m))
@@ -351,157 +371,26 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
             _renormalize(p, np.empty(p.shape), s)
             if group[i][1] == half:
                 s_half = s.copy()
+                det_half = _abs_det(p)
     if kind == "btilde":
-        half_logs, logs = log_det_sums(alpha, rho, freq, thetas, n)
-        s_half, s = s_half - 0.25 * half_logs, s - 0.25 * logs
+        dets = np.array([det_half, _abs_det(p)])
+        with np.errstate(divide="ignore"):
+            sums = -0.5 * np.log(dets)
+        low = np.flatnonzero(dets.min(axis=0) < DET_FLOOR)
+        if len(low):
+            logs = log_det_sums(alpha, rho[low], freq, thetas[low], n)
+            sums[:, low] = [s_half[low], s[low]] - 0.25 * np.array(logs)
+        s_half, s = sums
     back = np.empty_like(order)
     back[order] = np.arange(m)
     return s_half[back], s[back], p[..., back].transpose(2, 0, 1)
 
 
-# log_det_sums sums its Fourier series up to the first power with
-# |q|^K <= LOG_DET_TAIL, where the rest of the series is below 1e-17 n,
-# and takes the closed form only where K <= n / LOG_DET_STEPS_PER_TERM
-LOG_DET_TAIL = 1e-17
-LOG_DET_STEPS_PER_TERM = 8
-
-
 def log_det_sums(alpha, rho, freq, thetas, n):
     """Sums of ln|alpha - y_j^2|^2 over the steps j < n // 2 and j < n of
-    each trajectory (``thetas``, one radius each in ``rho``) at the points
-    y_j = rho e^(2 pi i phi_j), phi_j = theta + j freq: ``(half, full)``.
-
-    Jensen's formula as a Fourier series, summed over the orbit.  Where
-    rho^2 < |alpha|, ln|alpha - y^2| = ln|alpha| + ln|1 - q e^(4 pi i phi)|
-    with q = rho^2 / alpha; where rho^2 > |alpha|, it is
-    2 ln rho + ln|1 - q e^(-4 pi i phi)| with q = alpha / rho^2.  Since
-    ln|1 - z| = -Re sum_k z^k / k, a sum over j < N is N times Jensen's
-    mean, max(ln|alpha|, 2 ln rho), minus
-    Re sum_k (q^k / k) e^(+-4 pi i k theta) G_k(N), where
-    G_k(N) = sum_(j<N) e^(+-4 pi i k j freq) is a geometric sum (the
-    outside series is summed conjugated, so both sides read e^(+...)).
-    At |alpha| = 1 the mean takes N max(0, ln rho) off jonquieres_b's
-    log-norm, the step by which Theorem A gets L(B~) = 0 from
-    L(B) = max(0, ln rho).
-
-    * Terms.  A trajectory sums k <= K with K the first power at which
-      |q|^K <= LOG_DET_TAIL, K = ceil(ln 1e-17 / ln|q|): 29 terms at
-      |q| = 1/4, about 650 at |ln rho| = 0.03 (|alpha| = 1).
-    * The geometric sums, ``_geometric_sums``, come from angles reduced in
-      integers, so a small divisor |1 - e^(4 pi i k freq)| costs no
-      accuracy in G_k.
-    * The cutoff.  The closed form is used only where
-      K <= n / LOG_DET_STEPS_PER_TERM = n / 8.  A series term costs about
-      6 us of Python per call, and a direct-sum step 1.2-2.3 us at 1 to 64
-      trajectories (n = 2000 and 2e4, timed on a 2-core x86 host), so at
-      the cutoff the closed form takes about half the direct sum's time
-      or less, however narrow the call; wider calls favour it more.
-    * The guard.  The closed form is also used only where
-      sum_(k<=K) |q|^k |G_k| <= n, with |G_k| the larger of |G_k(n // 2)|
-      and |G_k(n)|.  Horner's rule, z's and G_k's own roundings err by
-      about 10 ulps of each term's |q|^k |G_k|, so the guard keeps the
-      closed form's rounding near 1e-15 n at most.  The sum is large only
-      where small divisors make the orbit's Birkhoff sums resonate (|G_k|
-      near N, freq near a rational of small denominator) at a |q| near 1,
-      and there the kernel's roundings of j freq add up too: at
-      freq = 0.5 + 1e-11, rho = 0.98 and n = 2e4 the exact orbit's sum is
-      7e-10 off the sum over the kernel's phases, which the guard keeps.
-    * Every other trajectory takes ``_direct_log_det_sums``, the direct sum
-      over the kernel's phases: the band K > n / 8, that is
-      |2 ln rho - ln|alpha|| < 8 ln(1e17) / n (|ln rho| < 7.8e-3 at
-      n = 2e4 and |alpha| = 1), and the resonant orbits.
-    * Phases.  The closed form sums the exact orbit theta + j freq, the
-      direct sum the kernel's phases theta + ``step_phases``, whose
-      rounding of j freq (up to ulp(n freq) / 2 a step) moves the sum by up
-      to 1.2e-11 at n = 2000 and 8.7e-9 at n = 2e4 next to the band, that
-      is by 1.1e-13 in btilde's exponent, a quarter of it over n.
-    * Each trajectory's numbers depend only on its own phase, radius, freq
-      and n (its K and the guard too), and every operation is elementwise,
-      so a batch returns, bit for bit, what one call per radius returns.
-    """
-    log_alpha, log_rho2 = math.log(abs(alpha)), 2.0 * np.log(rho)
-    with np.errstate(divide="ignore"):
-        log_q = -np.abs(log_rho2 - log_alpha)
-        # inf where rho^2 = |alpha|, and so never past the cutoff
-        terms = np.ceil(math.log(LOG_DET_TAIL) / log_q)
-    # N times Jensen's mean, doubled for the squared modulus
-    sums = np.multiply.outer([2.0 * (n // 2), 2.0 * n], np.maximum(log_rho2, log_alpha))
-    direct = np.ones(len(thetas), dtype=bool)
-    closed = np.flatnonzero(terms <= n / LOG_DET_STEPS_PER_TERM)
-    closed = closed[np.argsort(-terms[closed], kind="stable")]
-    if len(closed):
-        series, resonant = _fourier_series(alpha, freq, thetas[closed], n,
-                                           log_q[closed], terms[closed])
-        sums[:, closed] -= 2.0 * series
-        direct[closed[~resonant]] = False
-    if direct.any():
-        sums[:, direct] = _direct_log_det_sums(alpha, rho[direct], freq, thetas[direct], n)
-    return sums[0], sums[1]
-
-
-def _geometric_sums(freq, kmax, n):
-    """G_k(N) = sum_(j<N) e^(4 pi i k j freq) for k = 1, ..., kmax and
-    N = n // 2, n: a (2, kmax) complex array.
-
-    With t = 2 k freq and s = N t, each reduced mod 1 into [-1/2, 1/2],
-    G_k(N) = (1 - e^(2 pi i s)) / (1 - e^(2 pi i t))
-           = sin(pi s) / sin(pi t) e^(i pi (s - t)),
-    and N where t = 0.  freq is the binary fraction a / b, so t and s are
-    reduced in integers, 2 k a and N 2 k a mod b into [-b/2, b/2], and
-    rounded once, by the division: a small |t| or |s| keeps its relative
-    accuracy, and so does G_k, however small its divisor.
-    """
-    a, b = float(freq).as_integer_ratio()
-
-    def turns(steps):
-        reduced = (2 * k * a * steps % b for k in range(1, kmax + 1))
-        return np.array([(r - b if 2 * r > b else r) / b for r in reduced])
-
-    t = turns(1)
-    sin_t = np.sin(np.pi * t)
-    g = np.empty((2, kmax), dtype=np.complex128)
-    for row, steps in zip(g, (n // 2, n)):
-        s = turns(steps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row[:] = np.sin(np.pi * s) / sin_t * np.exp(1j * np.pi * (s - t))
-        row[t == 0.0] = steps
-    return g
-
-
-def _fourier_series(alpha, freq, thetas, n, log_q, terms):
-    """Re sum_(k<=K) (q e^(4 pi i theta))^k G_k(N) / k for N = n // 2 and
-    n, with ln|q| = ``log_q`` and K = ``terms`` per trajectory, sorted by
-    K from the largest: a (2, m) array, and a boolean array, true where
-    the guard sends a trajectory to the direct sum."""
-    m, kmax = len(thetas), int(terms[0])
-    # on both sides q = |q| e^(-i arg alpha), so q e^(4 pi i theta) is
-    # |q| e^(2 pi i (2 theta - a)), a = arg(alpha) / 2 pi, the turn reduced
-    # into [-1/2, 1/2]
-    turn = 2.0 * thetas - cmath.phase(alpha) / (2.0 * math.pi)
-    turn -= np.rint(turn)
-    size_q = np.exp(log_q)
-    z = np.exp(2j * np.pi * turn)
-    z *= size_q
-    g = _geometric_sums(freq, kmax, n)
-    # rows: the series for N = n // 2 and n, and the guard's
-    # sum_k |q|^k |G_k|, |G_k| the larger of its two
-    coeffs = np.vstack([g / np.arange(1, kmax + 1), np.abs(g).max(axis=0)])
-    ratios = np.array([z, z, size_q])
-    # Horner's rule from k = K down: the trajectories with K >= k are a
-    # prefix, and each one starts at its own K
-    live = m - np.searchsorted(terms[::-1], np.arange(1, kmax + 1))
-    acc = np.zeros((3, m), dtype=np.complex128)
-    for k in range(kmax, 0, -1):
-        count = live[k - 1]
-        head = acc[:, :count]
-        head += coeffs[:, k - 1, None]
-        head *= ratios[:, :count]
-    return acc.real[:2], acc.real[2] > n
-
-
-def _direct_log_det_sums(alpha, rho, freq, thetas, n):
-    """``log_det_sums`` as a direct sum over the kernel's phases
-    theta + ``step_phases``, one log per trajectory-step.
+    each trajectory (``thetas``, one radius each in ``rho``): ``(half,
+    full)``, one log per trajectory-step, at the kernel's points
+    y_j = rho e^(2 pi i (theta + x_j)), x_j from ``step_phases``.
 
     With a = arg(alpha) / 2 pi, |alpha - y^2|^2 =
     (|alpha| - rho^2)^2 + 4 |alpha| rho^2 sin^2(pi (2 phase - a)) has no
@@ -509,7 +398,8 @@ def _direct_log_det_sums(alpha, rho, freq, thetas, n):
     pi (2 theta - a) once per trajectory and 2 pi x_j once per step.  Each
     term is added in step order to the running sum of its 128-step segment
     (counted from 0 and from n // 2), and the segments in step order, so
-    the grouping is fixed by the step index, whatever the batch or block.
+    the grouping is fixed by the step index, whatever the batch or block,
+    and a batch returns, bit for bit, what one call per radius returns.
     """
     offset, scale = (abs(alpha) - rho * rho) ** 2, 4.0 * abs(alpha) * rho * rho
     u = np.pi * (2.0 * thetas - cmath.phase(alpha) / (2.0 * math.pi))

@@ -110,6 +110,18 @@ class TestLyapunovCommand:
         assert row["rho"] == rho
         assert abs(float(row["L"])) <= 3 * float(row["total_error"])
 
+    def test_btilde_at_a_near_resonant_freq_runs(self, tmp_path):
+        # at freq = 0.5 + 1e-11 the normalized product's |det p| falls to
+        # 1e-17 or to 0 at most phases, so btilde's log-norm there comes
+        # from the direct log-det sum, not from -1/2 ln|det p|
+        rc, out = run(tmp_path, "e4.csv",
+                      ["lyapunov", "--kind", "btilde", "--rho", "2", "--freq",
+                       "0.50000000001", "--n", "2000"])
+        assert rc == 0
+        (row,) = csv.DictReader(out.read_text().splitlines()[1:])
+        assert all(math.isfinite(float(row[name]))
+                   for name in ("L", "stderr", "half_n_L", "total_error"))
+
     def test_vanishing_product_is_numeric_error(self, capsys):
         # [[0, 1], [0, 0]] squares to zero: no NaN row is written
         rc = main(["lyapunov", "--kind", "constant", "--const", "0,1,0,0",

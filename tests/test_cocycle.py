@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 from unittest import mock
@@ -966,9 +967,8 @@ class TestKernel:
 def forty_digit_log_det_sums(rho, freq, thetas, n, phases):
     """The sums of ln|alpha - y_j^2|^2 over j < n // 2 and j < n, as a
     (2, len(thetas)) array, in 40 digits: at the kernel's float phases
-    theta + x_j (``phases="kernel"``), which the direct sum takes, or at
-    the exact orbit theta + j freq of the float freq (``"exact"``), which
-    the closed form sums."""
+    theta + x_j (``phases="kernel"``), which ``log_det_sums`` takes, or at
+    the exact orbit theta + j freq of the float freq (``"exact"``)."""
     import mpmath
 
     x = kernels.step_phases(np.arange(n), freq)
@@ -981,12 +981,6 @@ def forty_digit_log_det_sums(rho, freq, thetas, n, phases):
                      for s in shifts]
             sums.append((float(mpmath.fsum(terms[:n // 2])), float(mpmath.fsum(terms))))
     return np.array(sums).T
-
-
-def series_radius(side, terms):
-    """The radius on ``side`` (-1 inside, +1 outside) of |y| = 1 at which
-    ``log_det_sums``' series takes ceil(terms) terms (|alpha| = 1)."""
-    return math.exp(side * math.log(kernels.LOG_DET_TAIL) / (-2.0 * terms))
 
 
 NEAR_RESONANT_FREQS = (0.5 + 1e-11, 89 / 144 + 1e-9, 1 / 6 - 1e-11, 0.1 - 1e-11)
@@ -1004,10 +998,8 @@ class TestLogDetSums:
     ])
     def test_matches_a_40_digit_sum(self, rho, freq):
         # the sums at the kernel's float phases theta + x_j, against the
-        # same sums in 40 digits.  The worst errors are 1.4e-11 at 1 +- 1e-6
-        # (the direct sum), from the rounding of one term next to
-        # y^2 = alpha, and 4.1e-12 at 0.5, where the closed form sums the
-        # exact orbit theta + j freq and the kernel rounds j freq
+        # same sums in 40 digits.  The worst error is 1.4e-11 at 1 +- 1e-6,
+        # from the rounding of one term next to y^2 = alpha
         n, thetas = 2000, phase_samples(4, 13)
         got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
         want = forty_digit_log_det_sums(rho, freq, thetas, n, "kernel")
@@ -1022,33 +1014,19 @@ class TestLogDetSums:
         (0.9, 1 / 256),
     ])
     def test_closed_form_is_the_exact_orbit_sum(self, rho, freq):
-        # the closed form is within 1e-12 of the exact orbit's sum here;
-        # the kernel's rounding of j freq moves the sum by up to 1.2e-11 at
-        # n = 2000 and 8.7e-9 at n = 2e4 next to the cutoff
+        # away from rho = 1 the sum over the kernel's phases is within
+        # 1e-14 n of the exact orbit's: the kernel's rounding of j freq
+        # moves it by up to 1.2e-11 at n = 2000
         n, thetas = 2000, phase_samples(4, 13)
         got = kernels.log_det_sums(ALPHA, np.full(4, rho), freq, thetas, n)
         want = forty_digit_log_det_sums(rho, freq, thetas, n, "exact")
         assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
 
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_switch_at_the_cutoff(self, side):
-        # K = 250 = n / 8 terms still take the closed form, the exact
-        # orbit's sum; K = 251 takes the direct sum over the kernel's
-        # phases.  The two references differ by up to 1.2e-11 here
-        n, thetas = 2000, phase_samples(4, 13)
-        cut = n / kernels.LOG_DET_STEPS_PER_TERM
-        for terms, phases in ((cut - 0.5, "exact"), (cut + 0.5, "kernel")):
-            rho = series_radius(side, terms)
-            got = kernels.log_det_sums(ALPHA, np.full(4, rho), GOLDEN_FREQ, thetas, n)
-            want = forty_digit_log_det_sums(rho, GOLDEN_FREQ, thetas, n, phases)
-            assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
-
     def test_resonant_orbits_take_the_direct_sum(self):
         # at freq = 0.5 + 1e-11 every y_j^2 sits near one point, and the
-        # kernel's roundings of j freq add up: the closed form, the exact
-        # orbit's sum, is 7.4e-10 off the sum over the kernel's phases at
-        # n = 2e4.  sum_k |q|^k |G_k(N)| is about 4.8e5 > n there, so the
-        # guard sends both trajectories to the direct sum
+        # kernel's roundings of j freq add up: the exact orbit's sum is
+        # 7.4e-10 off the sum over the kernel's phases at n = 2e4, which
+        # the direct sum takes
         n, freq, rho, thetas = 20000, 0.5 + 1e-11, 0.98, phase_samples(2, 13)
         got = kernels.log_det_sums(ALPHA, np.full(2, rho), freq, thetas, n)
         want = forty_digit_log_det_sums(rho, freq, thetas, n, "kernel")
@@ -1056,12 +1034,9 @@ class TestLogDetSums:
 
     @pytest.mark.parametrize("freq", [GOLDEN_FREQ, 0.5 + 1e-11])
     def test_batched_radii_equal_scalar_calls(self, freq):
-        # a shuffled batch on both sides of rho = 1: the closed form with
-        # K = 10, 100 and 250 terms and the direct sum past K = n / 8 (and,
-        # at the resonant freq, where the guard sends K = 100 and 250)
+        # a shuffled batch on both sides of rho = 1, from next to it to far
         n, thetas = 2000, phase_samples(3, 5)
-        rhos = [series_radius(side, terms) for side in (-1, 1)
-                for terms in (9.5, 99.5, 249.5, 250.5, 2e4)]
+        rhos = [0.5, 0.92, 0.99, 1 - 1e-6, 1 + 1e-6, 1.001, 1.01, 2.0, 1e3]
         order = np.random.default_rng(0).permutation(len(rhos) * len(thetas))
         batch = kernels.log_det_sums(ALPHA, np.repeat(rhos, len(thetas))[order], freq,
                                      np.tile(thetas, len(rhos))[order], n)
@@ -1069,6 +1044,86 @@ class TestLogDetSums:
                    for rho in rhos]
         for got, want in zip(batch, zip(*singles)):
             assert list(map(float.hex, got)) == list(map(float.hex, np.concatenate(want)[order]))
+
+
+@functools.lru_cache(maxsize=None)
+def forty_digit_units(freq, theta, n):
+    """e^(4 pi i (theta + x_j)) for j < n in 40 digits, with x_j from
+    ``step_phases``: y_j^2 / rho^2 at the kernel's float phases."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        start = mpmath.mpf(theta)
+        return [mpmath.expjpi(4 * (start + x)) for x in kernels.step_phases(np.arange(n), freq)]
+
+
+def forty_digit_btilde_sums(rho, freq, thetas, n):
+    """btilde's s_half and s_full in 40 digits, as a (2, len(thetas))
+    array: ln|B_N|_F of the jonquieres_b product B_N at the kernel's float
+    phases minus 1/2 sum_(j<N) ln|alpha - y_j^2|, for N = n // 2 and n
+    (n >= 2).  The product renormalizes every 64 steps."""
+    import mpmath
+
+    sums = []
+    with mpmath.workdps(40):
+        alpha, r2 = mpmath.mpc(ALPHA), mpmath.mpf(rho) ** 2
+        for theta in thetas:
+            a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+            log_norm, dets, logs, row = mpmath.mpf(0), mpmath.mpc(1), mpmath.mpf(0), []
+            for j, unit in enumerate(forty_digit_units(freq, float(theta), n), start=1):
+                w = r2 * unit
+                # [[alpha, w], [1, 1]] times the product
+                a, b, c, d = alpha * a + w * c, alpha * b + w * d, a + c, b + d
+                dets *= alpha - w
+                if j % 64 == 0 or j in (n // 2, n):
+                    norm = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+                    a, b, c, d = a / norm, b / norm, c / norm, d / norm
+                    log_norm += mpmath.log(norm)
+                    logs += mpmath.log(abs(dets))
+                    dets = mpmath.mpc(1)
+                if j in (n // 2, n):
+                    row.append(float(log_norm - logs / 2))
+            sums.append(row)
+    return np.array(sums).T
+
+
+class TestBtildeSums:
+    @pytest.mark.parametrize("rho,freq", [
+        *(pytest.param(rho, GOLDEN_FREQ, id=str(rho))
+          for rho in (1e-3, 0.5, 0.857, 0.951, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0, 1e3, 1.4e75)),
+        *(pytest.param(rho, freq, id=f"{rho}-{freq!r}")
+          for freq in NEAR_RESONANT_FREQS for rho in (0.5, 0.98, 2.0)),
+    ])
+    def test_matches_a_40_digit_product(self, rho, freq):
+        # -1/2 ln|det p| where |det p| >= DET_FLOOR, and the direct
+        # log-det sum below it: at 1 +- 1e-6 and 1.001 |det p| is 1e-6 to
+        # 1e-4, and at the near-resonant freqs it is often 0, where
+        # -1/2 ln|det p| would be 5e-11 to inf off.  The worst error is
+        # 7.1e-12, at 1 + 1e-6
+        n, thetas = 2000, phase_samples(2, 13)
+        got = kernels.cocycle_sums("btilde", ALPHA, rho, freq, 0.0, np.array([]), None,
+                                   thetas, n)[:2]
+        want = forty_digit_btilde_sums(rho, freq, thetas, n)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * n
+
+    def test_batch_across_the_det_floor_equals_scalar_calls(self):
+        # 0.5 and 2 take -1/2 ln|det p|, 1 +- 1e-6 and 1.001 the direct
+        # log-det sum; a shuffled batch of both is one call per radius
+        n, thetas = 2000, phase_samples(3, 5)
+        rhos = [0.5, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0]
+        order = np.random.default_rng(0).permutation(len(rhos) * len(thetas))
+        with mock.patch.object(kernels, "log_det_sums", wraps=kernels.log_det_sums) as direct:
+            batch = kernels.cocycle_sums("btilde", ALPHA, np.repeat(rhos, len(thetas))[order],
+                                         GOLDEN_FREQ, 0.0, np.array([]), None,
+                                         np.tile(thetas, len(rhos))[order], n)
+        assert sorted(set(direct.call_args.args[1])) == sorted(rhos[1:4])
+        singles = [kernels.cocycle_sums("btilde", ALPHA, rho, GOLDEN_FREQ, 0.0, np.array([]),
+                                        None, thetas, n) for rho in rhos]
+        # s_half, s and p, p's entries as their real and imaginary parts
+        for got, want in zip(batch, zip(*singles)):
+            got, want = (np.ascontiguousarray(a).view(np.float64).ravel()
+                         for a in (got, np.concatenate(want)[order]))
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 # --- frozen block set-up -----------------------------------------------------
