@@ -257,18 +257,17 @@ def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> Closure
     """
     if not 0 <= max_octave <= 16:
         raise ValueError("max_octave must lie in [0, 16]: four cell indices share a 64-bit key")
-    pts = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    span[span == 0] = 1.0
-    unit = (pts - lo) / span
-    npts = len(unit)
-
+    npts = len(x)
     cells = 1 << max_octave
-    idx = np.minimum((unit * cells).astype(np.int64), cells - 1)
     key = np.zeros(npts, dtype=np.uint64)
-    for axis in range(4):
-        key |= _spread_bits(idx[:, axis]) << np.uint64(3 - axis)
+    # each coordinate quantized on its own, as a contiguous 1-D array
+    for axis, part in enumerate((x.real, x.imag, y.real, y.imag)):
+        coord = np.ascontiguousarray(part)
+        lo = coord.min()
+        span = (coord.max() - lo) or 1.0
+        unit = (coord - lo) / span
+        idx = np.minimum((unit * cells).astype(np.int64), cells - 1)
+        key |= _spread_bits(idx) << np.uint64(3 - axis)
     key.sort()
 
     counts = []

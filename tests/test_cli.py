@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import jonq._fork as fork_mod
+import jonq.cli as cli_mod
 import jonq.degree as degree_mod
 import jonq.linearize as linearize_mod
-from jonq.cli import _config, _csv_document, build_parser, main
+from jonq.cli import FORK_ROWS, _config, _csv_document, build_parser, main
 
 FAST = ["--n", "400", "--samples", "4", "--seed", "1"]
 
@@ -333,6 +335,43 @@ class TestOrbitCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: Overflow: ")
 
+    @pytest.mark.parametrize("cpus,rows,parts", [
+        (2, FORK_ROWS - 1, None), (2, FORK_ROWS, 2), (2, FORK_ROWS + 1, 2),
+        (3, FORK_ROWS, 2), (3, 3 * (FORK_ROWS // 2), 3), (3, 3 * (FORK_ROWS // 2) + 1, 3),
+    ])
+    def test_split_rows_equal_the_serial_document(self, tmp_path, monkeypatch,
+                                                 cpus, rows, parts):
+        # the start is mapped exactly onto x = -1, so step 2 is at infinity
+        # and writes inf, 0.0; the rows are formatted in ``parts`` parts
+        # at FORK_ROWS rows or more
+        import cmath
+
+        from jonq.algebra import DEFAULT_ALPHA_ANGLE
+
+        alpha = cmath.exp(2j * math.pi * DEFAULT_ALPHA_ANGLE)
+        x0 = -1.5 / (1.0 + alpha)
+        argv = ["orbit", f"--x0={x0.real}{x0.imag:+}j", "--y0", "0.5+0j",
+                "--n", str(rows - 1)]
+        with monkeypatch.context() as serial:
+            serial.setattr(cli_mod, "FORK_ROWS", math.inf)
+            rc, want = run(tmp_path, "serial.csv", argv)
+        assert rc == 0
+        lines = want.read_text().splitlines()
+        assert len(lines) == rows + 2 and lines[4].startswith("2,inf,0.0,0,")
+        counts = []
+        fork_map = fork_mod.fork_map
+
+        def counting(fn, split):
+            counts.append(len(split))
+            return fork_map(fn, split)
+
+        monkeypatch.setattr(fork_mod, "fork_map", counting)
+        monkeypatch.setattr(fork_mod, "usable_cpus", lambda: cpus)
+        rc, got = run(tmp_path, "split.csv", argv)
+        assert rc == 0
+        assert counts == ([] if parts is None else [parts])
+        assert got.read_bytes() == want.read_bytes()
+
     def test_closed_stdout_exits_zero(self):
         # the CSV of 1e5 steps is larger than a pipe buffer, so the write
         # meets the read end closed
@@ -607,6 +646,22 @@ class TestParser:
         assert captured.err.startswith("error: invalid configuration: ")
         assert setting in captured.err
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_columns_equal_the_serial_document(self, monkeypatch, cpus):
+        # a list, a tuple and a range, as the other commands pass their
+        # columns; at 5,999 rows 3 CPUs make 2 parts, at 6,000 rows 3
+        args = build_parser().parse_args(["lyapunov"])
+        for count in (3 * (FORK_ROWS // 2) - 1, 3 * (FORK_ROWS // 2)):
+            columns = [range(count), tuple(i / 7 for i in range(count)),
+                       [math.inf if i % 1000 == 2 else -0.0 for i in range(count)]]
+            with monkeypatch.context() as serial:
+                serial.setattr(cli_mod, "FORK_ROWS", math.inf)
+                want = _csv_document(args, ["a", "b", "c"], columns)
+            with monkeypatch.context() as split:
+                split.setattr(fork_mod, "usable_cpus", lambda: cpus)
+                assert _csv_document(args, ["a", "b", "c"], columns) == want
+            assert want.count("\n") == count + 2 and ",inf\n" in want
+
     def test_csv_config_line_rejects_non_finite(self):
         args = build_parser().parse_args(["orbit"])
         args.dist_tol = math.nan
@@ -638,16 +693,19 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,absent", [
         (["accel", "--rho", "2", "--n", "200", "--samples", "4"],
-         ["degree", "maps", "linearize", "backend"]),
+         ["degree", "maps", "linearize", "backend", "_fork"]),
         (["lyapunov", "--s-steps", "3", "--n", "200", "--samples", "4"],
-         ["degree", "maps", "linearize", "backend"]),
-        (["orbit", "--n", "50"], ["accel", "linearize", "degree"]),
-        (["classify", "--n", "20000"], ["accel", "linearize", "degree"]),
-        ([], ["degree"]),
+         ["degree", "maps", "linearize", "backend", "_fork"]),
+        (["orbit", "--n", "50"], ["accel", "linearize", "degree", "_fork"]),
+        (["classify", "--n", "20000"], ["accel", "linearize", "degree", "_fork"]),
+        ([], ["degree", "_fork"]),
+        (["degree", "--max-n", "6", "--format", "csv"], ["maps", "cocycle", "_fork"]),
+        (["linearize", "--order", "12"], ["maps", "cocycle", "_fork"]),
     ])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
         # each command imports its own modules when it runs; with no
-        # command, only ``import jonq.cli`` runs
+        # command, only ``import jonq.cli`` runs.  The fork helper loads
+        # only for a long orbit CSV or a wide kernel batch
         code = (
             "import sys, jonq.cli; argv = sys.argv[2:]; "
             "rc = jonq.cli.main(argv + ['--out', sys.argv[1]]) if argv else 0; "

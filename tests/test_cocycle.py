@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import jonq._fork as fork_mod
 from jonq._kernels_py import sqrt_branch_values
 from jonq.algebra import DEFAULT_H, GOLDEN_FREQ, default_alpha
 from jonq.backend import kernels
@@ -1124,6 +1125,78 @@ class TestBtildeSums:
             got, want = (np.ascontiguousarray(a).view(np.float64).ravel()
                          for a in (got, np.concatenate(want)[order]))
             assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+class TestSplitBatches:
+    """A batch that ``cocycle_sums`` runs in forked parts has the bits of
+    the batch run in one process.  FORK_STEPS is set to 2 so that short
+    runs split, and the helper's CPU count sets the number of parts."""
+
+    @staticmethod
+    def serial_and_split(monkeypatch, cpus, call):
+        """``call()`` in one process and split on ``cpus`` CPUs, and the
+        number of parts of each ``fork_map`` call of the split run."""
+        serial = call()
+        counts = []
+        fork_map = fork_mod.fork_map
+
+        def counting(fn, parts):
+            counts.append(len(parts))
+            return fork_map(fn, parts)
+
+        monkeypatch.setattr(kernels, "FORK_STEPS", 2)
+        monkeypatch.setattr(fork_mod, "fork_map", counting)
+        monkeypatch.setattr(fork_mod, "usable_cpus", lambda: cpus)
+        return serial, call(), counts
+
+    @staticmethod
+    def hexes(sums):
+        """s_half, s and p, p's entries as their real and imaginary parts,
+        as ``float.hex`` strings."""
+        return [list(map(float.hex, np.ascontiguousarray(a).view(np.float64).ravel()))
+                for a in sums]
+
+    @pytest.mark.parametrize("m,cpus", [(257, 2), (449, 3)])
+    @pytest.mark.parametrize("kind,rhos,freq,n", [
+        *((kind, (0.5, 2.0), GOLDEN_FREQ, 600) for kind in KINDS),
+        # rho = 1 renormalizes each trajectory at its own interval
+        ("jonquieres_b", (1.0, 2.0), GOLDEN_FREQ, 600),
+        # |det p| falls below DET_FLOOR on 251 of 257 trajectories, which
+        # log_det_sums takes
+        ("btilde", (0.5, 2.0), 0.5 + 1e-11, 2000),
+    ])
+    def test_split_batch_equals_one_process(self, monkeypatch, m, cpus, kind, rhos, freq, n):
+        rho, thetas = np.resize(rhos, m), phase_samples(m, 7)
+
+        def call():
+            return kernels.cocycle_sums(kind, ALPHA, rho, freq, 0.4, KERNEL_POTENTIAL,
+                                        KERNEL_CMAT, thetas, n)
+
+        serial, split, counts = self.serial_and_split(monkeypatch, cpus, call)
+        assert counts == [cpus]
+        assert self.hexes(split) == self.hexes(serial)
+
+    def test_non_finite_sum_in_a_child_raises_the_same_error(self, monkeypatch):
+        # the trajectories at rho = 3 (the last 100 of 300, so in the
+        # child's part) return a NaN log-norm sum
+        original = kernels._batch_sums
+
+        def poisoned(kind, alpha, rho, *rest):
+            s_half, s, p = original(kind, alpha, rho, *rest)
+            return s_half, np.where(rho == 3.0, np.nan, s), p
+
+        monkeypatch.setattr(kernels, "_batch_sums", poisoned)
+        spec = CocycleSpec(kind="jonquieres_b", rho=0.5)
+        errors = []
+
+        def call():
+            with pytest.raises(SingularFactor) as info:
+                lyapunov_many(spec, [0.5, 2.0, 3.0], 200, 100, 0)
+            errors.append(str(info.value))
+
+        _, _, counts = self.serial_and_split(monkeypatch, 2, call)
+        assert counts == [2]
+        assert errors[0] == errors[1] and "rho=3.0" in errors[0]
 
 
 # --- frozen block set-up -----------------------------------------------------
