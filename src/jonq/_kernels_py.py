@@ -262,9 +262,10 @@ def _abs_det(p):
 DET_FLOOR = 2.0**-10
 
 
-# trajectory-steps (m n) from which cocycle_sums runs its batch in parts,
+# the part size is the threshold: cocycle_sums runs its batch in parts,
 # one per usable CPU, none with fewer than FORK_STEPS // 2 trajectory-steps
-# or 2 trajectories.  On a 2-CPU x86 host, in process, the split lost at
+# or 2 trajectories, so below FORK_STEPS trajectory-steps (m n) in one
+# part, in process.  On a 2-CPU x86 host, in process, the split lost at
 # 1.3e6 steps (64 trajectories at n = 2e4), tied at 9e5 (448 at n = 2000),
 # won from 2.6e6 (128 at n = 2e4) and gained 30-40% from 5.1e6 up to the
 # default accel grid's 1.5e8.  A benchmark accel op (192 trajectories,
@@ -316,10 +317,11 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
       returns: the chunks, where a chunk renormalizes and the fold order
       depend on n and the trajectory alone, the passes only decide which
       columns run side by side, and every operation is elementwise.
-    * Processes.  A batch of FORK_STEPS trajectory-steps or more runs as
-      contiguous parts, one per usable CPU, side by side in forked
-      processes (``_fork.fork_map``), joined in input order: by the bullet
-      above, with the bits of one process.
+    * Processes.  The batch runs as contiguous parts, one per usable CPU
+      but none with fewer than FORK_STEPS // 2 trajectory-steps, side by
+      side in forked processes (``_fork.fork_map``), joined in input order:
+      by the bullet above, with the bits of one process.  Below FORK_STEPS
+      trajectory-steps that is one part, run in this process.
     * Step j's point is y_j = rho e^(2 pi i theta) e^(2 pi i x_j), with
       x_j from ``step_phases``.  So y_j^p (p = w from ``ROW_POWER``
       for the row-update kinds, else 1) is one complex multiply of a
@@ -356,16 +358,15 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         rho = np.full(m, float(rho))
     elif rho.shape != (m,):
         raise ValueError(f"rho has shape {rho.shape}, want a scalar or ({m},)")
-    if m * n < FORK_STEPS:
-        return _batch_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n)
-    # contiguous parts of the batch side by side, joined in input order
+    # contiguous parts of the batch side by side, joined in input order; a
+    # trajectory of n = 0 steps counts as one
     from ._fork import fork_map, ranges
 
     def part(r):
         return _batch_sums(kind, alpha, rho[r[0]:r[1]], freq, energy, potential,
                            cmat, thetas[r[0]:r[1]], n)
 
-    parts = fork_map(part, ranges(m, max(2, math.ceil(FORK_STEPS / (2 * n)))))
+    parts = fork_map(part, ranges(m, max(2, math.ceil(FORK_STEPS / (2 * max(1, n))))))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -33,11 +33,12 @@ from .errors import JonqError
 # module a command can run, before it wraps them.
 
 CSV_EOL = "\n"
-# rows from which _csv_text makes the CSV text in parts, one per usable
-# CPU, none shorter than FORK_ROWS // 2.  On a 2-CPU x86 host, timing the
-# orbit's cells and text in process, two parts beat one in 32% of
-# alternating runs at 1,000 rows, 75% at 2,000, 64-84% at 3,000 to 10,000
-# and 95% at 1e5 rows (482 -> 345 ms)
+# the part size is the threshold: _rows_document makes a CSV in parts of
+# at least FORK_ROWS // 2 rows, one per usable CPU, so below FORK_ROWS rows
+# in one part, in process.  On a 2-CPU x86 host, timing the orbit's cells
+# and text in process, two parts beat one in 32% of alternating runs at
+# 1,000 rows, 75% at 2,000, 64-84% at 3,000 to 10,000 and 95% at 1e5 rows
+# (482 -> 345 ms)
 FORK_ROWS = 4000
 
 
@@ -49,6 +50,9 @@ def _config(args) -> dict:
 
 def _emit(path: str | None, text: str) -> None:
     if path in (None, "-"):
+        if sys.stdout is None:
+            # started with fd 1 closed: no reader, as for a closed pipe
+            return
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -62,45 +66,30 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _csv_document(args, header: list[str], columns: list) -> str:
-    """The config line, the header and one row per index of ``columns``
-    (equal-length sequences, one per header name), each cell as ``str``."""
-    return _csv_text(args, header, len(columns[0]) if columns else 0,
-                     lambda lo, hi: [c[lo:hi] for c in columns])
-
-
-def _csv_text(args, header: list[str], count: int, cells) -> str:
-    """``_csv_document`` of ``count`` rows, whose columns ``cells(lo, hi)``
-    makes for rows lo to hi.  From FORK_ROWS rows on, contiguous row ranges
-    run side by side, each making its own cells and joining its lines by
-    the same code; only an orbit CSV is this long (degree's rows are its
-    steps, 12 at the documented maximum)."""
+def _rows_document(args, header: list[str], count: int, cells, **extra) -> str:
+    """``count`` rows, whose columns ``cells(lo, hi)`` makes for rows lo to
+    hi, zipped into JSON row objects under "rows" next to ``extra``, or as
+    CSV (which leaves ``extra`` out): the config line, the header and a
+    line per row, each cell as ``str``, as ``--format`` asks.  The CSV is
+    made in contiguous row ranges, one per usable CPU, side by side, each
+    making its own cells and lines by the same code; only an orbit CSV is
+    long enough to run more than one (degree's rows are its steps, 12 at
+    the documented maximum)."""
+    if args.format == "json":
+        rows = [dict(zip(header, r)) for r in zip(*cells(0, count))]
+        return _json_document(args, {"rows": rows, **extra})
     # a non-finite argument raises ValueError here: a configuration error
     config = json.dumps(_config(args), sort_keys=True, separators=(",", ":"),
                         allow_nan=False)
-    if count < FORK_ROWS:
-        rows = _csv_rows(cells(0, count))
-    else:
-        from ._fork import fork_map, ranges
+    from ._fork import fork_map, ranges
 
-        rows = fork_map(lambda r: CSV_EOL.join(_csv_rows(cells(*r))),
-                        ranges(count, FORK_ROWS // 2))
-    # the last "" ends the last line, without a copy of the document
-    return CSV_EOL.join(["# config: " + config, ",".join(header), *rows, ""])
+    def lines(r):
+        rows = map(",".join, zip(*(map(str, c) for c in cells(*r))))
+        # each line with its end, so an empty range adds nothing
+        return CSV_EOL.join([*rows, ""])
 
-
-def _csv_rows(columns: list):
-    """The CSV lines of ``columns``, without line ends."""
-    return map(",".join, zip(*(map(str, c) for c in columns)))
-
-
-def _rows_document(args, header: list[str], columns: list, **extra) -> str:
-    """``columns`` as CSV, or zipped into JSON row objects under "rows" next
-    to ``extra`` (which CSV leaves out), as ``--format`` asks."""
-    if args.format == "json":
-        rows = [dict(zip(header, r)) for r in zip(*columns)]
-        return _json_document(args, {"rows": rows, **extra})
-    return _csv_document(args, header, columns)
+    parts = fork_map(lines, ranges(count, FORK_ROWS // 2))
+    return "".join(["# config: " + config + CSV_EOL, ",".join(header) + CSV_EOL, *parts])
 
 
 def _json_document(args, payload: dict) -> str:
@@ -200,7 +189,7 @@ def _cmd_lyapunov(args) -> str:
     ]
     header = ["kind", "alpha_angle", "freq", "rho", "ln_rho", "L", "stderr",
               "half_n_L", "total_error", "n", "samples", "seed"]
-    return _rows_document(args, header, list(zip(*rows)))
+    return _rows_document(args, header, len(rows), lambda lo, hi: zip(*rows[lo:hi]))
 
 
 def _cmd_accel(args) -> str:
@@ -220,7 +209,7 @@ def _cmd_accel(args) -> str:
     # h_used is the window's step h on every row
     header = ["rho", "omega", "nearest_integer", "distance", "left_slope",
               "right_slope", "regular_flag", "stderr", "h_used"]
-    return _rows_document(args, header, list(zip(*rows)))
+    return _rows_document(args, header, len(rows), lambda lo, hi: zip(*rows[lo:hi]))
 
 
 def _orbit_start(args):
@@ -255,10 +244,7 @@ def _cmd_orbit(args) -> str:
         ]
 
     header = ["step", "x_re", "x_im", "x_finite", "y_re", "y_im", "y_abs"]
-    if args.format == "csv":
-        # a long CSV's parts each make their own cells, from the arrays
-        return _csv_text(args, header, len(rec.u), cells)
-    return _rows_document(args, header, cells(0, len(rec.u)),
+    return _rows_document(args, header, len(rec.u), cells,
                           indeterminacy_hits=list(rec.indeterminacy_hits),
                           escaped=rec.escaped)
 
@@ -307,7 +293,8 @@ def _cmd_degree(args) -> str:
         specializations=[tuple(vals[i : i + 2]) for i in range(0, len(vals), 2)],
     )
     if args.format == "csv":
-        return _csv_document(args, ["n", "degree"], [range(1, len(degs) + 1), degs])
+        return _rows_document(args, ["n", "degree"], len(degs),
+                              lambda lo, hi: [range(lo + 1, hi + 1), degs[lo:hi]])
     report = degree_mod.growth_classify(degs)
     payload = dataclasses.asdict(report)
     # the (alpha, beta) pairs that certified the sequence, as exact strings

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import jonq._fork as fork_mod
 import jonq.cli as cli_mod
 import jonq.degree as degree_mod
 import jonq.linearize as linearize_mod
-from jonq.cli import FORK_ROWS, _config, _csv_document, build_parser, main
+from jonq.cli import FORK_ROWS, _config, _rows_document, build_parser, main
 
 FAST = ["--n", "400", "--samples", "4", "--seed", "1"]
 
@@ -336,14 +338,14 @@ class TestOrbitCommand:
         assert captured.err.startswith("error: Overflow: ")
 
     @pytest.mark.parametrize("cpus,rows,parts", [
-        (2, FORK_ROWS - 1, None), (2, FORK_ROWS, 2), (2, FORK_ROWS + 1, 2),
+        (2, FORK_ROWS - 1, 1), (2, FORK_ROWS, 2), (2, FORK_ROWS + 1, 2),
         (3, FORK_ROWS, 2), (3, 3 * (FORK_ROWS // 2), 3), (3, 3 * (FORK_ROWS // 2) + 1, 3),
     ])
     def test_split_rows_equal_the_serial_document(self, tmp_path, monkeypatch,
                                                  cpus, rows, parts):
         # the start is mapped exactly onto x = -1, so step 2 is at infinity
-        # and writes inf, 0.0; the rows are formatted in ``parts`` parts
-        # at FORK_ROWS rows or more
+        # and writes inf, 0.0; the rows are formatted in ``parts`` parts,
+        # one below FORK_ROWS rows
         import cmath
 
         from jonq.algebra import DEFAULT_ALPHA_ANGLE
@@ -369,7 +371,7 @@ class TestOrbitCommand:
         monkeypatch.setattr(fork_mod, "usable_cpus", lambda: cpus)
         rc, got = run(tmp_path, "split.csv", argv)
         assert rc == 0
-        assert counts == ([] if parts is None else [parts])
+        assert counts == [parts]
         assert got.read_bytes() == want.read_bytes()
 
     def test_closed_stdout_exits_zero(self):
@@ -654,19 +656,64 @@ class TestParser:
         for count in (3 * (FORK_ROWS // 2) - 1, 3 * (FORK_ROWS // 2)):
             columns = [range(count), tuple(i / 7 for i in range(count)),
                        [math.inf if i % 1000 == 2 else -0.0 for i in range(count)]]
+
+            def cells(lo, hi):
+                return [c[lo:hi] for c in columns]
+
             with monkeypatch.context() as serial:
                 serial.setattr(cli_mod, "FORK_ROWS", math.inf)
-                want = _csv_document(args, ["a", "b", "c"], columns)
+                want = _rows_document(args, ["a", "b", "c"], count, cells)
             with monkeypatch.context() as split:
                 split.setattr(fork_mod, "usable_cpus", lambda: cpus)
-                assert _csv_document(args, ["a", "b", "c"], columns) == want
+                assert _rows_document(args, ["a", "b", "c"], count, cells) == want
             assert want.count("\n") == count + 2 and ",inf\n" in want
 
     def test_csv_config_line_rejects_non_finite(self):
         args = build_parser().parse_args(["orbit"])
         args.dist_tol = math.nan
         with pytest.raises(ValueError):
-            _csv_document(args, ["step"], [])
+            _rows_document(args, ["step"], 0, lambda lo, hi: [range(lo, hi)])
+
+    def test_zero_row_table_ends_after_its_header(self):
+        args = build_parser().parse_args(["orbit"])
+
+        def cells(lo, hi):
+            return [range(lo, hi), range(lo, hi)]
+
+        text = _rows_document(args, ["a", "b"], 0, cells, escaped=False)
+        assert text.startswith("# config: ") and text.endswith("}\na,b\n")
+        assert text.count("\n") == 2
+        args.format = "json"
+        doc = strict_json(_rows_document(args, ["a", "b"], 0, cells, escaped=False))
+        assert doc["rows"] == [] and doc["escaped"] is False
+
+    def test_missing_stdout_writes_nothing_and_exits_zero(self, tmp_path, monkeypatch, capsys):
+        # the interpreter sets sys.stdout to None when it starts with fd 1
+        # closed: as for a closed pipe, nothing is written; --out still is
+        with monkeypatch.context() as closed:
+            closed.setattr(sys, "stdout", None)
+            assert main(["degree", "--max-n", "6"]) == 0
+            rc, out = run(tmp_path, "d.json", ["degree", "--max-n", "6"])
+        assert rc == 0 and json.loads(out.read_text())["degrees"] == [2, 2, 3, 3, 4, 4]
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["degree", "--max-n", "6"], ["orbit", "--n", "4000"]],
+                             ids=["degree", "split-orbit"])
+    def test_closed_fd_1_exits_zero(self, argv):
+        # started with fd 1 closed; the orbit CSV (4,001 rows) runs in two
+        # parts on two CPUs.  The command leads its own process group,
+        # which is gone when it has exited: no child outlives it
+        proc = subprocess.Popen([sys.executable, "-m", "jonq.cli", *argv],
+                                stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                preexec_fn=lambda: os.close(1), start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
     def test_unknown_flag_exits_two(self):
         proc = subprocess.run(
@@ -693,19 +740,21 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,absent", [
         (["accel", "--rho", "2", "--n", "200", "--samples", "4"],
-         ["degree", "maps", "linearize", "backend", "_fork"]),
+         ["degree", "maps", "linearize", "backend"]),
         (["lyapunov", "--s-steps", "3", "--n", "200", "--samples", "4"],
-         ["degree", "maps", "linearize", "backend", "_fork"]),
-        (["orbit", "--n", "50"], ["accel", "linearize", "degree", "_fork"]),
+         ["degree", "maps", "linearize", "backend"]),
+        (["orbit", "--n", "50"], ["accel", "linearize", "degree"]),
         (["classify", "--n", "20000"], ["accel", "linearize", "degree", "_fork"]),
         ([], ["degree", "_fork"]),
-        (["degree", "--max-n", "6", "--format", "csv"], ["maps", "cocycle", "_fork"]),
+        (["degree", "--max-n", "6", "--format", "csv"], ["maps", "cocycle"]),
+        (["degree", "--max-n", "6"], ["maps", "cocycle", "_fork"]),
         (["linearize", "--order", "12"], ["maps", "cocycle", "_fork"]),
     ])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
         # each command imports its own modules when it runs; with no
         # command, only ``import jonq.cli`` runs.  The fork helper loads
-        # only for a long orbit CSV or a wide kernel batch
+        # for a CSV table and a kernel batch, however short, and for
+        # nothing else
         code = (
             "import sys, jonq.cli; argv = sys.argv[2:]; "
             "rc = jonq.cli.main(argv + ['--out', sys.argv[1]]) if argv else 0; "

@@ -1176,6 +1176,28 @@ class TestSplitBatches:
         assert counts == [cpus]
         assert self.hexes(split) == self.hexes(serial)
 
+    @pytest.mark.parametrize("m", [0, 1, 257])
+    @pytest.mark.parametrize("kind", ["jonquieres_b", "btilde"])
+    def test_zero_steps_return_the_identity(self, kind, m):
+        # n = 0 is one part, as a batch too short to split: s_half is the
+        # identity's 1/2 ln 2, s is 0 (btilde's -1/2 ln|det I|, so -0.0)
+        # and p the identity, whatever the number of trajectories
+        sums = kernels.cocycle_sums(kind, ALPHA, 2.0, GOLDEN_FREQ, 0.0, np.array([]), None,
+                                    np.arange(m) / 257, 0)
+        identity = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        zero = -0.0 if kind == "btilde" else 0.0
+        assert [a.shape for a in sums] == [(m,), (m,), (m, 2, 2)]
+        assert self.hexes(sums) == [[float.hex(0.5 * math.log(2.0))] * m,
+                                    [float.hex(zero)] * m,
+                                    list(map(float.hex, identity * m))]
+
+    @pytest.mark.parametrize("kind", ["jonquieres_b", "btilde"])
+    def test_no_trajectories_return_empty_arrays(self, kind):
+        sums = kernels.cocycle_sums(kind, ALPHA, 2.0, GOLDEN_FREQ, 0.0, np.array([]), None,
+                                    np.array([]), 2000)
+        assert [(a.shape, a.dtype) for a in sums] == [
+            ((0,), np.float64), ((0,), np.float64), ((0, 2, 2), np.complex128)]
+
     def test_non_finite_sum_in_a_child_raises_the_same_error(self, monkeypatch):
         # the trajectories at rho = 3 (the last 100 of 300, so in the
         # child's part) return a NaN log-norm sum
