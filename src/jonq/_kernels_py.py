@@ -4,14 +4,14 @@ map orbits in projective x-coordinates.
 
 ``generator_entries`` is the one definition of the cocycle generator
 families (at given points y), with ``sqrt_branch_values`` for the
-square-root normalization; ``generators`` evaluates them at phases.
-``cocycle`` evaluates every generator through them, and so does the
-kernel, but for the jonquieres row update, which holds only the one entry
-that depends on y, y or y^2, as a per-trajectory constant times a per-step
-factor.  This module imports nothing from the package but its lazy NumPy
-binding, ``_lazy.np``.  ``generator_bounds`` is the one closed-form bound
-on the matrices the kernel multiplies: it sets both the renormalization
-interval and ``cocycle``'s ``Overflow`` check.
+square-root normalization.  ``cocycle.generator_values`` evaluates every
+generator through them, and so does the kernel, but for the jonquieres
+row update, which holds only the one entry that depends on y, y or y^2,
+as a per-trajectory constant times a per-step factor.  This module
+imports nothing from the package but its lazy NumPy binding,
+``_lazy.np``.  ``generator_bounds`` is the one closed-form bound on the
+matrices the kernel multiplies: it sets both the renormalization interval
+and ``cocycle``'s ``Overflow`` check.
 """
 
 import cmath
@@ -37,17 +37,6 @@ def sqrt_branch_values(alpha, rho, y):
         return outside
     small = np.sqrt(complex(alpha)) * np.sqrt(1.0 - y * y / alpha)
     return np.where(inside, small, outside)
-
-
-def generators(kind, alpha, rho, energy, potential, cmat, phases):
-    """Generator matrices at y = rho * exp(2 pi i phase): an (m, 2, 2)
-    complex array for m phases.  ``rho`` is a scalar or one radius per
-    phase."""
-    phases = np.asarray(phases, dtype=np.float64)
-    g = np.empty((2, 2, len(phases)), dtype=np.complex128)
-    y = rho * np.exp(2j * np.pi * phases)
-    generator_entries(kind, alpha, rho, energy, potential, cmat, y, g)
-    return g.transpose(2, 0, 1)
 
 
 def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
@@ -141,6 +130,12 @@ def generator_bounds(kind, alpha, rho, energy, potential, cmat):
             c = np.asarray(cmat, dtype=np.complex128)
             log_g2 = np.logaddexp.reduce(2.0 * np.log(np.abs(c)), axis=None)
             det = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+            if math.isnan(det):
+                # both products overflowed (inf - inf): take them at a
+                # power-of-two scale that keeps them finite
+                scale = 2.0 ** -math.frexp(float(np.abs(c).max()))[1]
+                m = c * scale
+                det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / scale / scale
         elif kind in ROW_POWER:
             w = ROW_POWER[kind]
             log_g2 = np.logaddexp(math.log(3.0), 2 * w * log_rho)

@@ -16,7 +16,7 @@ exp(2*pi*i*freq)):
 
 The formulas are defined once, in ``_kernels_py.generator_entries``
 (vectorized over points y); every evaluation here goes through it, by way
-of ``_kernels_py.generators`` (phase -> y -> matrix).  Estimates
+of :func:`generator_values` (phase -> y -> matrix).  Estimates
 at several radii (``lyapunov_many``, ``phase_values_many``) come from one
 kernel call that runs every radius on the same phases.
 """
@@ -32,7 +32,7 @@ from decimal import Decimal
 from . import _kernels_py as kernels
 from ._lazy import np
 from .algebra import GOLDEN_FREQ, KINDS, check_nonresonant, default_alpha
-from ._kernels_py import generators, sqrt_branch_values
+from ._kernels_py import sqrt_branch_values
 from .errors import Overflow, RadiusOne, SingularFactor
 
 
@@ -131,9 +131,13 @@ class LyapunovEstimate:
 
 def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
     """Generator matrices at y = rho * exp(2*pi*i*theta), one (2, 2) block
-    per phase in ``thetas``."""
+    per phase in ``thetas``: an (m, 2, 2) complex array for m phases."""
     kind, alpha, rho, _, energy, potential, cmat = _kernel_args(spec)
-    return generators(kind, alpha, rho, energy, potential, cmat, thetas)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    g = np.empty((2, 2, len(thetas)), dtype=np.complex128)
+    y = rho * np.exp(2j * np.pi * thetas)
+    kernels.generator_entries(kind, alpha, rho, energy, potential, cmat, y, g)
+    return g.transpose(2, 0, 1)
 
 
 def _check_generator_scale(spec: CocycleSpec, rho: np.ndarray) -> None:

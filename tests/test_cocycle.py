@@ -4,6 +4,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -611,32 +612,53 @@ REFERENCE_CASES = [
 ]
 
 
+# the benchmark ops' radii: the sweep op's ln rho grid, and the accel op's
+# centres with their +-h windows
+OP_RADII = (
+    [math.exp(-1.5 + 0.5 * i) for i in range(7)]
+    + [c * math.exp(d * DEFAULT_H) for c in (0.5, 2.0) for d in (-1, 0, 1)]
+)
+OP_CASES = [(kind, OP_RADII) for kind in KINDS if kind not in ("btilde", "constant")]
+OP_CASES += [
+    # btilde is undefined at rho = 1
+    ("btilde", [r for r in OP_RADII if r != 1.0] + [1 - 1e-6, 1 + 1e-6, 1e-5, 1e5]),
+    ("jonquieres_b", [1.0, 1.4e75]),
+    ("constant", [1.0]),
+]
+
+
+def assert_matches_every_step_reference(kind, rhos, thetas, n):
+    """The kernel at every radius in ``rhos`` and phase in ``thetas``
+    against ``every_step_products``: sparse renormalization and btilde
+    through the jonquieres_b matrices move L (full and half) by at most
+    1e-12, and |p| by less than 1e-9 (the directions agree up to a unit
+    phase; btilde's is prod b / |b|)."""
+    rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
+    s_half, s_full, p_full = kernel_call(kind, rho, phases, n)
+    want = kernel_call(kind, rho, phases, n, call=every_step_products)
+    assert np.max(np.abs(s_full - want[1])) / n <= 1e-12
+    assert np.max(np.abs(s_half - want[0])) / max(1, n // 2) <= 1e-12
+    assert np.max(np.abs(np.abs(p_full) - np.abs(want[2]))) < 1e-9
+
+
 class TestKernel:
     @pytest.mark.parametrize("kind,rhos", REFERENCE_CASES)
     def test_matches_every_step_reference(self, kind, rhos):
-        # sparse renormalization and btilde through the jonquieres_b
-        # matrices move L (full and half) by at most 1e-12
-        n, thetas = 2000, phase_samples(4, 7)
-        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
-        s_half, s_full, p_full = kernel_call(kind, rho, phases, n)
-        want = kernel_call(kind, rho, phases, n, call=every_step_products)
-        assert np.max(np.abs(s_full - want[1])) / n <= 1e-12
-        assert np.max(np.abs(s_half - want[0])) / (n // 2) <= 1e-12
-        # the directions agree up to a unit phase (btilde's is prod b / |b|)
-        assert np.max(np.abs(np.abs(p_full) - np.abs(want[2]))) < 1e-9
+        assert_matches_every_step_reference(kind, rhos, phase_samples(4, 7), 2000)
 
     @pytest.mark.parametrize("kind,rhos", REFERENCE_CASES)
     @pytest.mark.parametrize("n", [1, 2, 3, 257, 2001])
     def test_matches_every_step_reference_at_chunk_remainders(self, kind, rhos, n):
         # odd halves, and chunks of two lengths in one pass (n = 2001 runs
         # 7 chunks of 142 or 143 steps, then 7 of 143)
-        thetas = phase_samples(3, 11)
-        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
-        s_half, s_full, p_full = kernel_call(kind, rho, phases, n)
-        want = kernel_call(kind, rho, phases, n, call=every_step_products)
-        assert np.max(np.abs(s_full - want[1])) / n <= 1e-12
-        assert np.max(np.abs(s_half - want[0])) / max(1, n // 2) <= 1e-12
-        assert np.max(np.abs(np.abs(p_full) - np.abs(want[2]))) < 1e-9
+        assert_matches_every_step_reference(kind, rhos, phase_samples(3, 11), n)
+
+    @pytest.mark.parametrize("kind,rhos", OP_CASES)
+    def test_matches_every_step_reference_at_the_op_radii(self, kind, rhos):
+        # n = 2001 runs chunks of 142 and 143 steps, so every k of the
+        # ladder renormalizes inside a chunk.  At 16 phases each case is
+        # within 8.7e-14 of the reference on L and 4.2e-12 on |p|
+        assert_matches_every_step_reference(kind, rhos, phase_samples(16, 3), 2001)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 511, 512, 2001, 20000, 20001])
     def test_chunk_bounds(self, n):
@@ -752,9 +774,7 @@ class TestKernel:
         for i, part in enumerate(batch):
             want = np.concatenate([single[i] for single in singles])
             assert part.shape == want.shape and part.tobytes() == want.tobytes()
-        want = kernel_call("btilde", rho, phases, n, call=every_step_products)
-        assert np.max(np.abs(batch[1] - want[1])) / n <= 1e-12
-        assert np.max(np.abs(batch[0] - want[0])) / (n // 2) <= 1e-12
+        assert_matches_every_step_reference("btilde", rhos, thetas, n)
 
     @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "btilde"])
     def test_block_length_leaves_bits_unchanged(self, kind, monkeypatch):
@@ -830,11 +850,7 @@ class TestKernel:
         assert kernel_dets(kind, thetas[:1], n).min() < kernels.UNIT_CIRCLE_MARGIN
         assert unit_circle_intervals(kind, thetas, n).tolist() == [
             1, 64 if kind == "jonquieres_a" else 32]
-        got = kernel_call(kind, 1.0, thetas, n)
-        want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
-        assert np.all(np.isfinite(got[1]))
-        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
-        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
+        assert_matches_every_step_reference(kind, [1.0], thetas, n)
 
     @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b"])
     def test_unit_circle_hit_in_a_later_chunk(self, kind):
@@ -845,12 +861,8 @@ class TestKernel:
         assert n // 2 < lo < j < bounds[bounds.index(lo) + 1]
         thetas = np.array([hit_phase(kind, j), 0.3, 0.71])
         assert unit_circle_intervals(kind, thetas, n).tolist() == [1, 32, 32]
-        got = kernel_call(kind, 1.0, thetas, n)
-        want = kernel_call(kind, 1.0, thetas, n, call=every_step_products)
-        assert np.all(np.isfinite(got[1]))
-        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
-        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
-        for i, part in enumerate(got):
+        assert_matches_every_step_reference(kind, [1.0], thetas, n)
+        for i, part in enumerate(kernel_call(kind, 1.0, thetas, n)):
             want = np.concatenate([kernel_call(kind, 1.0, thetas[k:k + 1], n)[i]
                                    for k in range(len(thetas))])
             assert part.tobytes() == want.tobytes()
@@ -921,8 +933,9 @@ class TestKernel:
         thetas = np.arange(4096) / 4096
         log_g, det = kernel_bounds(kind, np.array(rhos))
         for i, rho in enumerate(rhos):
-            g = kernels.generators(family, ALPHA, rho, 0.4, KERNEL_POTENTIAL,
-                                   KERNEL_CMAT, thetas)
+            spec = CocycleSpec(kind=family, rho=rho, energy=0.4,
+                               potential=KERNEL_POTENTIAL, matrix=KERNEL_CMAT)
+            g = generator_values(spec, thetas)
             frob = np.sqrt((np.abs(g) ** 2).sum(axis=(1, 2)))
             assert frob.max() <= math.exp(log_g[i]) * (1 + 1e-12)
             assert det[i] <= np.abs(np.linalg.det(g)).min() * (1 + 1e-9)
@@ -970,8 +983,6 @@ def forty_digit_log_det_sums(rho, freq, thetas, n, phases):
     (2, len(thetas)) array, in 40 digits: at the kernel's float phases
     theta + x_j (``phases="kernel"``), which ``log_det_sums`` takes, or at
     the exact orbit theta + j freq of the float freq (``"exact"``)."""
-    import mpmath
-
     x = kernels.step_phases(np.arange(n), freq)
     sums = []
     with mpmath.workdps(40):
@@ -1051,8 +1062,6 @@ class TestLogDetSums:
 def forty_digit_units(freq, theta, n):
     """e^(4 pi i (theta + x_j)) for j < n in 40 digits, with x_j from
     ``step_phases``: y_j^2 / rho^2 at the kernel's float phases."""
-    import mpmath
-
     with mpmath.workdps(40):
         start = mpmath.mpf(theta)
         return [mpmath.expjpi(4 * (start + x)) for x in kernels.step_phases(np.arange(n), freq)]
@@ -1063,8 +1072,6 @@ def forty_digit_btilde_sums(rho, freq, thetas, n):
     array: ln|B_N|_F of the jonquieres_b product B_N at the kernel's float
     phases minus 1/2 sum_(j<N) ln|alpha - y_j^2|, for N = n // 2 and n
     (n >= 2).  The product renormalizes every 64 steps."""
-    import mpmath
-
     sums = []
     with mpmath.workdps(40):
         alpha, r2 = mpmath.mpc(ALPHA), mpmath.mpf(rho) ** 2
@@ -1221,203 +1228,131 @@ class TestSplitBatches:
         assert errors[0] == errors[1] and "rho=3.0" in errors[0]
 
 
-# --- frozen block set-up -----------------------------------------------------
-# A frozen copy of the pass that the per-trajectory constant and per-step
-# factor replaced: exp(2 pi i phase) for every distinct starting phase and
-# step, a take to the trajectories and a radius scale, and renormalization
-# every 1 to 8 steps.  It is the oracle for the kernel's numbers, run
-# through ``cocycle_sums`` with the intervals capped at 8, as the kernel
-# capped them; btilde's chunks reach it as jonquieres_b.
+# --- the bound against its closed forms in 50 digits ------------------------
 
-def frozen_chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
-                          intervals, chunks):
-    row_step = kind in ("jonquieres_a", "jonquieres_b")
-    starts, inverse = np.unique(thetas, return_inverse=True)
-    ends = np.searchsorted(intervals, [8, 1, 2, 1, 4, 1, 2, 1], side="right").tolist()
-    lo = np.array([chunk[0] for chunk in chunks])
-    lengths = [hi - start for start, hi in chunks]
-    c, m = len(lengths), len(rho)
-    p = np.zeros((2, 2, c, m), dtype=np.complex128)
-    p[0, 0] = p[1, 1] = 1.0
-    t = np.empty_like(p[0] if row_step else p)
-    a = np.empty(p.shape)
-    s = np.zeros((c, m))
-    block = max(1, kernels.BLOCK_ENTRIES * (4 if row_step else 1) // max(1, c * m))
-    if not row_step:
-        g = np.empty((2, 2, block, c, m), dtype=np.complex128)
-        q = np.empty_like(p)
-    done, live = 0, c
-    while live:
-        stop = min(done + block, lengths[live - 1])
-        steps = stop - done
-        phases = starts + ((lo[:live] + np.arange(done, stop)[:, None]) * freq)[..., None]
-        phases -= np.floor(phases)
-        y = np.exp(2j * np.pi * phases).take(inverse, axis=-1)
-        y *= rho
-        if row_step:
-            y = y if kind == "jonquieres_a" else y * y
-        else:
-            gb = g[:, :, :steps, :live]
-            kernels.generator_entries(kind, alpha, rho, energy, potential, cmat, y, gb)
-            col0, col1, qv = gb[:, 0], gb[:, 1], q[:, :, :live]
-        pv, tv = p[:, :, :live], t[..., :live, :]
-        row0, row1 = pv
-        for j in range(steps):
-            if row_step:
-                np.multiply(y[j], row1, out=tv)
-                row1 += row0
-                np.multiply(alpha, row0, out=row0)
-                row0 += tv
-            else:
-                np.multiply(col0[:, j, None], pv[0], out=qv)
-                np.multiply(col1[:, j, None], pv[1], out=tv)
-                qv += tv
-                p, q, pv, qv = q, p, qv, pv
-            count = done + j + 1
-            running = live
-            if count == lengths[live - 1]:
-                running = lengths.index(count)
-                kernels._renormalize(pv[:, :, running:], a[:, :, running:live],
-                                     s[running:live])
-                if not row_step:
-                    q[:, :, running:live] = p[:, :, running:live]
-            e = ends[count % 8]
-            if e and running:
-                kernels._renormalize(pv[:, :, :running, :e], a[:, :, :running, :e],
-                                     s[:running, :e])
-        done, live = stop, running
-    return p, s
+EPS = 2.0**-52
+# radii from the least subnormal to 1.7e308, and dense next to rho = 1,
+# where the edges of the large k lie
+BOUND_GRID = np.unique(np.concatenate([
+    np.geomspace(5e-324, 1.7e308, 200001), 1.0 + np.geomspace(2.2e-16, 0.5, 20001),
+    1.0 - np.geomspace(2.2e-16, 0.5, 20001), [1e-160, 1e-154, 1e75, 1.4e75, 1.5e75, 1e77],
+]))
 
 
-def frozen_generator_bounds(kind, alpha, rho, energy, potential, cmat):
-    """ln G as 0.5 ln G^2, which overflows to inf past the float range, and
-    D: the bound before its overflow-free form, frozen."""
-    rho = np.asarray(rho, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if kind == "constant":
-            c = np.asarray(cmat, dtype=np.complex128)
-            frob2 = np.full(rho.shape, float(np.sum(np.abs(c) ** 2)))
-            det = np.full(rho.shape, abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
-        elif kind == "jonquieres_a":
-            frob2, det = 3.0 + rho**2, np.abs(1.0 - rho)
-        elif kind in ("jonquieres_b", "btilde"):
-            frob2, det = 3.0 + rho**4, np.abs(1.0 - rho**2)
-        elif kind == "schrodinger":
-            bound = abs(energy) + abs(potential[0])
-            for k, c in enumerate(potential[1:], start=1):
-                bound = bound + abs(c) * 0.5 * (rho**k + rho**-k)
-            frob2, det = bound * bound + 2.0, np.ones(rho.shape)
-        else:
-            frob2, det = rho**2 + rho**-2, np.ones(rho.shape)
-        return 0.5 * np.log(frob2), det
+def closed_forms(kind, r, cmat=KERNEL_CMAT):
+    """``generator_bounds``' closed forms at the radius r (an mpf), with
+    ``kernel_bounds``' constants, in the working precision: (ln G, t, u),
+    with D = |t - u|.  D is the least |det A| over the circle: for the row
+    kinds |alpha| = 1, so |1 - rho^w| is the least |alpha - y^w| over
+    |y| = rho; the schrodinger and diagonal_power generators have det 1."""
+    if kind == "constant":
+        c = [mpmath.mpc(z) for z in np.ravel(cmat)]
+        return mpmath.log(sum(abs(z) ** 2 for z in c)) / 2, c[0] * c[3], c[1] * c[2]
+    one = mpmath.mpf(1)
+    if kind in kernels.ROW_POWER:
+        w = kernels.ROW_POWER[kind]
+        return mpmath.log(3 + r ** (2 * w)) / 2, one, r**w
+    if kind == "schrodinger":
+        v = mpmath.mpf(0.4) + KERNEL_POTENTIAL[0] + KERNEL_POTENTIAL[1] * (r + 1 / r) / 2
+        return mpmath.log(v**2 + 2) / 2, one, 0
+    return mpmath.log(r**2 + r**-2) / 2, one, 0
 
 
-OP_RADII = (
-    # the sweep op's ln rho grid, and the accel op's centres with their
-    # +-h windows
-    [math.exp(-1.5 + 0.5 * i) for i in range(7)]
-    + [c * math.exp(d * DEFAULT_H) for c in (0.5, 2.0) for d in (-1, 0, 1)]
-)
-ORACLE_CASES = [(kind, OP_RADII) for kind in KINDS if kind not in ("btilde", "constant")]
-ORACLE_CASES += [
-    # btilde is undefined at rho = 1
-    ("btilde", [r for r in OP_RADII if r != 1.0] + [1 - 1e-6, 1 + 1e-6, 1e-5, 1e5]),
-    ("jonquieres_b", [1.0, 1.4e75]),
-    ("constant", [1.0]),
-]
-
-
-class TestFrozenSetupOracle:
-    @pytest.mark.parametrize("kind,rhos", ORACLE_CASES)
-    def test_kernel_matches_the_frozen_setup(self, kind, rhos, monkeypatch):
-        # n = 2001 runs chunks of 142 and 143 steps, so every k of the
-        # ladder renormalizes inside a chunk
-        n, thetas = 2001, phase_samples(16, 3)
-        rho, phases = np.repeat(rhos, len(thetas)), np.tile(thetas, len(rhos))
-        got = kernel_call(kind, rho, phases, n)
-        intervals = kernels.renormalization_intervals
-        monkeypatch.setattr(kernels, "renormalization_intervals",
-                            lambda *args: np.minimum(intervals(*args), 8))
-        monkeypatch.setattr(kernels, "chunk_products", frozen_chunk_products)
-        want = kernel_call(kind, rho, phases, n)
-        assert np.max(np.abs(got[1] - want[1])) / n <= 1e-12
-        assert np.max(np.abs(got[0] - want[0])) / (n // 2) <= 1e-12
-        assert np.max(np.abs(np.abs(got[2]) - np.abs(want[2]))) < 1e-9
-
-
-def bound_decisions(bounds, kind, rho, cmat=KERNEL_CMAT):
-    """What the bound decides at each radius, with ``bounds`` in place of
-    ``generator_bounds``: the interval k of ``renormalization_intervals``,
-    negated where ``cocycle``'s check raises Overflow (G outside
-    [1e-150, 2e150])."""
-    log_g, _ = bounds(kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, cmat)
-    with mock.patch.object(kernels, "generator_bounds", bounds):
-        k = kernels.renormalization_intervals(kind, ALPHA, rho, GOLDEN_FREQ, 0.4,
-                                              KERNEL_POTENTIAL, cmat,
-                                              np.zeros(len(rho)), 1)
+def bound_decisions(kind, rho):
+    """What the bound decides at each radius: the interval k of
+    ``renormalization_intervals``, negated where ``cocycle``'s check raises
+    Overflow (G outside [1e-150, 2e150])."""
+    log_g, _ = kernel_bounds(kind, rho)
+    k = kernel_call(kind, rho, np.zeros(len(rho)), 1, call=kernels.renormalization_intervals)
     inside = (log_g >= math.log(1e-150)) & (log_g <= math.log(2e150))
     return np.where(inside, k, -k)
 
 
+def closed_form_decision(kind, rho):
+    """``bound_decisions`` at one radius, from ``closed_forms`` in 50 digits."""
+    with mpmath.workdps(50):
+        log_g, t, u = closed_forms(kind, mpmath.mpf(rho))
+        per_step = max(log_g, log_g - mpmath.log(abs(t - u)))
+        k = max(2**j for j in range(8) if j == 0 or 2**j * per_step <= 150 * mpmath.ln10 - mpmath.ln2)
+        inside = mpmath.log(mpmath.mpf("1e-150")) <= log_g <= mpmath.log(mpmath.mpf("2e150"))
+    return k if inside else -k
+
+
+def edge_condition(kind, rho, overflow):
+    """kappa of the edge at ``rho``: the moduli that the float bound rounds
+    (ln rho, ln G, ln D and D's terms over D) over the slope, in ln rho, of
+    what the edge thresholds (ln G, or the per-step bound at a k edge), so
+    that an error of eps in each moves the edge by eps kappa rho."""
+    def threshold(x):
+        log_g, t, u = closed_forms(kind, mpmath.exp(x))
+        return log_g if overflow else max(log_g, log_g - mpmath.log(abs(t - u)))
+
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rho)
+        log_g, t, u = closed_forms(kind, r)
+        det = abs(t - u)
+        moduli = abs(mpmath.log(r)) + abs(log_g) + abs(mpmath.log(det)) + (abs(t) + abs(u)) / det
+        return float(moduli / abs(mpmath.diff(threshold, mpmath.log(r))))
+
+
+def first_past_edges(decide, lo, hi):
+    """Bisection on the float's bits: for each pair of radii (int64 bits)
+    in ``lo`` and ``hi`` that ``decide`` decides apart, the bits of the
+    first radius past the edge, decided as hi is."""
+    left = decide(lo.view(np.float64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        same = decide(mid.view(np.float64)) == left
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return hi
+
+
 class TestOverflowFreeBound:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_decisions_are_those_of_the_squared_form(self, kind):
-        # ln G, summed in logs, decides the Overflow check
-        # (1e-150 <= G <= 2e150) and the interval k as the frozen
-        # 0.5 ln G^2 decides them at every radius of the grid, and is
-        # within 4 ulps of it wherever G^2 is a float; where G^2
-        # overflows, ln G is finite and past 2e150, as the overflow was
-        rho = np.concatenate([np.geomspace(5e-324, 1.7e308, 200001),
-                              [1e-160, 1e-154, 1e75, 1.4e75, 1.5e75, 1e77, 1e155]])
-        cmat = KERNEL_CMAT * (1e160 if kind == "constant" else 1.0)
-        for matrix in (KERNEL_CMAT, cmat):
-            log_g, det = kernels.generator_bounds(kind, ALPHA, rho, 0.4,
-                                                  KERNEL_POTENTIAL, matrix)
-            want_g, want_det = frozen_generator_bounds(kind, ALPHA, rho, 0.4,
-                                                       KERNEL_POTENTIAL, matrix)
-            assert det.tobytes() == want_det.tobytes()
-            got = bound_decisions(kernels.generator_bounds, kind, rho, matrix)
-            want = bound_decisions(frozen_generator_bounds, kind, rho, matrix)
-            assert got.tobytes() == want.tobytes()
-            finite = np.isfinite(want_g)
-            assert np.all(np.abs(log_g[finite] - want_g[finite])
-                          <= 4 * np.spacing(want_g[finite]))
-            assert np.all(np.isfinite(log_g[~finite]))
-            assert np.all(log_g[~finite] > math.log(2e150))
-        if kind not in ("constant", "btilde"):
-            assert not finite.all()
+    def test_det_bound_is_its_50_digit_closed_form(self, kind):
+        # D = |t - u| within c eps kappa D of its closed form in 50 digits,
+        # c = 1 and kappa = (|t| + |u|) / D, at every 32nd radius of the
+        # grid (rho^w and t - u each round once; the largest measured c is
+        # 0.73), or inf where the closed form is past the float range (a
+        # constant's D at 1e160 times the matrix)
+        rho = BOUND_GRID[::32]
+        for cmat in (KERNEL_CMAT, 1e160 * KERNEL_CMAT):
+            _, det = kernels.generator_bounds(kind, ALPHA, rho, 0.4, KERNEL_POTENTIAL, cmat)
+            with mpmath.workdps(50):
+                for r, got in zip(rho, det.tolist()):
+                    _, t, u = closed_forms(kind, mpmath.mpf(r), cmat)
+                    want = abs(t - u)
+                    assert (abs(got - want) <= EPS * (abs(t) + abs(u))
+                            or got == float(want) == math.inf), r
 
     @pytest.mark.parametrize("kind", ["jonquieres_a", "jonquieres_b", "schrodinger",
                                       "diagonal_power"])
-    def test_decision_edges_move_at_most_128_ulps(self, kind):
-        # every radius where the frozen form's k or Overflow decision
-        # changes, found by bisection on the float's bits between two grid
-        # radii that it decides apart (the grid is dense next to rho = 1,
-        # where the edges of the large k lie): 16 per kind.  btilde's
-        # bound is jonquieres_b's, and a constant's does not depend on rho.
-        # Within 4096 ulps of each edge, every radius where the two forms
-        # decide apart is at most 128 ulps past it (the largest at the time
-        # of writing: 80 for schrodinger, 5 for jonquieres_a)
-        near = np.geomspace(2.2e-16, 0.5, 20001)
-        rho = np.unique(np.concatenate([np.geomspace(5e-324, 1.7e308, 200001),
-                                        1.0 - near, 1.0 + near]))
-        bits = rho.view(np.int64)
-        before = bound_decisions(frozen_generator_bounds, kind, rho)
+    def test_decision_edges_are_the_50_digit_edges(self, kind):
+        # the 16 radii where the float bound's k or Overflow decision
+        # changes (btilde's bound is jonquieres_b's, and a constant's does
+        # not depend on rho), by bisection on the float's bits between two
+        # grid radii that it decides apart.  The closed forms in 50 digits
+        # decide alike at every 64th grid radius and 2^14 ulps to either
+        # side of each edge, and their edge is within
+        # 1 + c eps kappa rho / ulp(rho) ulps, c = 1 (the largest measured c
+        # is 0.66; the farthest edges, k = 2 -> 1 at 7.1e74, are 252 ulps
+        # apart)
+        exact = np.vectorize(functools.partial(closed_form_decision, kind), otypes=[np.int64])
+        decide = functools.partial(bound_decisions, kind)
+        before = decide(BOUND_GRID)
+        assert exact(BOUND_GRID[::64]).tolist() == before[::64].tolist()
         i = np.flatnonzero(before[1:] != before[:-1])
-        lo, hi = bits[i], bits[i + 1]
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            left = bound_decisions(frozen_generator_bounds, kind,
-                                   mid.view(np.float64)) == before[i]
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        # hi is the first radius past each edge
-        assert len(hi) == 16
-        window = (hi[:, None] + np.arange(-4096, 4097)).ravel()
-        radii = window.view(np.float64)
-        apart = (bound_decisions(kernels.generator_bounds, kind, radii)
-                 != bound_decisions(frozen_generator_bounds, kind, radii))
-        offset = (window - np.repeat(hi, 8193))[apart]
-        assert np.all(np.where(offset >= 0, offset + 1, -offset) <= 128)
+        bits = BOUND_GRID.view(np.int64)
+        got = first_past_edges(decide, bits[i], bits[i + 1])
+        assert len(got) == 16
+        lo, hi = got - 2**14, got + 2**14
+        assert exact(lo.view(np.float64)).tolist() == before[i].tolist()
+        assert exact(hi.view(np.float64)).tolist() == before[i + 1].tolist()
+        want = first_past_edges(exact, lo, hi)
+        overflow = np.abs(before[i]) == np.abs(before[i + 1])
+        for g, w, edge, over in zip(got, want, want.view(np.float64), overflow):
+            kappa = edge_condition(kind, edge, over)
+            assert abs(int(g - w)) <= 1 + EPS * kappa * edge / np.spacing(edge), edge
 
     @pytest.mark.parametrize("kind,rho", [
         ("jonquieres_a", 1e200), ("jonquieres_a", 1e308),
@@ -1432,20 +1367,8 @@ class TestOverflowFreeBound:
     def test_log_bound_past_the_float_range(self, kind, rho):
         # ln G against the closed form in 50-digit arithmetic, past the
         # float range of G^2 and inside it
-        import mpmath
-
         with mpmath.workdps(50):
-            r = mpmath.mpf(rho)
-            if kind == "jonquieres_a":
-                g2 = 3 + r**2
-            elif kind in ("jonquieres_b", "btilde"):
-                g2 = 3 + r**4
-            elif kind == "schrodinger":
-                v = 0.4 + KERNEL_POTENTIAL[0] + KERNEL_POTENTIAL[1] * (r + 1 / r) / 2
-                g2 = v**2 + 2
-            else:
-                g2 = r**2 + r**-2
-            want = float(mpmath.log(g2) / 2)
+            want = float(closed_forms(kind, mpmath.mpf(rho))[0])
         log_g, _ = kernel_bounds(kind, np.array([rho]))
         assert abs(log_g[0] - want) <= 4e-16 * abs(want)
 

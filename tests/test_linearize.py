@@ -3,7 +3,7 @@ import hashlib
 import math
 import random
 
-import numpy as np
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +30,7 @@ from jonq.linearize import (
 from jonq.maps import MapParams
 
 P = MapParams.from_angles(DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ)
+EPS = 2.0**-52
 
 
 # --- independent residual oracle -------------------------------------------
@@ -115,126 +116,79 @@ def oracle_residuals(a, b, c, alpha, beta, order):
     return e1, e2, e3
 
 
-# --- frozen NumPy solver ----------------------------------------------------
-# A frozen copy of the solver that the coefficient-at-a-time tuple solver
-# replaced: every identity evaluated on whole coefficient arrays, each
-# complex product from four real products and two real sums, as Python
-# rounds it.  It is the oracle for the bits of a, b, c and the divisor floor.
+# --- 40-digit solve ---------------------------------------------------------
+# The module's own identities on mpmath numbers, from the float alpha and
+# beta, measure the float solve's rounding (``oracle_residuals`` checks the
+# identities themselves).
 
-def np_times(z, w):
-    re = z.real * w.real - z.imag * w.imag
-    im = z.real * w.imag + z.imag * w.real
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+class Magnitude:
+    """|z| in an arithmetic where a sum or difference adds moduli: an
+    identity evaluated on Magnitudes is the sum of the moduli of the terms
+    that it adds."""
 
+    def __init__(self, z):
+        self.m = abs(z)
 
-def np_mul(u, v):
-    n = len(u)
-    terms = np_times(u[:, None], v[None, :n])
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        out[i:] += terms[i, : n - i]
-    return out
+    def __abs__(self):
+        return self.m
 
+    def __add__(self, other):
+        return Magnitude(self.m + abs(other))
 
-def np_shift(u):
-    return np.concatenate(([0j], u[:-1]))
+    __radd__ = __sub__ = __rsub__ = __add__
 
+    def __neg__(self):
+        return self
 
-def np_scale_argument(u, c):
-    powers = [1.0 + 0j]
-    for _ in range(len(u) - 1):
-        powers.append(powers[-1] * c)
-    return np_times(np.array(powers), u)
+    def __mul__(self, other):
+        return Magnitude(self.m * abs(other))
 
+    __rmul__ = __mul__
 
-def np_x2_identity(a, b, c, alpha, beta):
-    ib2 = 1.0 / (beta * beta)
-    a_, c_ = np_scale_argument(a, ib2), np_scale_argument(c, ib2)
-    al2 = alpha * alpha
-    a_c, a_a, c_a, c_c = np_mul(a_, c), np_mul(a_, a), np_mul(c_, a), np_mul(c_, c)
-    return (
-        np_times(beta, a_c)
-        + np_times(beta, a_a)
-        - c_a
-        + np_times(alpha, a_a)
-        + np_shift(np_times(al2, a_c) - np_times(alpha, c_c) - c_c - c_a)
-    )
+    def __truediv__(self, other):
+        return Magnitude(self.m / abs(other))
+
+    def __rtruediv__(self, other):
+        return Magnitude(abs(other) / self.m)
 
 
-def np_x1_identity(a, b, c, alpha, beta):
-    ib2 = 1.0 / (beta * beta)
-    a_, b_, c_ = (np_scale_argument(s, ib2) for s in (a, b, c))
-    al2 = alpha * alpha
-    b_c, bc_ = np_mul(b_, c), np_mul(b, c_)
-    return (
-        np_times(beta, a_)
-        - np_times(beta, a)
-        + np_shift(
-            np_times(al2, a_) - np_times(alpha * beta, c) - np_times(beta, c)
-            - np_times(beta, a) - np_times(alpha, c_) - c_
-        )
-        + np_times(beta * (alpha + beta), np_mul(a, b_))
-        + np_times(alpha + beta, np_mul(b, a_))
-        + np_times(beta * beta, b_c)
-        - bc_
-        + np_shift(np_times(al2 * beta, b_c) - bc_)
-    )
+def forty_digit_error(p, order):
+    """The float solve's largest error |float - exact| / max(1, |exact|)
+    against a, b and c solved in 40 digits, and its bound order eps kappa.
 
-
-def np_x0_identity(a, b, c, alpha, beta):
-    b_ = np_scale_argument(b, 1.0 / (beta * beta))
-    al2 = alpha * alpha
-    forcing = np.zeros(len(b), dtype=complex)
-    forcing[1:2] = alpha + 1.0
-    return (
-        forcing
-        + b
-        - np_times(beta, b_)
-        - np_shift(np_times(al2, b_))
-        + np_shift(b)
-        - np_times(alpha + beta, np_mul(b_, b))
-    )
-
-
-# near-resonant pairs overflow to inf and nan, as the frozen solver did
-@np.errstate(over="ignore", invalid="ignore")
-def np_solve_coefficients(p, order, divisor_floor=1e-8):
-    """(a, b, c, small_divisor_floor) as arrays and a float, or the error
-    the frozen solver raises."""
-    alpha, beta = p.alpha, p.beta
-    a, b, c = (np.zeros(order + 1, dtype=complex) for _ in range(3))
-    a[0], c[0] = 1.0 - beta, alpha + beta
-    floor_seen = float("inf")
-
-    def scale():
-        return max(1.0, float(np.abs(np.concatenate((a, b, c))).max()))
-
-    for nu in range(1, order + 1):
-        series = [s[: nu + 1] for s in (a, b, c)]
-        for identity, i, div in (
-            (np_x0_identity, 1, 1.0 - beta ** (1 - 2 * nu)),
-            (np_x1_identity, 0, beta ** (1 - 2 * nu) - beta),
-            (np_x2_identity, 2, (1.0 - beta) * (beta - beta ** (-2 * nu))),
-        ):
-            resid = identity(*series, alpha, beta)[nu]
-            bumped = list(series)
-            bumped[i] = series[i].copy()
-            bumped[i][nu] = 1.0
-            linear = identity(*bumped, alpha, beta)[nu] - resid
-            if abs(linear - div) > 1e-9 * scale():
-                raise ArithmeticError(f"{'abc'[i]}-divisor cross-check failed at order {nu}")
-            floor_seen = min(floor_seen, abs(div))
-            if abs(div) < divisor_floor:
-                raise SmallDivisor(nu, abs(div))
-            series[i][nu] = -complex(resid) / div
-    if floor_seen >= 1e-4:
-        norms = [float(np.abs(f(a, b, c, alpha, beta)).max())
-                 for f in (np_x2_identity, np_x1_identity, np_x0_identity)]
-        if max(norms) > 1e-10 * scale():
-            raise ArithmeticError("solved series leave residuals")
-    return a, b, c, floor_seen
+    In a second 40-digit solve each coefficient x moves, at a seeded random
+    phase, by eps times the moduli of the terms that the float solve rounds
+    to reach it (the residual that it reads, and the divisor times x) over
+    |divisor|; kappa eps is the largest relative move once these propagate.
+    A sum of order terms rounds to at most order eps times their moduli.
+    """
+    rng = random.Random(0)
+    with mpmath.workdps(40):
+        alpha, beta = mpmath.mpc(p.alpha), mpmath.mpc(p.beta)
+        exact = [[1 - beta], [mpmath.mpc(0)], [alpha + beta]]
+        moved = [list(s) for s in exact]
+        for nu in range(1, order + 1):
+            for s in exact + moved:
+                s.append(mpmath.mpc(0))
+            # b_nu, a_nu and c_nu, as the solver reads them, their divisors,
+            # and the moduli of the divisors' terms (|beta| = 1)
+            for i, identity, div, div_terms in zip(
+                (1, 0, 2), (x0_identity, x1_identity, x2_identity),
+                (1 - beta ** (1 - 2 * nu), beta ** (1 - 2 * nu) - beta,
+                 (1 - beta) * (beta - beta ** (-2 * nu))),
+                (2, 2, 4),
+            ):
+                x = exact[i][nu] = -identity(nu, *exact, alpha, beta) / div
+                moduli = [[Magnitude(z) for z in s] for s in exact]
+                terms = abs(identity(nu, *moduli, Magnitude(alpha), Magnitude(beta)))
+                rounding = EPS * (terms + abs(x) * div_terms) / abs(div)
+                moved[i][nu] = (-identity(nu, *moved, alpha, beta) / div
+                                + rounding * mpmath.expjpi(2 * rng.random()))
+        exact = sum(exact, [])
+        coeffs = solve_coefficients(p, order)
+        error, kappa = (max(abs(y - x) / max(1, abs(x)) for x, y in zip(exact, other))
+                        for other in (coeffs.a + coeffs.b + coeffs.c, sum(moved, [])))
+        return float(error), order * float(kappa)
 
 
 def _bits(series):
@@ -524,40 +478,36 @@ class TestSolve:
         )
 
 
-class TestFrozenSolverBits:
-    """a, b, c and the divisor floor equal the frozen NumPy solver's, by
-    ``float.hex``."""
+class TestFortyDigitSolve:
+    """The float solve within c order eps kappa of the 40-digit solve, c = 1
+    and kappa from ``forty_digit_error``: its error is that of rounding.
+    Over these cases, 200 drawn pairs and 177 next to freq 1/2, 1/3, 1/4,
+    2/3 and 1/5, error / bound was at most 0.19 (median 0.007)."""
 
-    @staticmethod
-    def assert_same_bits(params, order):
-        try:
-            a, b, c, floor = np_solve_coefficients(params, order)
-        except (SmallDivisor, ArithmeticError) as exc:
-            with pytest.raises(type(exc)):
-                solve_coefficients(params, order)
-            return
-        coeffs = solve_coefficients(params, order)
-        for got, want in zip((coeffs.a, coeffs.b, coeffs.c), (a, b, c)):
-            assert _bits(got) == _bits(want.tolist())
-        assert coeffs.small_divisor_floor.hex() == floor.hex()
+    # default: errors 9.7e-15 and 2.7e-14, kappa 505 and 4,720; near-resonant
+    # (0.77, 1/7 + 1e-5): the coefficients pass 1e25 by order 40, a_7 is
+    # 1.55e-9 off, and kappa is 6.1e7
+    @pytest.mark.parametrize("order", [12, 40])
+    @pytest.mark.parametrize("params", [P, MapParams.from_angles(0.77, 1.0 / 7.0 + 1e-5)],
+                             ids=["default", "near-resonant"])
+    def test_error_within_the_condition_bound(self, params, order):
+        error, bound = forty_digit_error(params, order)
+        assert error <= bound
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         alpha_angle=st.floats(0.0, 1.0, exclude_max=True),
         freq=st.floats(1e-3, 1.0 - 1e-3),
-        order=st.integers(1, 60),
+        order=st.integers(1, 30),
     )
     def test_drawn_pairs(self, alpha_angle, freq, order):
         try:
             check_nonresonant(freq)
-        except ResonantParameter:
+            error, bound = forty_digit_error(MapParams.from_angles(alpha_angle, freq), order)
+        except (ResonantParameter, SmallDivisor, ArithmeticError):
+            # the solver's own refusals
             assume(False)
-        self.assert_same_bits(MapParams.from_angles(alpha_angle, freq), order)
-
-    @pytest.mark.parametrize("order", [12, 40, 120])
-    def test_near_resonant_pair(self, order):
-        # (0.77, 1/7 + 1e-5): the coefficients pass 1e25 by order 40
-        self.assert_same_bits(MapParams.from_angles(0.77, 1.0 / 7.0 + 1e-5), order)
+        assert error <= bound
 
 
 class TestNumericConjugacy:

@@ -124,8 +124,9 @@ _ESCAPE_X0 = -(1.0 + 0.5) / (1.0 + P.alpha)  # step 1 lands exactly on x = -1
 
 
 def per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n):
-    """A frozen copy of ``kernels.orbit_points`` as one loop over the steps,
-    with a substep loop for f2 and a map test at every step."""
+    """The g and f2 orbit loops, step by step: one loop over the steps,
+    with a substep loop for f2 and a map test at every step, in the
+    arithmetic that ``kernels.orbit_points`` must keep to the bit."""
     u, v, ys = np.empty((3, n + 1), dtype=np.complex128)
     a, b, one = complex(alpha), complex(beta), 1.0 + 0j
     cu, cv, cy = complex(x_num), complex(x_den), complex(y0)
@@ -208,8 +209,8 @@ class TestOrbitProperties:
         got = kernels.orbit_points(which, alpha, beta, x_num, x_den, y0, n)
         want = per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n)
         assert got[3] == want[3] == counts[which]
-        for part, frozen in zip(got[:3], want[:3]):
-            assert len(part) == counts[which] and part.tobytes() == frozen.tobytes()
+        for part, loop in zip(got[:3], want[:3]):
+            assert len(part) == counts[which] and part.tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("which", ["f", "g", "f2"])
     @settings(max_examples=40, deadline=None, derandomize=True)
