@@ -16,7 +16,6 @@ and ``cocycle``'s ``Overflow`` check.
 
 import cmath
 import math
-from itertools import chain
 
 from ._lazy import np
 
@@ -558,57 +557,41 @@ def chunk_products(kind, alpha, rho, freq, energy, potential, cmat, thetas,
     return p, s
 
 
-def orbit_points(which, alpha, beta, x_num, x_den, y0, n):
-    """Iterate the map ``which`` ("f", "g" or "f2") n times in projective
-    x-coordinates (u : v), normalized by v: a finite x is (x, 1), and
-    infinity is exactly (1, 0), taken when the new v is an exact 0.
-
-    f steps use ``maps.apply_f``'s arithmetic, so f orbits are its numbers
-    to the bit, and a passage through infinity is exact (normalizing by the
-    larger modulus left v a few ulps off 0).  Returns ``(u, v, y, count)``;
-    count < n + 1 only when an exact indeterminacy hit (u = v = 0)
-    truncated the orbit.
+def orbit_points(which, alpha, beta, x0, y0, n):
+    """Iterate the map ``which`` ("f" or "g") n times from (x0, y0), x0
+    None for infinity: each step is the projective action on x of the
+    map's fiber matrix in the arithmetic of its one-step function,
+    ``maps.apply_f`` or ``maps.InvertedSquareMap.apply``, so the orbits are
+    theirs to the bit, and x is infinity where the denominator is an exact
+    0.  Returns ``(u, finite, y, count)``: x = u where the boolean mask
+    ``finite`` holds (u = 1 elsewhere); count < n + 1 only when an exact
+    indeterminacy hit (numerator and denominator 0) truncated the orbit.
     """
-    if which not in ("f", "g", "f2"):
+    if which not in ("f", "g"):
         raise ValueError(f"unknown map {which!r}")
-    u, v, ys = np.empty((3, n + 1), dtype=np.complex128)
+    u, ys = np.empty((2, n + 1), dtype=np.complex128)
+    finite = np.empty(n + 1, dtype=bool)
     a, b, one = complex(alpha), complex(beta), 1.0 + 0j
-    cu, cv, cy = complex(x_num), complex(x_den), complex(y0)
-    if cv != 1:
-        cu, cv = (one, 0j) if cv == 0 else (cu / cv, one)
-    u[0], v[0], ys[0] = cu, cv, cy
+    cu, fin = (one, False) if x0 is None else (complex(x0), True)
+    cy = complex(y0)
+    u[0], finite[0], ys[0] = cu, fin, cy
     count = n + 1
-    if which == "g":
-        # the step's constants; every product keeps its left-to-right order
-        a1, ab, aa, bb = a + 1.0, a + b, a * a, b * b
-        for k in range(1, n + 1):
-            nu = (1.0 + cy) * cu + a1 * cy * cv
-            nv = ab * cu + (b + aa * cy) * cv
+    # G's matrix constants; every product keeps its left-to-right order
+    g, a1, ab, aa, bb = which == "g", a + 1.0, a + b, a * a, b * b
+    for k in range(1, n + 1):
+        if g:
+            m00 = 1.0 + cy
+            nu, nv = (m00 * cu + a1 * cy, ab * cu + (b + aa * cy)) if fin else (m00, ab)
             cy = cy / bb
-            if nv != 0:
-                cu, cv = nu / nv, one
-            elif nu != 0:
-                cu, cv = one, 0j
-            else:
-                count = k
-                break
-            u[k], v[k], ys[k] = cu, cv, cy
-    else:
-        # point k of f2 is two f steps: the first one's point is stored in
-        # slot k and overwritten by the second's
-        points = range(1, n + 1)
-        if which == "f2":
-            points = chain.from_iterable(zip(points, points))
-        for k in points:
-            # projective_action of [[alpha, y], [1, 1]], as apply_f
-            nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
+        else:
+            nu, nv = (a * cu + cy, one * cu + one) if fin else (a, one)
             cy = b * cy
-            if nv != 0:
-                cu, cv = nu / nv, one
-            elif nu != 0:
-                cu, cv = one, 0j
-            else:
-                count = k
-                break
-            u[k], v[k], ys[k] = cu, cv, cy
-    return u[:count], v[:count], ys[:count], count
+        if nv != 0:
+            cu, fin = nu / nv, True
+        elif nu != 0:
+            cu, fin = one, False
+        else:
+            count = k
+            break
+        u[k], finite[k], ys[k] = cu, fin, cy
+    return u[:count], finite[:count], ys[:count], count

@@ -1,10 +1,11 @@
-"""The one NumPy binding of ``_kernels_py``, ``cocycle`` and ``accel``.
+"""The package's one NumPy binding, read by ``_kernels_py``, ``cocycle``,
+``accel``, ``maps`` and the ``orbit`` command.
 
 ``np`` is NumPy loaded lazily: importing this module finds NumPy but does
-not run it, and the first attribute read of ``np`` imports it.  So those
-modules import without NumPy, and what runs on Python floats alone (the
-segmented fit) runs without it; a kernel loads NumPy when it first runs.
-When NumPy is already imported, ``np`` is that module.
+not run it, and the first attribute read of ``np`` imports it.  So every
+module of the package imports without NumPy, and what runs on Python
+floats alone (the segmented fit) runs without it; a kernel loads NumPy
+when it first runs.  When NumPy is already imported, ``np`` is that module.
 """
 
 import importlib.util

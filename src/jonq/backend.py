@@ -6,11 +6,10 @@ modules it runs (see ``jonq.cli``).  A tracer imports it before wrapping,
 so that it finds loaded every module a command can run; it loads
 ``linearize`` too for that reason.
 
-``_kernels_py``, ``cocycle`` and ``accel`` bind NumPy lazily
-(``_lazy.np``), so they load it when a kernel first runs: ``import
-jonq.accel`` and the segmented fit, which runs on Python floats, run
-without NumPy.  ``maps`` imports NumPy itself, so importing this module
-loads it.
+``_kernels_py``, ``cocycle``, ``accel`` and ``maps`` bind NumPy lazily
+(``_lazy.np``), so they load it when they first use it: importing this
+module, and the segmented fit, which runs on Python floats, run without
+NumPy.
 """
 
 from . import _kernels_py as kernels

@@ -27,10 +27,10 @@ from .errors import JonqError
 # and ``accel`` for ``lyapunov`` and ``accel``, ``maps`` for ``orbit`` and
 # ``classify``, ``linearize`` and ``degree`` for their own commands.  So the
 # parser starts on ``algebra`` and ``errors`` alone.  The kernels,
-# ``cocycle`` and ``accel`` load NumPy when a kernel first runs; ``maps``
-# imports it.  ``jonq degree`` and ``jonq linearize`` are pure Python, so
-# they start without NumPy.  A tracer imports ``backend``, which loads every
-# module a command can run, before it wraps them.
+# ``cocycle``, ``accel`` and ``maps`` load NumPy when they first use it.
+# ``jonq degree`` and ``jonq linearize`` are pure Python, so they start
+# without NumPy.  A tracer imports ``backend``, which loads every module a
+# command can run, before it wraps them.
 
 CSV_EOL = "\n"
 # the part size is the threshold: _rows_document makes a CSV in parts of
@@ -222,16 +222,15 @@ def _orbit_start(args):
 
 
 def _cmd_orbit(args) -> str:
-    import numpy as np
-
     from . import maps
+    from ._lazy import np
 
     rec = maps.orbit(*_orbit_start(args), args.n, dist_tol=args.dist_tol)
     # at infinity the CSV writes inf, 0.0 and the JSON null, null
     at_infinity = (None, None) if args.format == "json" else (math.inf, 0.0)
 
     def cells(lo, hi):
-        u, finite_x, y = rec.u[lo:hi], rec.v[lo:hi] != 0, rec.y[lo:hi]
+        u, finite_x, y = rec.u[lo:hi], rec.finite[lo:hi], rec.y[lo:hi]
         return [
             range(lo, hi),
             np.where(finite_x, u.real, at_infinity[0]).tolist(),
@@ -272,9 +271,10 @@ def _cmd_linearize(args) -> str:
     )
     payload = linearize.coeffs_to_json(coeffs)
     payload["residuals"] = list(coeffs.residuals)
-    payload["radius_estimate"] = (
-        linearize.estimate_radius(coeffs) if args.order >= 8 else None
-    )
+    # the estimate over the first N // 2 orders too, to show how it moves
+    for key, order in (("radius_estimate", args.order),
+                       ("radius_estimate_half", args.order // 2)):
+        payload[key] = linearize.estimate_radius(coeffs, order) if order >= 8 else None
     return _json_document(args, payload)
 
 

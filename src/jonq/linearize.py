@@ -265,11 +265,11 @@ def verify_conjugacy_numeric(
     return worst
 
 
-def estimate_radius(coeffs: ConjugacyCoeffs) -> float:
+def estimate_radius(coeffs: ConjugacyCoeffs, order: int | None = None) -> float:
     """Inverse-limsup proxy for the convergence radius: exp of the negated
     least-squares slope of ln max(|a_nu|, |b_nu|, |c_nu|) over the top
-    half of orders."""
-    n = coeffs.order
+    half of the orders up to ``order`` (all of them by default)."""
+    n = coeffs.order if order is None else order
     if n < 8:
         raise ValueError("radius estimation needs order >= 8")
     mags = [max_abs(z) for z in zip(coeffs.a, coeffs.b, coeffs.c)]

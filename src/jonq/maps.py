@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels_py as kernels
+from ._lazy import np
 from .algebra import (
     INFINITY,
     MapParams,
@@ -42,8 +42,8 @@ class PointP1xC:
 
 @dataclass(frozen=True, eq=False)
 class OrbitRecord:
-    u: np.ndarray  # the kernel's arrays: x = u where v == 1, infinity
-    v: np.ndarray  # where v == 0 (see orbit_coordinates)
+    u: np.ndarray  # the kernel's arrays: x = u where finite,
+    finite: np.ndarray  # infinity elsewhere (see orbit_coordinates)
     y: np.ndarray
     indeterminacy_hits: tuple  # of (step, distance)
     escaped: bool  # some x passed through infinity (legal, tracked)
@@ -88,19 +88,19 @@ def orbit(p: MapParams, q: PointP1xC, n: int, dist_tol: float = 1e-8) -> OrbitRe
         raise ValueError("n must be at least 1")
     if not dist_tol >= 0.0:  # NaN fails too
         raise ValueError(f"dist_tol must be nonnegative, got {dist_tol!r}")
-    u, v, y = orbit_coordinates(p, q, n)
+    u, finite, y = orbit_coordinates(p, q, n)
     # the distance is at least |y - alpha|; the scalar distance decides
     near = np.flatnonzero(np.abs(y[: min(len(u), n)] - p.alpha) < 2.0 * dist_tol)
     hits = []
     for k in near.tolist():
-        x = complex(u[k]) if v[k] else INFINITY
+        x = complex(u[k]) if finite[k] else INFINITY
         d = _indeterminacy_distance(x, complex(y[k]), p.alpha)
         if d < dist_tol:
             hits.append((k, d))
     if len(u) <= n and hits[-1:] != [(len(u) - 1, 0.0)]:
         hits.append((len(u) - 1, 0.0))
-    return OrbitRecord(u=u, v=v, y=y, indeterminacy_hits=tuple(hits),
-                       escaped=bool((v[1:] == 0).any()))
+    return OrbitRecord(u=u, finite=finite, y=y, indeterminacy_hits=tuple(hits),
+                       escaped=not finite[1:].all())
 
 
 def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
@@ -110,7 +110,7 @@ def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
     The matrix products are renormalized every step; scalars cancel in the
     projective action, so the comparison is overflow-free.
     """
-    u, v, _ = orbit_coordinates(p, q, n)
+    u, finite, _ = orbit_coordinates(p, q, n)
     if len(u) <= n:
         raise IndeterminatePoint("f is indeterminate exactly at (-1, alpha)")
     rho = abs(q.y)
@@ -119,11 +119,11 @@ def matrix_orbit_equivalence(p: MapParams, q: PointP1xC, n: int) -> float:
     gens = generator_values(spec, np.mod(theta0 + np.arange(n) * p.freq, 1.0))
     prod = np.eye(2, dtype=np.complex128)
     worst = 0.0
-    for g, x, finite in zip(gens, u[1:].tolist(), v[1:].tolist()):
+    for g, x, fin in zip(gens, u[1:].tolist(), finite[1:].tolist()):
         prod = g @ prod
         prod = prod / np.linalg.norm(prod)
         x_mat = projective_action(prod, q.x)
-        worst = max(worst, chordal(x if finite else INFINITY, x_mat))
+        worst = max(worst, chordal(x if fin else INFINITY, x_mat))
     return worst
 
 
@@ -158,24 +158,31 @@ def semiconjugacy_check(p: MapParams, q: PointP1xC, n: int, other_root: bool = F
 
 @dataclass(frozen=True)
 class InvertedSquareMap:
-    """G = sigma f^2 sigma in closed form:
+    """G = sigma f^2 sigma in closed form: G(x, y) = (x', y / beta^2), x'
+    the projective action on x of the fiber matrix
 
-        G(x, y) = ((x(1 + y) + (alpha + 1) y) /
-                   (beta + (alpha + beta) x + alpha^2 y),  y / beta^2)
+        [[1 + y, (alpha + 1) y], [alpha + beta, beta + alpha^2 y]].
 
-    Nothing is checked at construction.  Tier-1 checks the closed form
-    against sigma f f sigma (``TestInvertedSquareMap::
+    ``apply`` is G's one step: it takes and returns INFINITY, and raises
+    :class:`IndeterminatePoint` where numerator and denominator vanish.
+    The orbit kernel's g loop is its arithmetic: ``TestOrbitProperties::
+    test_kernel_is_apply_g_to_the_bit`` checks g orbits against iterated
+    ``apply`` to the bit, with the kernel's finite mask where x' is
+    INFINITY.  Nothing is checked at construction.  Tier-1 checks the closed
+    form against sigma f f sigma (``TestInvertedSquareMap::
     test_composition_identity``) and the triangular Jacobian at the origin,
     with diagonal (1/beta, 1/beta^2), against a finite-difference oracle
     (``test_jacobian_eigenvalues_against_fd_oracle``)."""
 
     params: MapParams
 
-    def apply(self, x: complex, y: complex):
-        p = self.params
-        num = x * (1.0 + y) + (p.alpha + 1.0) * y
-        den = p.beta + (p.alpha + p.beta) * x + p.alpha**2 * y
-        return num / den, y / p.beta**2
+    def apply(self, x, y: complex):
+        a, b = self.params.alpha, self.params.beta
+        m = np.array([[1.0 + y, (a + 1.0) * y], [a + b, b + a * a * y]])
+        try:
+            return projective_action(m, x), y / (b * b)
+        except IndeterminateAction:
+            raise IndeterminatePoint("G is indeterminate at this point")
 
     def jacobian_origin(self):
         """Exact DG(0, 0): [[1/beta, (alpha+1)/beta], [0, 1/beta^2]]."""
@@ -214,14 +221,21 @@ def fixed_points(p: MapParams) -> tuple:
 def orbit_coordinates(
     p: MapParams, q: PointP1xC, n: int, which: str = "f"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbit arrays (u, v, y) of ``which`` ("f", "g" or "f2") from
-    ``kernels.orbit_points``: x is (x, 1) or infinity (1, 0); fewer than
-    n + 1 points means an exact indeterminacy hit truncated the orbit."""
-    num, den = (1.0 + 0j, 0j) if is_infinity(q.x) else (complex(q.x), 1.0 + 0j)
-    u, v, y, _count = kernels.orbit_points(which, p.alpha, p.beta, num, den, q.y, int(n))
+    """Orbit arrays (u, finite, y) of ``which`` ("f", "g" or "f2") from
+    ``kernels.orbit_points``: x = u where the mask ``finite`` holds, else
+    infinity; f and g points are ``apply_f``'s and
+    ``InvertedSquareMap.apply``'s to the bit, f2's the even points of a
+    2n-step f orbit.  Fewer than n + 1 points means an exact indeterminacy
+    hit truncated the orbit (after a hit at f step k, f2 keeps (k + 1) // 2)."""
+    x0 = None if is_infinity(q.x) else complex(q.x)
+    if which == "f2":
+        u, finite, y, _count = kernels.orbit_points("f", p.alpha, p.beta, x0, q.y, 2 * int(n))
+        u, finite, y = u[::2], finite[::2], y[::2]
+    else:
+        u, finite, y, _count = kernels.orbit_points(which, p.alpha, p.beta, x0, q.y, int(n))
     if not (np.isfinite(u).all() and np.isfinite(y).all()):
         raise Overflow(f"the {which} orbit left the floating-point range")
-    return u, v, y
+    return u, finite, y
 
 
 def _spread_bits(idx: np.ndarray) -> np.ndarray:
@@ -290,8 +304,9 @@ def boxcount_rank(x: np.ndarray, y: np.ndarray, max_octave: int = 16) -> Closure
     w_lo, w_hi = window[0], window[-1]
     if counts[w_hi] < 10 * counts[w_lo]:
         raise InsufficientPoints("surviving window spans < 10x box-count growth")
-    window_slopes = [slopes[k] for k in range(w_lo, w_hi)]
-    med = float(np.median(window_slopes))
+    # the sorted slopes' middle value, or the mean of the middle two: the
+    # bits of np.median, which would load numpy.ma
+    med = statistics.median(slopes[w_lo:w_hi])
     rank = int(round(med))
     confidence = max(0.0, 1.0 - abs(med - rank))
     return ClosureClassification(
@@ -314,6 +329,5 @@ def classify_orbit_closure(
     """
     if n < 1000:
         raise ValueError("closure classification needs a long orbit")
-    u, v, y = orbit_coordinates(p, q, n, which)
-    finite = v != 0
+    u, finite, y = orbit_coordinates(p, q, n, which)
     return boxcount_rank(u[finite], y[finite])

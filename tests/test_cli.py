@@ -403,6 +403,18 @@ class TestClassifyCommand:
         assert doc["confidence"] >= 0.9
         assert doc["config"]["map"] == "g"
 
+    def test_leaves_numpy_ma_out(self, tmp_path):
+        # the box-count median is taken from the sorted slopes: np.median
+        # would load numpy.ma
+        code = (
+            "import sys, jonq.cli; "
+            "rc = jonq.cli.main(['classify', '--n', '20000', '--out', sys.argv[1]]); "
+            "print(rc, 'numpy._core' in sys.modules, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.json")],
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 True False\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["orbit", "--x0", "-1+0j", "--n", "4"],
@@ -458,6 +470,20 @@ class TestLinearizeCommand:
         assert main(["linearize", "--order", "12"]) == 0
         assert len(returned) == 1
         assert strict_json(capsys.readouterr().out)["residuals"] == list(returned[0])
+
+    @pytest.mark.parametrize("order,full,half", [(7, False, False), (8, True, False),
+                                                 (15, True, False), (16, True, True),
+                                                 (40, True, True)])
+    def test_radius_estimates(self, capsys, order, full, half):
+        # the estimate over all N orders from N = 8, and over the first
+        # N // 2 from N = 16: the coefficients do not depend on N
+        assert main(["linearize", "--order", str(order)]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        p = linearize_mod.MapParams.from_angles(doc["config"]["alpha_angle"],
+                                                doc["config"]["freq"])
+        want = [linearize_mod.estimate_radius(linearize_mod.solve_coefficients(p, n))
+                if used else None for n, used in ((order, full), (order // 2, half))]
+        assert [doc["radius_estimate"], doc["radius_estimate_half"]] == want
 
     def test_nan_in_json_is_numeric_error(self, monkeypatch, capsys):
         # no JSON document carries a NaN or Infinity token under exit 0

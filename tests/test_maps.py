@@ -1,6 +1,9 @@
 import cmath
 import math
 import random
+import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,11 @@ from jonq.maps import (
 )
 
 P = MapParams.from_angles(DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ)
+# alpha = 1: G is indeterminate exactly at (-1, 1)
+ALPHA_ONE = MapParams.from_angles(0.0, GOLDEN_FREQ)
+# alpha = -1: f is indeterminate exactly at (-1, -1), and from x = -1 or
+# infinity the orbit alternates between them
+ALPHA_MINUS_ONE = MapParams(alpha=-1.0 + 0j, beta=P.beta, freq=P.freq)
 
 
 class TestApply:
@@ -65,21 +73,22 @@ class TestOrbit:
     def test_fiber_modulus_invariant(self):
         q = PointP1xC(x=0.01 + 0j, y=0.01 * cmath.exp(1j * math.pi / 7))
         rec = orbit(P, q, 1000)
-        assert len(rec.u) == len(rec.v) == len(rec.y) == 1001
+        assert len(rec.u) == len(rec.finite) == len(rec.y) == 1001
         devs = [abs(abs(y) - 0.01) for y in rec.y.tolist()]
         assert max(devs) < 1e-12
 
     def test_exact_hit_truncates(self):
         q = PointP1xC(x=-1.0 + 0j, y=P.alpha)
         rec = orbit(P, q, 100)
-        assert len(rec.u) == len(rec.v) == len(rec.y) == 1
+        assert len(rec.u) == len(rec.finite) == len(rec.y) == 1
         assert rec.indeterminacy_hits[-1][1] == 0.0
 
-    @pytest.mark.parametrize("which", ["f", "f2"])
-    def test_exact_indeterminacy_truncates(self, which):
-        # the kernel's first step lands on u = v = 0 and stops there
-        u, v, y = orbit_coordinates(P, PointP1xC(-1.0 + 0j, P.alpha), 10, which)
-        assert len(u) == len(v) == len(y) == 1
+    @pytest.mark.parametrize("p,which,y0", [(P, "f", P.alpha), (P, "f2", P.alpha),
+                                            (ALPHA_ONE, "g", 1.0 + 0j)], ids=["f", "f2", "g"])
+    def test_exact_indeterminacy_truncates(self, p, which, y0):
+        # the kernel's first step has numerator and denominator 0 and stops
+        u, finite, y = orbit_coordinates(p, PointP1xC(-1.0 + 0j, y0), 10, which)
+        assert len(u) == len(finite) == len(y) == 1
 
     @pytest.mark.parametrize("which", ["f", "g", "f2"])
     def test_overflow_raises(self, which):
@@ -121,36 +130,19 @@ def _bits(z: complex) -> tuple:
 
 
 _ESCAPE_X0 = -(1.0 + 0.5) / (1.0 + P.alpha)  # step 1 lands exactly on x = -1
+# G's denominator is an exact 0 at step 1: x passes through infinity
+_G_ESCAPE_X0 = -(P.beta + P.alpha * P.alpha * 1.0) / (P.alpha + P.beta)
 
 
-def per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n):
-    """The g and f2 orbit loops, step by step: one loop over the steps,
-    with a substep loop for f2 and a map test at every step, in the
-    arithmetic that ``kernels.orbit_points`` must keep to the bit."""
-    u, v, ys = np.empty((3, n + 1), dtype=np.complex128)
-    a, b, one = complex(alpha), complex(beta), 1.0 + 0j
-    cu, cv, cy = complex(x_num), complex(x_den), complex(y0)
-    if cv != 1:
-        cu, cv = (one, 0j) if cv == 0 else (cu / cv, one)
-    u[0], v[0], ys[0] = cu, cv, cy
-    substeps = 2 if which == "f2" else 1
-    for count in range(1, n + 1):
-        for _ in range(substeps):
-            if which == "g":
-                nu = (1.0 + cy) * cu + (a + 1.0) * cy * cv
-                nv = (a + b) * cu + (b + a * a * cy) * cv
-                cy = cy / (b * b)
-            else:
-                nu, nv = (a * cu + cy, one * cu + one) if cv else (a, one)
-                cy = b * cy
-            if nv != 0:
-                cu, cv = nu / nv, one
-            elif nu != 0:
-                cu, cv = one, 0j
-            else:
-                return u[:count], v[:count], ys[:count], count
-        u[count], v[count], ys[count] = cu, cv, cy
-    return u, v, ys, n + 1
+def assert_orbit_bits(orbit, ref):
+    """The kernel's (u, finite, y) are the points (x, y) of ``ref`` to the
+    bit, with finite False where x is INFINITY."""
+    u, finite, y = orbit[:3]
+    assert len(u) == len(finite) == len(y) == len(ref)
+    for uk, fk, yk, (x, y_ref) in zip(u.tolist(), finite.tolist(), y.tolist(), ref):
+        assert fk is not is_infinity(x)
+        assert not fk or _bits(uk) == _bits(x)
+        assert _bits(yk) == _bits(y_ref)
 
 
 class TestOrbitProperties:
@@ -179,38 +171,74 @@ class TestOrbitProperties:
                 ref.append(apply_f(p, ref[-1]))
         except IndeterminatePoint:
             pass
-        u, v, y = orbit_coordinates(p, q, n, "f")
-        assert len(u) == len(v) == len(y) == len(ref)
-        for uk, vk, yk, pt in zip(u.tolist(), v.tolist(), y.tolist(), ref):
-            if is_infinity(pt.x):
-                assert vk == 0
-            else:
-                assert vk == 1 and _bits(uk) == _bits(pt.x)
-            assert _bits(yk) == _bits(pt.y)
+        assert_orbit_bits(orbit_coordinates(p, q, n, "f"), [(pt.x, pt.y) for pt in ref])
 
-    @pytest.mark.parametrize("alpha,beta,x_num,x_den,y0,n,counts", [
-        (P.alpha, P.beta, 0.3 + 0.1j, 1, 1e-3j, 2000, {"g": 2001, "f2": 2001}),
-        (P.alpha, P.beta, 1, 0, 0.5, 2000, {"g": 2001, "f2": 2001}),  # from infinity
-        (P.alpha, P.beta, 0.2, 1, 0, 2000, {"g": 2001, "f2": 2001}),  # y0 = 0
-        (P.alpha, P.beta, 7.0 - 2j, 1, 3 + 1j, 3000, {"g": 3001, "f2": 3001}),
-        (P.alpha, P.beta, _ESCAPE_X0, 1, 0.5, 50, {"g": 51, "f2": 51}),
-        (1.0, -1.0, 0.5, 1, 1.0, 10, {"g": 11, "f2": 11}),  # g at infinity each step
-        # below, a step lands on u = v = 0 exactly: after f step k, an f2
-        # orbit keeps (k + 1) // 2 points
-        (1.0, 1.0, -1.0, 1, 1.0, 10, {"g": 1, "f2": 1}),  # g and f step 1
-        (1.0, -1.0, 0j, 1, -1.0, 10, {"g": 11, "f2": 1}),  # f step 2
-        (-1.0, 1j, -1.0, 1, 1.0, 10, {"g": 2, "f2": 2}),  # g step 2, f step 3
-        (-1.0, 1j, 1, 0, -1j, 10, {"g": 11, "f2": 2}),  # f step 4
-    ], ids=["start", "infinity", "y0-zero", "far", "escape", "g-infinity",
-            "hit-1", "hit-f2", "hit-f3", "hit-f4"])
-    @pytest.mark.parametrize("which", ["g", "f2"])
-    def test_kernel_is_the_per_step_loop_to_the_bit(self, which, alpha, beta, x_num,
-                                                    x_den, y0, n, counts):
-        got = kernels.orbit_points(which, alpha, beta, x_num, x_den, y0, n)
-        want = per_step_orbit_points(which, alpha, beta, x_num, x_den, y0, n)
-        assert got[3] == want[3] == counts[which]
-        for part, loop in zip(got[:3], want[:3]):
-            assert len(part) == counts[which] and part.tobytes() == loop.tobytes()
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        p=map_params(),
+        x0=st.one_of(
+            st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+            st.just(INFINITY),
+        ),
+        y0=st.one_of(
+            st.builds(
+                lambda r, t: r * cmath.exp(2j * math.pi * t),
+                st.floats(1e-3, 10.0),
+                st.floats(0.0, 1.0),
+            ),
+            st.just(0j),
+        ),
+    )
+    @example(p=P, x0=INFINITY, y0=0.5 + 0j)
+    @example(p=P, x0=_G_ESCAPE_X0, y0=1.0 + 0j)
+    @example(p=P, x0=0.2 + 0j, y0=0j)  # the fiber y = 0 is invariant
+    @example(p=ALPHA_ONE, x0=-1.0 + 0j, y0=1.0 + 0j)  # exact hit at step 1
+    def test_kernel_is_apply_g_to_the_bit(self, p, x0, y0):
+        n = 200
+        g = InvertedSquareMap(params=p)
+        ref = [(x0, y0)]
+        try:
+            while len(ref) <= n:
+                ref.append(g.apply(*ref[-1]))
+        except IndeterminatePoint:
+            pass
+        x_start = None if is_infinity(x0) else x0
+        assert_orbit_bits(kernels.orbit_points("g", p.alpha, p.beta, x_start, y0, n), ref)
+
+    @pytest.mark.parametrize("p,x0,y0,count", [
+        (P, 0.3 + 0.1j, 1e-3j, 2001),
+        (P, INFINITY, 0.5 + 0j, 2001),
+        (P, 7.0 - 2j, 3 + 1j, 2001),
+        (P, _ESCAPE_X0, 0.5 + 0j, 2001),
+        # below, f step k lands on (-1, alpha) exactly, and the f2 orbit
+        # keeps (k + 1) // 2 points; for alpha = -1, y0 is -beta^(1 - k)
+        # rounded so that k - 1 products by beta give -1 exactly
+        (P, -1.0 + 0j, P.alpha, 1),  # k = 1
+        (ALPHA_MINUS_ONE, INFINITY, 0.7373688780783199 - 0.6754902942615236j, 1),  # k = 2
+        (ALPHA_MINUS_ONE, -1.0 + 0j, -0.08742572471696039 + 0.9961710408648277j, 2),  # k = 3
+        (ALPHA_MINUS_ONE, INFINITY, -0.6084388609788618 - 0.7936007512916968j, 2),  # k = 4
+    ], ids=["start", "infinity", "far", "escape", "hit-f1", "hit-f2", "hit-f3", "hit-f4"])
+    def test_f2_is_f_at_even_steps(self, p, x0, y0, count):
+        q = PointP1xC(x0, y0)
+        f = orbit_coordinates(p, q, 4000, "f")
+        f2 = orbit_coordinates(p, q, 2000, "f2")
+        for even, point in zip(f, f2):
+            assert len(point) == count and point.tobytes() == even[::2].tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=map_params(),
+        x0=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        y0=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        n=st.integers(1, 300),
+    )
+    def test_f2_is_f_at_even_steps_drawn(self, p, x0, y0, n):
+        assume(y0 != 0)
+        q = PointP1xC(x0, y0)
+        f, f2 = orbit_coordinates(p, q, 2 * n, "f"), orbit_coordinates(p, q, n, "f2")
+        assert len(f2[0]) == n + 1
+        for even, point in zip(f, f2):
+            assert point.tobytes() == even[::2].tobytes()
 
     @pytest.mark.parametrize("which", ["f", "g", "f2"])
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -306,6 +334,19 @@ class TestInvertedSquareMap:
             gx, gy = g.apply(x, y)
             worst = max(worst, abs(gx - 1.0 / q.x) + abs(gy - 1.0 / q.y))
         assert worst < 1e-12
+
+    def test_infinity_is_accepted_and_returned(self):
+        # the fiber matrix's first column at x = infinity, and infinity
+        # where the denominator is an exact 0
+        g = InvertedSquareMap(params=P)
+        y = 0.3 - 0.2j
+        assert g.apply(INFINITY, y) == ((1.0 + y) / (P.alpha + P.beta), y / (P.beta * P.beta))
+        assert is_infinity(g.apply(_G_ESCAPE_X0, 1.0 + 0j)[0])
+
+    def test_indeterminate_point(self):
+        # sigma maps f's indeterminate point (-1, alpha) to (-1, 1 / alpha)
+        with pytest.raises(IndeterminatePoint):
+            InvertedSquareMap(params=ALPHA_ONE).apply(-1.0 + 0j, 1.0 + 0j)
 
     def test_origin_fixed(self):
         g = InvertedSquareMap(params=P)
@@ -512,11 +553,24 @@ class TestBoxcountProperties:
 
     @pytest.mark.parametrize("which,x0", [("f", 0.001 + 0.0005j), ("g", 0.001 + 0j)])
     def test_readme_starts_equal_unique_reference(self, which, x0):
-        u, v, y = orbit_coordinates(P, PointP1xC(x=x0, y=0.001 + 0j), 200_000, which)
-        finite = v != 0
+        u, finite, y = orbit_coordinates(P, PointP1xC(x=x0, y=0.001 + 0j), 200_000, which)
         assert _sort_once(u[finite], y[finite], 16) == _README_REFERENCE[which]
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(slopes=st.lists(st.floats(0.0, 64.0), min_size=1, max_size=16))
+    def test_window_median_is_np_median(self, slopes):
+        # the rule boxcount_rank takes on its window slopes, each a log2 of
+        # a box-count ratio >= 1, agrees with np.median to the bit
+        assert _bits(statistics.median(slopes)) == _bits(float(np.median(slopes)))
 
     def test_octave_beyond_key_width_rejected(self):
         x = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 2000))
         with pytest.raises(ValueError):
             boxcount_rank(x, x, max_octave=17)
+
+
+def test_module_import_leaves_numpy_unrun():
+    # maps binds NumPy lazily (``_lazy.np``), as the kernels do
+    code = "import sys, jonq.maps; print('numpy._core' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
