@@ -8,16 +8,18 @@ square-root normalization.  ``cocycle.generator_values`` evaluates every
 generator through them, and so does the kernel, but for the jonquieres
 row update, which holds only the one entry that depends on y, y or y^2,
 as a per-trajectory constant times a per-step factor.  This module
-imports nothing from the package but its lazy NumPy binding,
-``_lazy.np``.  ``generator_bounds`` is the one closed-form bound on the
-matrices the kernel multiplies: it sets both the renormalization interval
-and ``cocycle``'s ``Overflow`` check.
+imports from the package only ``_lazy.np``, the error types and ``_fork``.
+``generator_bounds`` is the one closed-form bound on the matrices the
+kernel multiplies: it sets both the renormalization interval and
+``cocycle_sums``' ``Overflow`` check.
 """
 
 import cmath
 import math
+from decimal import Decimal
 
 from ._lazy import np
+from .errors import Overflow, RadiusOne, SingularFactor
 
 
 def sqrt_branch_values(alpha, rho, y):
@@ -36,6 +38,36 @@ def sqrt_branch_values(alpha, rho, y):
         return outside
     small = np.sqrt(complex(alpha)) * np.sqrt(1.0 - y * y / alpha)
     return np.where(inside, small, outside)
+
+
+def check_radii(kind, rhos):
+    """The radii ``rhos`` of a ``kind`` cocycle as a float64 array, checked
+    in one pass: every radius is positive (NaN fails), and a ``btilde``
+    radius is not 1.  The error names the first radius that fails.
+
+    Nothing else about a btilde radius needs checking, because the branch
+    b of sqrt(alpha - y^2) that ``sqrt_branch_values`` gives is continuous
+    and closes on every circle |y| = rho != 1.  It is the principal root
+    of 1 - w times sqrt(alpha), with w = y^2 / alpha, inside the unit
+    circle, and times i y, with w = alpha / y^2, outside.  Since
+    |alpha| = 1, |w| is rho^2 < 1 inside and rho^-2 < 1 outside, so 1 - w
+    has a positive real part and never meets the root's cut on the
+    negative axis: b is a continuous function of y, so it returns to its
+    value at theta = 0 as theta -> 1.  Then alpha - y^2 = b^2 winds 0 times
+    about 0 inside and twice (the factor y^2) outside.  The exponents read
+    only |b| = |alpha - y^2|^(1/2), which is the same on either branch.
+    """
+    rhos = np.asarray(rhos, dtype=np.float64)
+    # written so that NaN fails
+    bad = ~(rhos > 0.0)
+    if kind == "btilde":
+        bad |= rhos == 1.0
+    if bad.any():
+        rho = float(rhos[np.argmax(bad)])
+        if not rho > 0.0:
+            raise ValueError(f"rho must be positive, got {rho!r}")
+        raise RadiusOne(f"square-root normalization undefined at rho = {rho!r}")
+    return rhos
 
 
 def generator_entries(kind, alpha, rho, energy, potential, cmat, y, out):
@@ -292,6 +324,13 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
     product equals exp(s_full) * p_full with p_full Frobenius-normalized;
     s_half is the log-norm sum of the product of the first n // 2 steps.
 
+    * Checks, before any step: the radii (``check_radii``), then the
+      bound G >= |A|_F of ``generator_bounds`` in [1e-150, 2e150] at each
+      radius, so the squared entries of a norm stay normal floats, else
+      ``Overflow``.  After the join, a product that vanished or left the
+      float range leaves a non-finite s_full: ``SingularFactor`` (step
+      None), not NaN.  Each error names the first radius that fails.
+
     * Chunks.  By the cocycle property
       A_n(theta) = A_(n-t)(theta + t freq) A_t(theta), the run is cut into
       the step ranges of ``chunk_bounds(n)`` (n // 2 is always a boundary).
@@ -352,6 +391,19 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         rho = np.full(m, float(rho))
     elif rho.shape != (m,):
         raise ValueError(f"rho has shape {rho.shape}, want a scalar or ({m},)")
+    check_radii(kind, rho)
+    log_g, _ = generator_bounds(kind, alpha, rho, energy, potential, cmat)
+    # written so that NaN fails
+    bad = ~((log_g >= math.log(1e-150)) & (log_g <= math.log(2e150)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        log_bound = float(log_g[i])
+        # printed from its logarithm: past e^709 the float exp overflows
+        bound = Decimal(log_bound).exp() if log_bound > 709.0 else math.exp(log_bound)
+        raise Overflow(
+            f"generator norm bound {bound:.3e} outside [1e-150, 2e150]"
+            f" at rho={float(rho[i])!r}"
+        )
     # contiguous parts of the batch side by side, joined in input order; a
     # trajectory of n = 0 steps counts as one
     from ._fork import fork_map, ranges
@@ -360,8 +412,17 @@ def cocycle_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):
         return _batch_sums(kind, alpha, rho[r[0]:r[1]], freq, energy, potential,
                            cmat, thetas[r[0]:r[1]], n)
 
-    parts = fork_map(part, ranges(m, max(2, math.ceil(FORK_STEPS / (2 * max(1, n))))))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts = fork_map(part, ranges(m, max(2, math.ceil(FORK_STEPS / (2 * max(1, n))))))
+    sums = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    bad = ~np.isfinite(sums[1])
+    if bad.any():
+        raise SingularFactor(
+            None,
+            f"cocycle product vanished or overflowed at rho={float(rho[np.argmax(bad)])!r}:"
+            " log-norm sum is not finite",
+        )
+    return sums
 
 
 def _batch_sums(kind, alpha, rho, freq, energy, potential, cmat, thetas, n):

@@ -255,6 +255,8 @@ def _cmd_classify(args) -> str:
     payload = {
         "rank": cls.rank,
         "confidence": cls.confidence,
+        # below the acceptance suite's floor the rank may be another domain's
+        "low_confidence": cls.confidence < 0.9,
         "slopes": list(cls.slopes),
         "window": list(cls.window),
         "counts": list(cls.counts),

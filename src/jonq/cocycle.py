@@ -27,43 +27,12 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 from . import _kernels_py as kernels
 from ._lazy import np
 from .algebra import GOLDEN_FREQ, KINDS, check_nonresonant, default_alpha
-from ._kernels_py import sqrt_branch_values
-from .errors import Overflow, RadiusOne, SingularFactor
-
-
-def check_radii(kind: str, rhos) -> np.ndarray:
-    """The radii ``rhos`` of a ``kind`` cocycle as a float64 array, checked
-    in one pass: every radius is positive (NaN fails), and a ``btilde``
-    radius is not 1.  The error names the first radius that fails.
-
-    Nothing else about a btilde radius needs checking, because the branch
-    b of sqrt(alpha - y^2) that ``_kernels_py.sqrt_branch_values`` gives is
-    continuous and closes on every circle |y| = rho != 1.  It is the
-    principal root of 1 - w times sqrt(alpha), with w = y^2 / alpha, inside
-    the unit circle, and times i y, with w = alpha / y^2, outside.  Since
-    |alpha| = 1, |w| is rho^2 < 1 inside and rho^-2 < 1 outside, so 1 - w
-    has a positive real part and never meets the root's cut on the
-    negative axis: b is a continuous function of y, so it returns to its
-    value at theta = 0 as theta -> 1.  Then alpha - y^2 = b^2 winds 0 times
-    about 0 inside and twice (the factor y^2) outside.  The exponents read
-    only |b| = |alpha - y^2|^(1/2), which is the same on either branch.
-    """
-    rhos = np.asarray(rhos, dtype=np.float64)
-    # written so that NaN fails
-    bad = ~(rhos > 0.0)
-    if kind == "btilde":
-        bad |= rhos == 1.0
-    if bad.any():
-        rho = float(rhos[np.argmax(bad)])
-        if not rho > 0.0:
-            raise ValueError(f"rho must be positive, got {rho!r}")
-        raise RadiusOne(f"square-root normalization undefined at rho = {rho!r}")
-    return rhos
+from ._kernels_py import check_radii, sqrt_branch_values
+from .errors import SingularFactor
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +101,7 @@ class LyapunovEstimate:
 def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
     """Generator matrices at y = rho * exp(2*pi*i*theta), one (2, 2) block
     per phase in ``thetas``: an (m, 2, 2) complex array for m phases."""
-    kind, alpha, rho, _, energy, potential, cmat = _kernel_args(spec)
+    kind, alpha, rho, _, energy, potential, cmat = _kernel_args(spec, float(spec.rho))
     thetas = np.asarray(thetas, dtype=np.float64)
     g = np.empty((2, 2, len(thetas)), dtype=np.complex128)
     y = rho * np.exp(2j * np.pi * thetas)
@@ -140,53 +109,10 @@ def generator_values(spec: CocycleSpec, thetas) -> np.ndarray:
     return g.transpose(2, 0, 1)
 
 
-def _check_generator_scale(spec: CocycleSpec, rho: np.ndarray) -> None:
-    # the largest generator entry must lie in [1e-150, 1e150], so the squared
-    # entries of a norm stay normal floats: checked as 1e-150 <= G <= 2e150
-    # on the closed-form bound G >= |A|_F over every phase of each radius
-    # (for btilde, of the jonquieres_b matrices its kernel multiplies),
-    # read as ln G, which is summed in logs and so finite at every radius
-    kind, alpha, _, _, energy, potential, cmat = _kernel_args(spec)
-    log_g, _ = kernels.generator_bounds(kind, alpha, rho, energy, potential, cmat)
-    # written so that NaN fails
-    bad = ~((log_g >= math.log(1e-150)) & (log_g <= math.log(2e150)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        log_bound = float(log_g[i])
-        # printed from its logarithm: past e^709 the float exp overflows
-        bound = Decimal(log_bound).exp() if log_bound > 709.0 else math.exp(log_bound)
-        raise Overflow(
-            f"generator norm bound {bound:.3e} outside [1e-150, 2e150]"
-            f" at rho={float(rho[i])!r}"
-        )
-
-
-def _cocycle_sums(spec: CocycleSpec, rho: np.ndarray, thetas: np.ndarray, n: int):
-    """Kernel products of ``spec``'s family, one trajectory per entry of
-    ``rho`` and ``thetas``, after the generator scale check.  A
-    renormalized product that vanished (or left the floating-point range)
-    leaves a non-finite log-norm sum: that raises :class:`SingularFactor`
-    instead of returning NaN."""
-    _check_generator_scale(spec, rho)
-    kind, alpha, _, freq, energy, potential, cmat = _kernel_args(spec)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums = kernels.cocycle_sums(
-            kind, alpha, rho, freq, energy, potential, cmat, thetas, int(n)
-        )
-    bad = ~np.isfinite(sums[1])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SingularFactor(
-            None,
-            f"cocycle product vanished or overflowed at rho={float(rho[i])!r}:"
-            " log-norm sum is not finite",
-        )
-    return sums
-
-
-def _kernel_args(spec: CocycleSpec):
-    return (spec.kind, complex(spec.alpha), float(spec.rho), float(spec.freq),
-            float(spec.energy), np.asarray(spec.potential, dtype=np.float64), spec.matrix)
+def _kernel_args(spec: CocycleSpec, rho):
+    # the kernel arguments before thetas, at the radii rho
+    return (spec.kind, complex(spec.alpha), rho, float(spec.freq), float(spec.energy),
+            np.asarray(spec.potential, dtype=np.float64), spec.matrix)
 
 
 def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[np.ndarray, float]:
@@ -201,9 +127,8 @@ def iterate(spec: CocycleSpec, theta: float, n: int) -> tuple[np.ndarray, float]
     if n == 0:
         return np.eye(2, dtype=np.complex128) / math.sqrt(2.0), 0.5 * math.log(2.0)
     theta = theta % 1.0
-    _, s_full, p_full = _cocycle_sums(
-        spec, np.array([float(spec.rho)]), np.array([theta]), n
-    )
+    _, s_full, p_full = kernels.cocycle_sums(*_kernel_args(spec, float(spec.rho)),
+                                             np.array([theta]), n)
     p = p_full[0]
     if spec.kind == "btilde":
         # the kernel's btilde direction is the jonquieres_b one: this
@@ -255,19 +180,18 @@ def phase_values_many(
     """Per-phase (1/n) log Frobenius norms at n and n//2 for each radius in
     ``rhos``: two (len(rhos), samples) arrays, row r for radius rhos[r].
 
-    The radii are checked by one :func:`check_radii` call and run the same
-    phases, so rows pair phase by phase; all rows come from one kernel
-    call.  The exponent does not depend on the matrix norm, so the
+    The radii run the same phases, so rows pair phase by phase; all rows
+    come from one kernel call, which checks the radii, the generator bound
+    and the sums.  The exponent does not depend on the matrix norm, so the
     Frobenius norm the kernel renormalizes by is the only one.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rhos = check_radii(spec.kind, rhos)
-    thetas = phase_samples(samples, seed)
-    s_half, s_full, _ = _cocycle_sums(
-        spec, np.repeat(rhos, samples), np.tile(thetas, len(rhos)), n
+    thetas = np.tile(phase_samples(samples, seed), len(rhos))
+    s_half, s_full, _ = kernels.cocycle_sums(
+        *_kernel_args(spec, np.repeat(rhos, samples)), thetas, n
     )
     shape = (len(rhos), samples)
     return (s_half / (n // 2)).reshape(shape), (s_full / n).reshape(shape)
@@ -288,14 +212,17 @@ def lyapunov_many(
     """Phase-averaged Lyapunov-exponent estimates, one per radius in
     ``rhos``, from one kernel call (:func:`phase_values_many`).
 
-    Each estimate is the mean over ``samples`` low-discrepancy phases of
-    (1/n) ln ||A_n(y)||, taken by :func:`phase_mean`.
+    Each estimate is the :func:`phase_mean` over ``samples``
+    low-discrepancy phases of (1/n) ln ||A_n(y)||, with the mean of the
+    same phases' values at n // 2.
     """
     half_rows, rows = phase_values_many(spec, rhos, n, samples, seed)
-    return [
-        estimate_from_phase_values(half_vals, vals, n)
-        for half_vals, vals in zip(half_rows, rows)
-    ]
+    estimates = []
+    for half_vals, vals in zip(half_rows, rows):
+        value, stderr = phase_mean(vals)
+        estimates.append(LyapunovEstimate(value=value, n=n, samples=samples, stderr=stderr,
+                                          half_n_value=float(np.mean(half_vals))))
+    return estimates
 
 
 def phase_mean(values) -> tuple[float, float]:
@@ -306,22 +233,6 @@ def phase_mean(values) -> tuple[float, float]:
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return mean, stderr
-
-
-def estimate_from_phase_values(
-    half_vals: np.ndarray, vals: np.ndarray, n: int
-) -> LyapunovEstimate:
-    """The estimate at one radius from its per-phase values at n // 2 and
-    n (one row of :func:`phase_values_many`): the :func:`phase_mean` of
-    the values at n, and the mean of those at n // 2."""
-    value, stderr = phase_mean(vals)
-    return LyapunovEstimate(
-        value=value,
-        n=n,
-        samples=len(vals),
-        half_n_value=float(np.mean(half_vals)),
-        stderr=stderr,
-    )
 
 
 def lyapunov(spec: CocycleSpec, n: int, samples: int, seed: int) -> LyapunovEstimate:

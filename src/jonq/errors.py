@@ -27,13 +27,14 @@ class Overflow(JonqError):
     """A closed-form bound G, over every phase, on the Frobenius norm of
     the matrices the kernel multiplies (``_kernels_py.generator_bounds``;
     the jonquieres_b matrices for btilde, so its largest radius is theirs,
-    about 1.4e75) lies outside [1e-150, 2e150], or an orbit left the
-    floating-point range."""
+    about 1.4e75) lies outside [1e-150, 2e150] (``cocycle_sums`` checks
+    it before any step), or an orbit left the floating-point range."""
 
 
 class SingularFactor(JonqError):
     """A factor in an inverse-iterate product is numerically singular (``step``
-    is its index), or a forward product vanished (``step`` is None)."""
+    is its index), or a forward product vanished (``step`` is None; checked
+    on ``cocycle_sums``' log-norm sums after the join)."""
 
     def __init__(self, step, message=""):
         self.step = step

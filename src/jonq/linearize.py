@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, repeat
 
-from .algebra import MapParams, max_abs
+from .algebra import MapParams, chordal, max_abs
 from .errors import SmallDivisor
 
 
@@ -260,8 +260,7 @@ def verify_conjugacy_numeric(
         x = 0.5 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         lhs, _ = g.apply(evaluate_conjugacy(coeffs, x, y), y)
         rhs = evaluate_conjugacy(coeffs, x / beta, y / (beta * beta))
-        dev = abs(lhs - rhs) / math.sqrt((1.0 + abs(lhs) ** 2) * (1.0 + abs(rhs) ** 2))
-        worst = max(worst, dev)
+        worst = max(worst, chordal(lhs, rhs))
     return worst
 
 

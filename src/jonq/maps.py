@@ -132,18 +132,23 @@ def semiconjugacy_check(p: MapParams, q: PointP1xC, n: int, other_root: bool = F
     (x, y^2) and g(x, y) = ((alpha x + y^2)/(x + 1), beta^(1/2) y).
 
     ``other_root`` exercises the second square root -beta^(1/2), which
-    semiconjugates equally.  Chordal metric in x, absolute in y.
+    semiconjugates equally.  Chordal metric in x, absolute in y.  Raises
+    ``ValueError`` where y0^2 is 0 (also by underflow), and
+    :class:`IndeterminatePoint` where f^k(pi) hits (-1, alpha) exactly.
     """
     gamma = -p.beta_sqrt if other_root else p.beta_sqrt
-    beta = gamma * gamma
-    gx, gy = q.x, q.y
     try:
         fq = PointP1xC(x=q.x, y=q.y * q.y)
     except ValueError:
         raise ValueError("start point needs y != 0")
+    # f^k(pi) from the orbit kernel, apply_f's points to the bit
+    fp = MapParams(alpha=p.alpha, beta=gamma * gamma, freq=p.freq)
+    u, finite, y = orbit_coordinates(fp, fq, n)
+    if len(u) <= n:
+        raise IndeterminatePoint("f is indeterminate exactly at (-1, alpha)")
+    gx, gy = q.x, q.y
     worst = 0.0
-    fp = MapParams(alpha=p.alpha, beta=beta, freq=p.freq)
-    for _ in range(n):
+    for fx, fin, fy in zip(u[1:].tolist(), finite[1:].tolist(), y[1:].tolist()):
         # one g step in projective x-coordinates
         if is_infinity(gx):
             num, den = p.alpha, 1.0 + 0j
@@ -151,8 +156,7 @@ def semiconjugacy_check(p: MapParams, q: PointP1xC, n: int, other_root: bool = F
             num, den = p.alpha * gx + gy * gy, gx + 1.0
         gx = INFINITY if den == 0 else num / den
         gy = gamma * gy
-        fq = apply_f(fp, fq)
-        worst = max(worst, chordal(gx, fq.x) + abs(gy * gy - fq.y))
+        worst = max(worst, chordal(gx, fx if fin else INFINITY) + abs(gy * gy - fy))
     return worst
 
 
@@ -227,6 +231,8 @@ def orbit_coordinates(
     ``InvertedSquareMap.apply``'s to the bit, f2's the even points of a
     2n-step f orbit.  Fewer than n + 1 points means an exact indeterminacy
     hit truncated the orbit (after a hit at f step k, f2 keeps (k + 1) // 2)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     x0 = None if is_infinity(q.x) else complex(q.x)
     if which == "f2":
         u, finite, y, _count = kernels.orbit_points("f", p.alpha, p.beta, x0, q.y, 2 * int(n))

@@ -401,7 +401,20 @@ class TestClassifyCommand:
         doc = json.loads(out.read_text())
         assert doc["rank"] == 1
         assert doc["confidence"] >= 0.9
+        assert doc["low_confidence"] is False
         assert doc["config"]["map"] == "g"
+
+    @pytest.mark.parametrize("n,rank,low", [("20000", 1, True), ("200000", 2, False)])
+    def test_low_confidence_flag(self, tmp_path, n, rank, low):
+        # the README f start: too short at n = 2e4 to resolve the torus
+        # (confidence 0.74), the torus at n = 2e5 (0.98)
+        rc, out = run(tmp_path, "f.json",
+                      ["classify", "--map", "f", "--x0", "0.001+0.0005j",
+                       "--y0", "0.001+0j", "--n", n])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert (doc["rank"], doc["low_confidence"]) == (rank, low)
+        assert (doc["confidence"] < 0.9) is low
 
     def test_leaves_numpy_ma_out(self, tmp_path):
         # the box-count median is taken from the sorted slopes: np.median

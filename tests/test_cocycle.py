@@ -514,6 +514,31 @@ class TestProperties:
             kernels.cocycle_sums("diagonal_power", ALPHA, np.ones(3), GOLDEN_FREQ,
                                  0.0, np.array([]), None, np.zeros(2), 4)
 
+    @pytest.mark.parametrize("kind,rho,error,message", [
+        ("jonquieres_b", 1e80, Overflow, r"outside \[1e-150, 2e150\] at rho=1e\+80$"),
+        ("btilde", 1.0, RadiusOne, r"undefined at rho = 1\.0$"),
+        ("jonquieres_b", -1.0, ValueError, r"got -1\.0$"),
+        ("jonquieres_b", math.nan, ValueError, r"got nan$"),
+    ])
+    def test_direct_call_checks_before_any_step(self, monkeypatch, kind, rho, error,
+                                                message):
+        # the kernel entry checks the radii, then the generator bound,
+        # before any batch runs
+        def no_step(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(kernels, "_batch_sums", no_step)
+        with pytest.raises(error, match=message):
+            kernel_call(kind, np.array([2.0, rho, 0.5]), phase_samples(3, 0), 50)
+
+    def test_direct_call_checks_its_sums(self):
+        # [[0, 1], [0, 0]] squares to zero: the product vanishes, and the
+        # kernel raises instead of returning a non-finite sum
+        cmat = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(SingularFactor, match=r"at rho=2\.0: log-norm sum is not finite"):
+            kernels.cocycle_sums("constant", ALPHA, 2.0, GOLDEN_FREQ, 0.0, np.array([]),
+                                 cmat, phase_samples(4, 0), 50)
+
 
 def every_step_products(kind, alpha, rho, freq, energy, potential, cmat, thetas, n,
                         first=0):
@@ -1260,7 +1285,7 @@ def closed_forms(kind, r, cmat=KERNEL_CMAT):
 
 def bound_decisions(kind, rho):
     """What the bound decides at each radius: the interval k of
-    ``renormalization_intervals``, negated where ``cocycle``'s check raises
+    ``renormalization_intervals``, negated where the kernel's check raises
     Overflow (G outside [1e-150, 2e150])."""
     log_g, _ = kernel_bounds(kind, rho)
     k = kernel_call(kind, rho, np.zeros(len(rho)), 1, call=kernels.renormalization_intervals)

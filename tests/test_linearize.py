@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jonq.linearize as linearize_mod
-from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, check_nonresonant
+from jonq.algebra import DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ, INFINITY, check_nonresonant
 from jonq.errors import ResonantParameter, SmallDivisor
 from jonq.linearize import (
     ConjugacyCoeffs,
@@ -27,7 +27,7 @@ from jonq.linearize import (
     x1_identity,
     x2_identity,
 )
-from jonq.maps import MapParams
+from jonq.maps import InvertedSquareMap, MapParams
 
 P = MapParams.from_angles(DEFAULT_ALPHA_ANGLE, GOLDEN_FREQ)
 EPS = 2.0**-52
@@ -518,6 +518,14 @@ class TestNumericConjugacy:
     def test_small_radius_error(self):
         coeffs = solve_coefficients(P, 12)
         assert verify_conjugacy_numeric(coeffs, 200, y_radius=0.01) < 1e-10
+
+    def test_image_at_infinity_is_a_chordal_deviation(self, monkeypatch):
+        # G returns INFINITY where its denominator is an exact 0: the
+        # deviation is then the chordal distance of the right side from
+        # infinity, at most 1, not a TypeError
+        monkeypatch.setattr(InvertedSquareMap, "apply", lambda self, x, y: (INFINITY, y))
+        dev = verify_conjugacy_numeric(solve_coefficients(P, 8), 20, y_radius=0.01)
+        assert 0.0 < dev <= 1.0
 
     def test_halving_scales_with_order(self):
         # radii chosen so the truncation tail dominates double round-off

@@ -304,6 +304,24 @@ class TestSemiconjugacy:
         q = PointP1xC(x=0.2 - 0.3j, y=0.7 * cmath.exp(1.1j))
         assert semiconjugacy_check(P, q, 500, other_root=True) < 1e-8
 
+    def test_start_needs_a_nonzero_square(self):
+        # y0 = 1e-200 is nonzero, but y0^2 underflows to 0
+        with pytest.raises(ValueError, match="y != 0"):
+            semiconjugacy_check(P, PointP1xC(x=0.1 + 0j, y=1e-200 + 0j), 10)
+
+    def test_negative_length_is_rejected(self):
+        q = PointP1xC(x=0.2 + 0.1j, y=0.5 + 0j)
+        for check in (semiconjugacy_check, matrix_orbit_equivalence):
+            with pytest.raises(ValueError, match="nonnegative"):
+                check(P, q, -1)
+
+    def test_exact_hit_is_indeterminate(self):
+        # alpha = -1 and y0 = i: pi(-1, i) = (-1, -1) is f's base point
+        # (i * i is -1 exactly), so the first f step is indeterminate
+        p = MapParams(alpha=-1 + 0j, beta=P.beta, freq=P.freq)
+        with pytest.raises(IndeterminatePoint):
+            semiconjugacy_check(p, PointP1xC(x=-1 + 0j, y=1j), 10)
+
 
 def _jacobian_origin_fd(g):
     """Forward-difference Jacobian of ``g`` at the origin, with step 1e-6."""
